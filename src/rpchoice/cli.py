@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
+from . import __version__
 from ._seeds import STREAM_COVARIATES, derive_rng
 from .data import load_csv, save_metadata, write_csv
 from .errors import ParameterError
@@ -38,7 +40,6 @@ from .projection import (
 from .simulate import DEFAULT_THETA, ErrorSpec, SimConfig, simulate_dataset
 
 TOOL_NAME = "rpchoice"
-TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
 OUT_ROOT_ENV = "RPCHOICE_OUT"
 
@@ -100,7 +101,7 @@ class RunManifest:
         return {
             "schema_version": SCHEMA_VERSION,
             "tool": TOOL_NAME,
-            "tool_version": TOOL_VERSION,
+            "tool_version": __version__,
             "command": self.command,
             "seed": self.seed,
             "params": self.params,
@@ -116,9 +117,20 @@ def load_manifest(path: str) -> dict:
         return json.load(fh)
 
 
+def _null_non_finite(value):
+    """Replace NaN and infinities with None, which strict JSON writes as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _null_non_finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_null_non_finite(item) for item in value]
+    return value
+
+
 def _write_json(payload: dict, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_null_non_finite(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -231,6 +243,7 @@ def cmd_estimate(args) -> int:
             f"mean projected [{summary.mean_lb:.4f}, {summary.mean_ub:.4f}], "
             f"nested {summary.nested_count}/{summary.successes}"
         )
+        succeeded = summary.successes
     else:
         summary = run_coefficient_replications(
             data,
@@ -243,7 +256,8 @@ def cmd_estimate(args) -> int:
             steps=args.steps,
             threads=threads,
         )
-        report = f"{summary.replications - len(summary.failures)} replications succeeded"
+        succeeded = summary.replications - len(summary.failures)
+        report = f"{succeeded} replications succeeded"
 
     payload = {"schema_version": SCHEMA_VERSION, **summary.to_dict()}
     _write_json(payload, os.path.join(out_dir, "summary.json"))
@@ -274,6 +288,13 @@ def cmd_estimate(args) -> int:
         "--seed", str(args.seed),
     ]
     _finish(out_dir, "estimate", args.seed, params, argv, artifacts, timer)
+    if succeeded == 0:
+        print(
+            f"error: all {args.replications} replications failed; their errors "
+            f"are in {os.path.join(out_dir, 'summary.json')}",
+            file=sys.stderr,
+        )
+        return 1
     print(f"{report}; wrote summary.json to {out_dir}")
     return 0
 
@@ -350,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Compress large-choice-set data with sparse random projections "
         "and estimate choice-model coefficients from cycle inequalities.",
     )
-    parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {TOOL_VERSION}")
+    parser.add_argument("--version", action="version", version=f"{TOOL_NAME} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic dataset")
@@ -379,8 +400,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--replications", type=_positive_int, default=100)
     p_est.add_argument("--grid", type=_positive_int, default=2000)
     p_est.add_argument("--refine", type=_positive_int, default=10)
-    p_est.add_argument("--restarts", type=_positive_int, default=20)
-    p_est.add_argument("--steps", type=_positive_int, default=5000)
+    p_est.add_argument(
+        "--restarts",
+        type=_positive_int,
+        default=20,
+        help="random sphere starts per replication (data with b != 2 covariates)",
+    )
+    p_est.add_argument(
+        "--steps",
+        type=_positive_int,
+        default=5000,
+        help="cap on active-set iterations per restart (data with b != 2 covariates)",
+    )
     p_est.add_argument("--threads", type=_positive_int, default=None)
     p_est.add_argument("--seed", type=_nonnegative_int, default=0)
     p_est.add_argument("--out", default=None)

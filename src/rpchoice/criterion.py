@@ -69,9 +69,10 @@ class CycleSet:
                 )
             if arr.min() < 0:
                 raise ValidationError("market indices must be nonnegative")
-            for row in arr:
-                if len(set(row.tolist())) != length:
-                    raise ValidationError(f"cycle {tuple(row)} repeats a market")
+            repeats = (np.diff(np.sort(arr, axis=1), axis=1) == 0).any(axis=1)
+            if repeats.any():
+                first = tuple(arr[int(repeats.argmax())].tolist())
+                raise ValidationError(f"cycle {first} repeats a market")
             cleaned[length] = arr
         if not cleaned:
             raise ParameterError("cycle set is empty")

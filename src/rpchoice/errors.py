@@ -31,3 +31,14 @@ class InfeasibleError(ValueError):
 
 class NumericalError(RuntimeError):
     """An iterative routine produced non-finite values; message carries diagnostics."""
+
+
+PACKAGE_ERRORS = (
+    ParseError,
+    ValidationError,
+    DimensionError,
+    ParameterError,
+    ScalingError,
+    InfeasibleError,
+    NumericalError,
+)

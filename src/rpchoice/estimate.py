@@ -3,9 +3,12 @@
 With two covariates the unit sphere is a circle, so the criterion is scanned
 over an angle grid and the estimate is reported as the arc of near-minimal
 angles (the criterion is set-identified in general, not point-identified).
-With more covariates, projected subgradient descent over the sphere does the
-minimizing. The replication harness repeats compression + estimation over
-independent projection draws and aggregates interval statistics.
+With more covariates, an active-set iteration does the minimizing over the
+sphere: it fixes the set of violated cycles, under which the criterion is a
+quadratic form, and jumps to that form's smallest eigenvector, repeating
+while the criterion strictly drops. The replication harness repeats
+compression + estimation over independent projection draws and aggregates
+interval statistics.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 from ._seeds import STREAM_PROJECTION, STREAM_RESTARTS, derive_rng, derive_seed
 from .criterion import CriterionEvaluator, CycleSet, ParamPoint, enumerate_cycles
 from .data import Dataset
-from .errors import DimensionError, NumericalError, ParameterError
+from .errors import PACKAGE_ERRORS, DimensionError, NumericalError, ParameterError
 from .projection import ProjectionSpec, apply, generate, resolve_sparsity
 from .simulate import SimConfig, simulate_dataset
 
@@ -29,6 +32,10 @@ TWO_PI = 2.0 * math.pi
 _TOL_FLOOR = 1e-12
 _TOL_RELATIVE = 1e-6
 _CONTAIN_SLACK = 1e-12
+
+# what a replication records as its failure; anything else is a bug and
+# propagates out of the harness
+_REPLICATION_ERRORS = (*PACKAGE_ERRORS, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -271,32 +278,29 @@ def estimate_subgradient(
     tolerance: float = 0.0,
     seed: int = 0,
     initial=None,
-    step_scale: float = 0.1,
 ) -> SphereDescentResult:
-    """Minimize the criterion over the unit sphere by projected subgradient descent.
+    """Minimize the criterion over the unit sphere by active-set eigen steps.
 
-    Each restart draws a uniform sphere start (the first uses `initial` when
-    given), sets the step constant to c = step_scale * Q0 / ||g0||^2, and walks
-    beta <- normalize(beta - (c/sqrt(t)) g) for t = 1..steps, keeping the best
-    iterate seen anywhere. Stops early once the best value is <= tolerance.
+    With residuals r = D beta, Q(beta) = ||D_A beta||^2 where A is the set of
+    violated cycles (r > 0). Each step fixes A at the current iterate and
+    moves to the minimizer of ||D_A v||^2 over the sphere: the eigenvector of
+    D_A' D_A for its smallest eigenvalue, with whichever sign gives the lower
+    Q. A step is accepted only when Q strictly drops, so a restart ends once
+    no step improves (there are finitely many active sets) or after `steps`
+    steps. Each restart starts from a uniform sphere draw (the first uses
+    `initial` when given); the best iterate over all restarts is returned.
+    Stops early once the best value is <= tolerance.
 
-    The default step_scale of 0.1 is conservative: because the displacement per
-    step is proportional to the current subgradient norm, it self-throttles on
-    problems with many cycles (where ||g||^2 grows with the cycle count while
-    the minimum stays put) and can stall far above the minimum within the step
-    budget. Raising step_scale by two to three orders of magnitude fixes the
-    stall on compressed problems with thousands of cycles; the iteration is
-    normalized every step, so large values degrade into a random search rather
-    than diverging.
+    The name is kept for API stability: the method replaced a projected
+    subgradient walk, whose step-size schedule it no longer needs.
     """
     if restarts < 1 or steps < 1:
         raise ParameterError("restarts and steps must be positive")
     if tolerance < 0:
         raise ParameterError("tolerance must be nonnegative")
-    if not (math.isfinite(step_scale) and step_scale > 0):
-        raise ParameterError("step_scale must be a positive finite number")
     evaluator = CriterionEvaluator(data, cycles)
     b = evaluator.b
+    D = evaluator.D
     rng = derive_rng(seed, STREAM_RESTARTS)
 
     def random_start() -> np.ndarray:
@@ -305,6 +309,13 @@ def estimate_subgradient(
             norm = float(np.linalg.norm(v))
             if norm > 1e-12:
                 return v / norm
+
+    def violation(residuals: np.ndarray, restart: int, step: int) -> float:
+        viol = np.maximum(residuals, 0.0)
+        value = float(viol @ viol)
+        if not math.isfinite(value):
+            raise NumericalError(f"non-finite criterion at restart {restart}, step {step}")
+        return value
 
     best_value = math.inf
     best_beta: np.ndarray | None = None
@@ -320,36 +331,25 @@ def estimate_subgradient(
         else:
             beta = random_start()
 
-        value, grad = evaluator.value_and_subgradient(beta)
-        restart_best = value
-        if value < best_value:
-            best_value, best_beta = value, beta.copy()
-        if best_value <= tolerance:
-            restart_values.append(restart_best)
-            break
-        gsq = float(grad @ grad)
-        if gsq == 0.0:
-            restart_values.append(restart_best)
-            continue
-        c = step_scale * value / gsq
-
-        for t in range(1, steps + 1):
-            candidate = beta - (c / math.sqrt(t)) * grad
-            norm = float(np.linalg.norm(candidate))
-            if norm <= 1e-300:
-                candidate, norm = random_start(), 1.0
-            beta = candidate / norm
-            value, grad = evaluator.value_and_subgradient(beta)
-            if not math.isfinite(value):
-                raise NumericalError(
-                    f"non-finite criterion at restart {restart}, step {t}, beta={beta}"
-                )
-            restart_best = min(restart_best, value)
-            if value < best_value:
-                best_value, best_beta = value, beta.copy()
-            if best_value <= tolerance:
+        residuals = D @ beta
+        value = violation(residuals, restart, 0)
+        for step in range(1, steps + 1):
+            if value <= tolerance:
                 break
-        restart_values.append(restart_best)
+            active = D[residuals > 0.0]
+            _, vectors = np.linalg.eigh(active.T @ active)
+            v = vectors[:, 0] / np.linalg.norm(vectors[:, 0])
+            r_v = D @ v
+            q_plus = violation(r_v, restart, step)
+            q_minus = violation(-r_v, restart, step)
+            if q_minus < q_plus:
+                v, r_v, q_plus = -v, -r_v, q_minus
+            if not q_plus < value:
+                break
+            beta, residuals, value = v, r_v, q_plus
+        restart_values.append(value)
+        if value < best_value:
+            best_value, best_beta = value, beta
         if best_value <= tolerance:
             break
 
@@ -479,8 +479,9 @@ def run_replications(
 
     `data` may be a Dataset or a SimConfig to simulate first. Replication r
     derives its projection seed from (master_seed, r) alone, so results are
-    identical whatever the thread count. A replication that raises is marked
-    failed and excluded from the statistics rather than aborting the run.
+    identical whatever the thread count. A replication that raises one of the
+    package's errors or a LinAlgError is marked failed and excluded from the
+    statistics rather than aborting the run; any other exception propagates.
     """
     if isinstance(data, SimConfig):
         data = simulate_dataset(data)
@@ -511,7 +512,7 @@ def run_replications(
                 q_min=idset.q_min,
                 wrapped=ub < lb,
             )
-        except Exception as exc:  # noqa: BLE001 - recorded, not swallowed
+        except _REPLICATION_ERRORS as exc:
             return ReplicationRecord(index=r, error=f"{type(exc).__name__}: {exc}")
 
     if threads > 1:
@@ -606,9 +607,11 @@ def run_coefficient_replications(
     steps: int = 5000,
     threads: int = 1,
     design_label: str = "",
-    step_scale: float = 0.1,
 ) -> CoefficientReplicationSummary:
-    """Replication harness for b != 2: sphere descent instead of a grid."""
+    """Replication harness for b != 2: sphere descent instead of a grid.
+
+    Failures are recorded as in `run_replications`.
+    """
     if replications < 1:
         raise ParameterError("replications must be at least 1")
     s_resolved = resolve_sparsity(s, data.d)
@@ -627,10 +630,9 @@ def run_coefficient_replications(
                 restarts=restarts,
                 steps=steps,
                 seed=derive_seed(master_seed, STREAM_RESTARTS, r),
-                step_scale=step_scale,
             )
             return result.beta, result.value, None
-        except Exception as exc:  # noqa: BLE001
+        except _REPLICATION_ERRORS as exc:
             return None, math.nan, f"{type(exc).__name__}: {exc}"
 
     if threads > 1:

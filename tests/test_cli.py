@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from rpchoice import load_csv, load_projection
+from rpchoice import NumericalError, __version__, load_csv, load_projection
 from rpchoice.cli import PRESETS, SCHEMA_VERSION, TOOL_NAME, load_manifest, main
 from rpchoice.estimate import run_replications
 from rpchoice.projection import ProjectionSpec, generate
@@ -155,6 +155,33 @@ class TestEstimate:
             assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
 
 
+    def test_all_failed_writes_strict_json_and_exits_1(self, tmp_path, monkeypatch,
+                                                        capsys):
+        def broken_generate(spec):
+            raise NumericalError("injected")
+
+        csv_path = simulate_small(tmp_path / "sim")
+        monkeypatch.setattr("rpchoice.estimate.generate", broken_generate)
+        out = tmp_path / "est"
+        code = run("estimate", "--data", csv_path, "--k", "4", "--replications", "2",
+                   "--grid", "128", "--refine", "1", "--threads", "1",
+                   "--out", str(out))
+        assert code == 1
+        assert "all 2 replications failed" in capsys.readouterr().err
+
+        def reject(token):
+            raise AssertionError(f"non-strict JSON token {token}")
+
+        with open(out / "summary.json") as fh:
+            payload = json.load(fh, parse_constant=reject)
+        assert payload["summary"]["failures"] == 2
+        assert payload["summary"]["mean_lb"] is None
+        assert payload["summary"]["nested_fraction"] is None
+        assert [r["lb"] for r in payload["records"]] == [None, None]
+        assert [r["error"] for r in payload["records"]] == ["NumericalError: injected"] * 2
+        assert (out / "manifest.json").exists()
+
+
 class TestVerifyJl:
     def test_refuses_tiny_draw_counts(self, tmp_path, capsys):
         code = run("verify-jl", "--d", "50", "--k", "5", "--draws", "10",
@@ -211,3 +238,4 @@ class TestProject:
 
     def test_version_flag_exits_0(self, capsys):
         assert run("--version") == 0
+        assert capsys.readouterr().out.strip() == f"{TOOL_NAME} {__version__}"

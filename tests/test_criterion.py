@@ -61,6 +61,21 @@ class TestCycle:
             Cycle((3,))
 
 
+class TestCycleSet:
+    @given(st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=3),
+                    min_size=1, max_size=12))
+    @settings(max_examples=200)
+    def test_repeat_check_matches_row_loop(self, rows):
+        """Reference: the per-row set() test; the first repeating row is named."""
+        bad = [row for row in rows if len(set(row)) != len(row)]
+        if not bad:
+            assert len(CycleSet({3: np.array(rows)})) == len(rows)
+            return
+        with pytest.raises(ValidationError, match="repeats a market") as info:
+            CycleSet({3: np.array(rows)})
+        assert str(info.value) == f"cycle {tuple(bad[0])} repeats a market"
+
+
 class TestEnumerateCycles:
     def test_two_markets(self):
         assert len(enumerate_cycles(2, (2,))) == 1

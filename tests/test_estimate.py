@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from rpchoice import (
+    CriterionEvaluator,
     Dataset,
     Market,
-    ParameterError,
+    NumericalError,
     ProjectionSpec,
     SimConfig,
     apply,
@@ -46,10 +47,33 @@ def angle_of(beta) -> float:
     return math.atan2(beta[1], beta[0]) % TWO_PI
 
 
+def fibonacci_sphere(count: int) -> np.ndarray:
+    """count near-uniform unit vectors as the columns of a (3, count) array."""
+    i = np.arange(count) + 0.5
+    z = 1.0 - 2.0 * i / count
+    r = np.sqrt(1.0 - z * z)
+    phi = math.pi * (3.0 - math.sqrt(5.0)) * i
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z])
+
+
 @pytest.fixture(scope="module")
 def comp10(headline_dataset):
     proj = generate(ProjectionSpec(k=10, d=100, s=1.0, seed=12))
     return apply(proj, headline_dataset)
+
+
+@pytest.fixture(scope="module")
+def comp_b3():
+    """Three covariates, 20 markets, d = 60 compressed to k = 6; the
+    compression noise leaves the criterion minimum positive."""
+    beta = np.array([0.6, -0.48, 0.64])
+    data = logit_oracle_dataset(20, 60, 3, beta, seed=45)
+    return apply(generate(ProjectionSpec(k=6, d=60, s=1.0, seed=13)), data)
+
+
+@pytest.fixture(scope="module")
+def cycles20():
+    return enumerate_cycles(20, (2, 3))
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +151,7 @@ class TestDescent:
     def test_matches_grid_minimum(self, comp10, cycles30):
         _, idset = estimate_polar_grid(comp10, cycles30)
         res = estimate_subgradient(comp10, cycles30, restarts=10, steps=2000,
-                                   seed=3, step_scale=100.0)
+                                   seed=3)
         assert abs(res.value - idset.q_min) <= 1e-6 * idset.q_min
         gap = abs(angle_of(res.point.beta) - idset.argmin)
         assert min(gap, TWO_PI - gap) < 2e-3
@@ -155,11 +179,49 @@ class TestDescent:
         b = estimate_subgradient(comp10, cycles30, restarts=2, steps=100, seed=9)
         np.testing.assert_array_equal(a.point.beta, b.point.beta)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-    def test_step_scale_validation(self, comp10, cycles30, bad):
-        with pytest.raises(ParameterError):
-            estimate_subgradient(comp10, cycles30, restarts=1, steps=5,
-                                 step_scale=bad)
+
+class TestActiveSetSolver:
+    def test_no_higher_than_sphere_grid_minimum(self, comp_b3, cycles20):
+        """The minimum over 50,000 Fibonacci-lattice directions bounds the true
+        minimum from above; the solver must reach it up to rounding, taken as
+        1e-12 of the largest grid value."""
+        D = CriterionEvaluator(comp_b3, cycles20).D
+        points = fibonacci_sphere(50_000)
+        values = np.concatenate([
+            (np.maximum(D @ points[:, lo:lo + 1000], 0.0) ** 2).sum(axis=0)
+            for lo in range(0, points.shape[1], 1000)
+        ])
+        res = estimate_subgradient(comp_b3, cycles20, seed=4)
+        assert res.value > 0
+        assert res.value <= values.min() + 1e-12 * values.max()
+
+    def test_each_restart_strictly_descends_within_step_cap(
+        self, comp_b3, cycles20, monkeypatch
+    ):
+        """With one restart from a fixed start, the value after a cap of t
+        steps is the t-th iterate: it must fall strictly until the iteration
+        stops, then stay put, and no run may take more than t eigen steps."""
+        start = np.array([-0.6, 0.48, -0.64])
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(1)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        q = [CriterionEvaluator(comp_b3, cycles20).value(start)]
+        for cap in range(1, 31):
+            calls.clear()
+            res = estimate_subgradient(comp_b3, cycles20, restarts=1, steps=cap,
+                                       initial=start)
+            assert len(calls) <= cap
+            assert res.restart_values == (res.value,)
+            q.append(res.value)
+        stop = next(t for t in range(1, len(q)) if q[t] == q[t - 1]) - 1
+        assert stop >= 1
+        assert all(q[t] < q[t - 1] for t in range(1, stop + 1))
+        assert all(value == q[stop] for value in q[stop:])
 
 
 class TestIrrelevantCoefficientRecovery:
@@ -186,7 +248,7 @@ class TestIrrelevantCoefficientRecovery:
             spec = ProjectionSpec(k=20, d=200, s=1.0, seed=derive_seed(1002, 3, r))
             comp = apply(generate(spec), data)
             res = estimate_subgradient(comp, cycles, restarts=8, steps=1500,
-                                       seed=derive_seed(77, 5, r), step_scale=100.0)
+                                       seed=derive_seed(77, 5, r))
             assert res.value > 0
             third.append(res.point.beta[2])
 
@@ -252,15 +314,53 @@ class TestReplications:
     def test_coefficient_replications(self, small_mc_dataset):
         coef = run_coefficient_replications(small_mc_dataset, k=8, s=1.0,
                                             replications=3, master_seed=5,
-                                            restarts=4, steps=200, step_scale=100.0)
+                                            restarts=4, steps=200)
         assert coef.betas.shape == (3, 2)
         np.testing.assert_allclose(np.linalg.norm(coef.betas, axis=1), 1.0, atol=1e-12)
         assert (coef.values >= 0).all()
         assert coef.failures == ()
         again = run_coefficient_replications(small_mc_dataset, k=8, s=1.0,
                                              replications=3, master_seed=5,
-                                             restarts=4, steps=200, step_scale=100.0)
+                                             restarts=4, steps=200)
         np.testing.assert_array_equal(coef.betas, again.betas)
+
+
+class TestReplicationFailures:
+    """Package errors become failed records; anything else is a bug and
+    propagates, whatever the thread count."""
+
+    @staticmethod
+    def _broken_generate(exc):
+        def generate(spec):
+            raise exc
+        return generate
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_package_error_is_recorded(self, small_mc_dataset, monkeypatch, threads):
+        monkeypatch.setattr("rpchoice.estimate.generate",
+                            self._broken_generate(NumericalError("injected")))
+        summary = run_replications(small_mc_dataset, k=8, s=1.0, replications=2,
+                                   master_seed=5, grid_size=64, refine=1,
+                                   threads=threads)
+        assert summary.failures == 2
+        assert all(r.error == "NumericalError: injected" for r in summary.records)
+        coef = run_coefficient_replications(small_mc_dataset, k=8, s=1.0,
+                                            replications=2, master_seed=5,
+                                            restarts=1, steps=5, threads=threads)
+        assert coef.failures == ((0, "NumericalError: injected"),
+                                 (1, "NumericalError: injected"))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_programming_error_propagates(self, small_mc_dataset, monkeypatch, threads):
+        monkeypatch.setattr("rpchoice.estimate.generate",
+                            self._broken_generate(TypeError("injected")))
+        with pytest.raises(TypeError, match="injected"):
+            run_replications(small_mc_dataset, k=8, s=1.0, replications=2,
+                             master_seed=5, grid_size=64, refine=1, threads=threads)
+        with pytest.raises(TypeError, match="injected"):
+            run_coefficient_replications(small_mc_dataset, k=8, s=1.0,
+                                         replications=2, master_seed=5,
+                                         restarts=1, steps=5, threads=threads)
 
 
 class TestConvergenceDiagnostic:
