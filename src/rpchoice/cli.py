@@ -398,8 +398,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--s", default="1", help="sparsity: 1, 3, sqrt, or a number")
     p_est.add_argument("--cycles", type=_cycles_list, default=(2, 3))
     p_est.add_argument("--replications", type=_positive_int, default=100)
-    p_est.add_argument("--grid", type=_positive_int, default=2000)
-    p_est.add_argument("--refine", type=_positive_int, default=10)
+    p_est.add_argument(
+        "--grid",
+        type=_positive_int,
+        default=2000,
+        help="angles in the plotted grid.csv (b = 2); the estimate itself is exact",
+    )
+    p_est.add_argument(
+        "--refine",
+        type=_positive_int,
+        default=10,
+        help="accepted for compatibility; changes no result, since the arcs are exact",
+    )
     p_est.add_argument(
         "--restarts",
         type=_positive_int,

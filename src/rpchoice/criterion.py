@@ -28,9 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, ValidationError
+from .errors import DimensionError, NumericalError, ParameterError, ValidationError
 
 UNIT_NORM_TOL = 1e-12
+
+_TWO_PI = 2.0 * math.pi
+# level-set pieces whose ends lie this close in angle belong to one arc
+_MERGE_GAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -129,14 +133,19 @@ def enumerate_cycles(n: int, lengths=(2, 3), both_orientations: bool = True) -> 
             raise ParameterError(f"cycle length {L} outside [2, {n}]")
     groups: dict[int, np.ndarray] = {}
     for L in lengths:
-        rows = []
-        for combo in itertools.combinations(range(n), L):
-            anchor, rest = combo[0], combo[1:]
-            for perm in itertools.permutations(rest):
-                if L > 2 and not both_orientations and perm[0] > perm[-1]:
-                    continue
-                rows.append((anchor, *perm))
-        groups[L] = np.array(rows, dtype=np.int64)
+        combos = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(n), L)),
+            dtype=np.int64,
+            count=math.comb(n, L) * L,
+        ).reshape(-1, L)
+        # positions into each sorted combination: the anchor, then one
+        # permutation of the rest; comparing positions compares values
+        orders = [
+            (0, *perm)
+            for perm in itertools.permutations(range(1, L))
+            if L == 2 or both_orientations or perm[0] < perm[-1]
+        ]
+        groups[L] = combos[:, np.array(orders)].reshape(-1, L)
     return CycleSet(groups)
 
 
@@ -245,6 +254,205 @@ class CriterionEvaluator:
             viol = np.maximum(self.D @ B, 0.0)
             values[start : start + len(block)] = (viol * viol).sum(axis=0)
         return values
+
+
+def _circle_form(M: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """u' M u at u = (cos theta, sin theta), with M stored as rows (p, q, r)
+    for the symmetric matrix [[p, q], [q, r]]."""
+    c, s = np.cos(thetas), np.sin(thetas)
+    return M[:, 0] * c * c + 2.0 * M[:, 1] * c * s + M[:, 2] * s * s
+
+
+def _circle_phase(M: np.ndarray):
+    """Q = mean + amp * cos(2 theta - psi) for each row (p, q, r) of M."""
+    mean = 0.5 * (M[:, 0] + M[:, 2])
+    half_diff = 0.5 * (M[:, 0] - M[:, 2])
+    return mean, np.hypot(half_diff, M[:, 1]), np.arctan2(M[:, 1], half_diff)
+
+
+def _piece_extremes(M, active, starts, stops):
+    """Minimum and maximum of u' M u over each piece [start, stop], with the
+    minimizing angle; pieces where `active` is False are exactly 0."""
+    mean, amp, psi = _circle_phase(M)
+    at_start = _circle_form(M, starts)
+    at_stop = _circle_form(M, stops)
+    lo = np.minimum(at_start, at_stop)
+    where_lo = np.where(at_start <= at_stop, starts, stops)
+    interior_min = starts + (0.5 * psi + 0.5 * math.pi - starts) % math.pi
+    inside = interior_min < stops
+    at_min = _circle_form(M, interior_min)
+    better = inside & (at_min < lo)
+    lo = np.where(better, at_min, lo)
+    where_lo = np.where(better, interior_min, where_lo)
+    interior_max = starts + (0.5 * psi - starts) % math.pi
+    hi = np.maximum(at_start, at_stop)
+    hi = np.where(interior_max < stops, np.maximum(hi, mean + amp), hi)
+    lo = np.where(active, np.maximum(lo, 0.0), 0.0)
+    hi = np.where(active, np.maximum(hi, 0.0), 0.0)
+    return lo, hi, where_lo
+
+
+class CircleProfile:
+    """The b = 2 criterion along the unit circle, exactly, by angular sweep.
+
+    Row c of D gives the residual r_c(theta) = rho_c cos(theta - phi_c),
+    positive on the open half-circle (phi_c - pi/2, phi_c + pi/2). Sorting
+    the 2m entry and exit angles cuts the circle into pieces with a fixed
+    active set A, on which
+
+        Q(theta) = u' M u = a + R cos(2 theta - psi),   M = sum_{c in A} D_c' D_c,
+
+    so the minimum, the maximum and the roots of Q = t on each piece have
+    closed forms. Piece j runs from breaks[j] to breaks[j + 1]; the last
+    piece wraps to breaks[0] + 2pi. M comes from prefix sums over the sweep,
+    which carry rounding of order eps * sum_c rho_c^2; the minimum and the
+    level-set roots are therefore taken from M recomputed from its rows for
+    the pieces involved. An integer active count makes Q exactly 0 where no
+    cycle is violated. All-zero rows never contribute and are dropped.
+    """
+
+    _EXACT_CHUNK = 1 << 22  # cells of the (pieces, rows) active mask per block
+    _SWEEP_SLACK = 1e-10  # rounding band of the prefix sums, times sum rho^2
+
+    def __init__(self, D: np.ndarray):
+        D = np.asarray(D, dtype=np.float64)
+        if D.ndim != 2 or D.shape[1] != 2:
+            raise DimensionError("a circle profile needs residual rows of 2 coefficients")
+        if not np.isfinite(D).all():
+            raise NumericalError("residual rows contain non-finite values")
+        D = D[(D != 0.0).any(axis=1)]
+        m = D.shape[0]
+        self._outer = np.column_stack([D[:, 0] * D[:, 0], D[:, 0] * D[:, 1], D[:, 1] * D[:, 1]])
+        phi = np.arctan2(D[:, 1], D[:, 0])
+        angles = np.concatenate([phi - 0.5 * math.pi, phi + 0.5 * math.pi]) % _TWO_PI
+        angles[angles >= _TWO_PI] = 0.0
+        # stable: on a tie an entry sweeps before an exit, so no spurious
+        # zero-length piece without active cycles appears between them
+        order = np.argsort(angles, kind="stable")
+        self.breaks = angles[order]
+        position = np.empty(2 * m, dtype=np.int64)
+        position[order] = np.arange(2 * m)
+        self._enter, self._leave = position[:m], position[m:]
+        # rows whose half-circle wraps through the sweep start are active on
+        # the last piece, before any event
+        initial = self._leave < self._enter
+        sign = np.where(order < m, 1, -1)
+        self._counts = int(initial.sum()) + np.cumsum(sign)
+        self._M = self._outer[initial].sum(axis=0) + np.cumsum(
+            sign[:, None] * self._outer[order % m], axis=0
+        )
+        self._scale = float(self._outer[:, 0].sum() + self._outer[:, 2].sum())
+        self._stops = np.append(self.breaks[1:], self.breaks[:1] + _TWO_PI)
+        self._lo, self._hi, _ = _piece_extremes(self._M, self._counts > 0, self.breaks, self._stops)
+
+    @property
+    def pieces(self) -> int:
+        return self.breaks.size
+
+    def _exact(self, pieces: np.ndarray) -> np.ndarray:
+        """M for the given pieces, summed from the rows active on each."""
+        out = np.empty((pieces.size, 3))
+        block = max(1, self._EXACT_CHUNK // max(1, self._enter.size))
+        enter, leave = self._enter, self._leave
+        plain = enter < leave
+        for lo in range(0, pieces.size, block):
+            j = pieces[lo : lo + block, None]
+            active = np.where(plain, (enter <= j) & (j < leave), (j >= enter) | (j < leave))
+            out[lo : lo + block] = active.astype(np.float64) @ self._outer
+        return out
+
+    def values(self, thetas) -> np.ndarray:
+        """Q at each angle, from the prefix-summed piece matrices."""
+        thetas = np.asarray(thetas, dtype=np.float64) % _TWO_PI
+        if self.pieces == 0:
+            return np.zeros(thetas.shape)
+        j = np.searchsorted(self.breaks, thetas, side="right") - 1
+        out = _circle_form(self._M[j], thetas)
+        return np.where(self._counts[j] > 0, np.maximum(out, 0.0), 0.0)
+
+    @property
+    def max_value(self) -> float:
+        return float(self._hi.max()) if self.pieces else 0.0
+
+    def minimum(self) -> tuple[float, float]:
+        """(min Q, an angle attaining it) over the circle.
+
+        Where some piece has no active cycle, the minimum is exactly 0 and
+        the angle is the midpoint of the first such piece.
+        """
+        if self.pieces == 0:
+            return 0.0, 0.0
+        idle = np.flatnonzero(self._counts == 0)
+        if idle.size:
+            j = idle[0]
+            return 0.0, float((0.5 * (self.breaks[j] + self._stops[j])) % _TWO_PI)
+        near = np.flatnonzero(self._lo <= self._lo.min() + self._SWEEP_SLACK * self._scale)
+        lo, _, where = _piece_extremes(
+            self._exact(near), True, self.breaks[near], self._stops[near]
+        )
+        best = int(lo.argmin())
+        return float(lo[best]), float(where[best] % _TWO_PI)
+
+    def level_set(self, threshold: float) -> tuple[tuple[float, float], ...]:
+        """Exact arcs of {Q <= threshold} as (lb, ub) pairs in [0, 2pi),
+        sorted by lb; ub < lb wraps through 0. The whole circle comes back as
+        the single arc (0, 2pi). threshold must be at least min Q."""
+        whole_circle = ((0.0, _TWO_PI),)
+        if self.pieces == 0 or self.max_value <= threshold:
+            return whole_circle
+        slack = self._SWEEP_SLACK * self._scale
+        whole = (self._hi <= threshold - slack) | (self._counts == 0)
+        crossing = np.flatnonzero(~whole & (self._lo <= threshold + slack))
+        parts = [
+            part
+            for j, M in zip(crossing, self._exact(crossing))
+            for part in _sublevel_segments(M, threshold, self.breaks[j], self._stops[j])
+        ]
+        seg_lo = np.append(self.breaks[whole], [lo for lo, _ in parts])
+        seg_hi = np.append(self._stops[whole], [hi for _, hi in parts])
+        if seg_lo.size == 0:
+            raise NumericalError(f"level set below {threshold!r} is empty")
+        order = np.argsort(seg_lo, kind="stable")
+        seg_lo, seg_hi = seg_lo[order], seg_hi[order]
+        # pieces tile the circle, so touching segments share an endpoint up
+        # to the rounding of a root
+        gap = np.flatnonzero(seg_lo[1:] - seg_hi[:-1] > _MERGE_GAP)
+        run_lo = seg_lo[np.append(0, gap + 1)]
+        run_hi = seg_hi[np.append(gap, seg_lo.size - 1)]
+        if run_lo[0] - self.breaks[0] <= _MERGE_GAP and self._stops[-1] - run_hi[-1] <= _MERGE_GAP:
+            if run_lo.size == 1:
+                return whole_circle
+            # the first and last runs meet across the sweep start
+            run_lo = np.append(run_lo[1:-1], run_lo[-1])
+            run_hi = np.append(run_hi[1:-1], run_hi[0] + _TWO_PI)
+        return tuple(
+            sorted((float(lo % _TWO_PI), float(hi % _TWO_PI)) for lo, hi in zip(run_lo, run_hi))
+        )
+
+
+def _sublevel_segments(M: np.ndarray, threshold: float, lo: float, hi: float):
+    """Sub-intervals of [lo, hi] where u' M u <= threshold (M as (p, q, r))."""
+    mean, amp, psi = (float(v[0]) for v in _circle_phase(M[None, :]))
+    if amp == 0.0:
+        return [(lo, hi)] if mean <= threshold else []
+    ratio = (threshold - mean) / amp
+    if ratio >= 1.0:
+        return [(lo, hi)]
+    if ratio <= -1.0:
+        return []
+    # cos(2 theta - psi) <= ratio on [first + k pi, first + k pi + width]
+    alpha = math.acos(ratio)
+    first = 0.5 * (psi + alpha)
+    width = math.pi - alpha
+    out = []
+    k = math.floor((lo - first - width) / math.pi)
+    while first + k * math.pi <= hi:
+        a = max(lo, first + k * math.pi)
+        b = min(hi, first + k * math.pi + width)
+        if a <= b:
+            out.append((a, b))
+        k += 1
+    return out
 
 
 def cycle_residual_dot(cycle: Cycle, beta, data) -> float:

@@ -1,8 +1,10 @@
 """Estimation on the unit sphere and the replication harness.
 
-With two covariates the unit sphere is a circle, so the criterion is scanned
-over an angle grid and the estimate is reported as the arc of near-minimal
-angles (the criterion is set-identified in general, not point-identified).
+With two covariates the unit sphere is a circle. An angular sweep over the
+cycles' entry and exit angles makes the criterion a piecewise sinusoid, so its
+minimum and the arcs of near-minimal angles come out in closed form; the
+estimate is reported as the arc holding the minimizer (the criterion is
+set-identified in general, not point-identified).
 With more covariates, an active-set iteration does the minimizing over the
 sphere: it fixes the set of violated cycles, under which the criterion is a
 quadratic form, and jumps to that form's smallest eigenvector, repeating
@@ -20,7 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._seeds import STREAM_PROJECTION, STREAM_RESTARTS, derive_rng, derive_seed
-from .criterion import CriterionEvaluator, CycleSet, ParamPoint, enumerate_cycles
+from .criterion import (
+    CircleProfile,
+    CriterionEvaluator,
+    CycleSet,
+    ParamPoint,
+    enumerate_cycles,
+)
 from .data import Dataset
 from .errors import PACKAGE_ERRORS, DimensionError, NumericalError, ParameterError
 from .projection import ProjectionSpec, apply, generate, resolve_sparsity
@@ -94,8 +102,9 @@ class IdentifiedSet:
     """Level set {theta : Q(theta) <= q_min + tolerance} as angle intervals.
 
     Intervals are closed, disjoint, and sorted by lower bound; an interval
-    with ub < lb wraps through 2pi. interval_estimate is the (refined) arc
-    containing the global minimizer, the quantity replications report.
+    with ub < lb wraps through 2pi. interval_estimate is the arc containing
+    the global minimizer, the quantity replications report. A full circle is
+    reported as the single interval (0, 2pi).
     """
 
     intervals: tuple[tuple[float, float], ...]
@@ -128,40 +137,17 @@ class IdentifiedSet:
         }
 
 
-def _circular_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs of True on a circular index set, as inclusive (start, stop)."""
-    hits = np.flatnonzero(mask)
-    if hits.size == 0:
-        return []
-    if hits.size == mask.size:
-        return [(0, mask.size - 1)]
-    breaks = np.flatnonzero(np.diff(hits) > 1)
-    starts = [int(hits[0])] + [int(hits[i + 1]) for i in breaks]
-    stops = [int(hits[i]) for i in breaks] + [int(hits[-1])]
-    runs = list(zip(starts, stops))
-    if mask[0] and mask[-1] and len(runs) > 1:
-        first = runs.pop(0)
-        last = runs.pop()
-        runs.append((last[0], first[1]))  # wrapped run
-    return runs
-
-
-def _run_contains(run: tuple[int, int], idx: int) -> bool:
-    start, stop = run
-    if start <= stop:
-        return start <= idx <= stop
-    return idx >= start or idx <= stop
-
-
 def estimate_polar_grid(
     data, cycles: CycleSet, grid_size: int = 2000, refine: int = 10
 ) -> tuple[AngleGrid, IdentifiedSet]:
-    """Scan the criterion over the circle and extract the identified set.
+    """Minimize the criterion over the circle and extract the identified set.
 
-    The arc containing the global minimizer is re-scanned on a refine-times
-    finer local grid (one coarse step of margin each side), which sharpens
-    the reported interval estimate and the argmin without paying for a fine
-    grid everywhere. Tolerance is max(1e-12, 1e-6 * max grid value).
+    An angular sweep (`CircleProfile`) makes the criterion a piecewise
+    sinusoid, so q_min, the argmin and every arc of the level set
+    {Q <= q_min + tolerance} come out in closed form, with tolerance
+    max(1e-12, 1e-6 * max Q). The returned grid holds Q at `grid_size`
+    uniform angles, for plotting only. `refine` is validated but changes
+    nothing: the arcs are exact, with no refinement pass left to tune.
     """
     if getattr(data, "b") != 2:
         raise DimensionError(
@@ -172,91 +158,34 @@ def estimate_polar_grid(
     if refine < 1:
         raise ParameterError(f"refine must be at least 1, got {refine}")
 
-    evaluator = CriterionEvaluator(data, cycles)
-    step = TWO_PI / grid_size
-    thetas = np.arange(grid_size) * step
-    values = evaluator.value_grid(thetas)
-    grid = AngleGrid(thetas, values)
+    profile = CircleProfile(CriterionEvaluator(data, cycles).D)
+    thetas = np.arange(grid_size) * (TWO_PI / grid_size)
+    grid = AngleGrid(thetas, profile.values(thetas))
 
-    tolerance = max(_TOL_FLOOR, _TOL_RELATIVE * float(values.max()))
-    coarse_min = float(values.min())
-    coarse_argmin = int(values.argmin())
-
-    if bool(np.all(values <= coarse_min + tolerance)):
+    q_min, argmin = profile.minimum()
+    tolerance = max(_TOL_FLOOR, _TOL_RELATIVE * profile.max_value)
+    arcs = profile.level_set(q_min + tolerance)
+    if arcs == ((0.0, TWO_PI),):
         # flat criterion: every direction is as good as any other
-        full = (0.0, float(thetas[-1]))
         return grid, IdentifiedSet(
-            intervals=(full,),
-            q_min=coarse_min,
+            intervals=arcs,
+            q_min=q_min,
             tolerance=tolerance,
             argmin=0.0,
-            interval_estimate=full,
+            interval_estimate=arcs[0],
             full_circle=True,
         )
-
-    # locate the coarse arc around the minimizer using a provisional level set
-    provisional = values <= coarse_min + tolerance
-    runs = _circular_runs(provisional)
-    argmin_run = next(run for run in runs if _run_contains(run, coarse_argmin))
-
-    start_idx, stop_idx = argmin_run
-    lo = thetas[start_idx] - step
-    hi = (thetas[stop_idx] if stop_idx >= start_idx else thetas[stop_idx] + TWO_PI) + step
-    fine_step = step / refine
-    count = int(round((hi - lo) / fine_step)) + 1
-    fine_thetas = np.linspace(lo, hi, count)
-    fine_values = evaluator.value_grid(fine_thetas % TWO_PI)
-
-    q_min = min(coarse_min, float(fine_values.min()))
-    threshold = q_min + tolerance
-
-    # refined arc: contiguous fine points around the fine argmin under threshold
-    fine_argmin = int(fine_values.argmin())
-    inside = fine_values <= threshold
-    left = fine_argmin
-    while left > 0 and inside[left - 1]:
-        left -= 1
-    right = fine_argmin
-    while right < count - 1 and inside[right + 1]:
-        right += 1
-    est_lb = float(fine_thetas[left] % TWO_PI)
-    est_ub = float(fine_thetas[right] % TWO_PI)
-    argmin_theta = float(fine_thetas[fine_argmin] % TWO_PI)
-
-    # the final mask is a subset of the provisional one (threshold can only
-    # tighten), so the run holding the coarse argmin, when it survives, sits
-    # inside the refinement window; merge it with the refined arc there
-    final_mask = values <= threshold
-    anchor = float(thetas[start_idx])
-    intervals: list[tuple[float, float]] = []
-    estimate: tuple[float, float] | None = None
-    for run in _circular_runs(final_mask):
-        lb = float(thetas[run[0]])
-        ub = float(thetas[run[1]])
-        if _run_contains(run, coarse_argmin):
-            clb = anchor + ((run[0] - start_idx) % grid_size) * step
-            cub = anchor + ((run[1] - start_idx) % grid_size) * step
-            merged_lb = min(clb, float(fine_thetas[left]))
-            merged_ub = max(cub, float(fine_thetas[right]))
-            lb, ub = merged_lb % TWO_PI, merged_ub % TWO_PI
-            estimate = (lb, ub)
-        intervals.append((lb, ub))
+    estimate = next((arc for arc in arcs if interval_contains_point(arc, argmin)), None)
     if estimate is None:
-        # the fine pass dug more than `tolerance` below every coarse point
-        # near the minimizer, so the coarse arc vanished; report the fine arc
-        estimate = (est_lb, est_ub)
-        intervals.append(estimate)
-    intervals.sort(key=lambda iv: iv[0])
-
-    idset = IdentifiedSet(
-        intervals=tuple(intervals),
+        raise NumericalError(f"the minimizer {argmin!r} lies in no arc of the level set")
+    return grid, IdentifiedSet(
+        intervals=arcs,
         q_min=q_min,
         tolerance=tolerance,
-        argmin=argmin_theta,
+        argmin=argmin,
         interval_estimate=estimate,
         full_circle=False,
     )
-    return grid, idset
 
 
 @dataclass(frozen=True)
@@ -475,7 +404,7 @@ def run_replications(
     threads: int = 1,
     design_label: str = "",
 ) -> ReplicationSummary:
-    """Repeat (draw projection, compress, scan the circle) and summarize.
+    """Repeat (draw projection, compress, sweep the circle) and summarize.
 
     `data` may be a Dataset or a SimConfig to simulate first. Replication r
     derives its projection seed from (master_seed, r) alone, so results are
@@ -688,7 +617,10 @@ def convergence_diagnostic(
     cycle_lengths=(2, 3),
     grid_size: int = 1024,
 ) -> ConvergenceDiagnostic:
-    """Average sup-grid criterion gap per k, over independent projection draws."""
+    """Average sup-grid criterion gap per k, over independent projection draws.
+
+    Criteria on the shared grid come from each dataset's circle profile.
+    """
     if data.b != 2:
         raise DimensionError("the diagnostic compares angle grids; needs b = 2")
     if draws < 1:
@@ -701,7 +633,7 @@ def convergence_diagnostic(
     m = len(cycles)
     step = TWO_PI / grid_size
     thetas = np.arange(grid_size) * step
-    base = CriterionEvaluator(data, cycles).value_grid(thetas) / m
+    base = CircleProfile(CriterionEvaluator(data, cycles).D).values(thetas) / m
 
     gaps = np.empty((len(k_values), draws))
     for ki, k in enumerate(k_values):
@@ -713,7 +645,7 @@ def convergence_diagnostic(
                 seed=derive_seed(master_seed, STREAM_PROJECTION, ki, draw),
             )
             compressed = apply(generate(spec), data)
-            projected = CriterionEvaluator(compressed, cycles).value_grid(thetas) / m
+            projected = CircleProfile(CriterionEvaluator(compressed, cycles).D).values(thetas) / m
             gaps[ki, draw] = float(np.abs(projected - base).max())
 
     means = gaps.mean(axis=1)

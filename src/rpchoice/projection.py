@@ -93,7 +93,8 @@ def _sign_masks(uniforms: np.ndarray, s: float):
 
 @dataclass(frozen=True)
 class SparseProjection:
-    """A realized projection matrix in triplet form, sorted by column.
+    """A realized projection matrix in triplet form, sorted by column, then
+    row, with each cell at most once.
 
     Column-sorted storage means applying the matrix is one streaming pass
     over the rows of the tall data, in row order.
@@ -114,13 +115,13 @@ class SparseProjection:
         if rows.size:
             if rows.min() < 0 or rows.max() >= k or cols.min() < 0 or cols.max() >= d:
                 raise DimensionError("triplet indices outside the k x d grid")
-            order = np.lexsort((rows, cols))
-            if not (np.all(np.diff(cols[order]) >= 0)):
-                raise ValidationError("triplets must be sortable by column")
-            same_col = np.diff(cols[order]) == 0
-            same_row = np.diff(rows[order]) == 0
-            if np.any(same_col & same_row):
-                raise ValidationError("duplicate (row, col) triplet")
+            # column-major cell numbers strictly increase exactly when the
+            # triplets are sorted by column, then row, with no cell repeated
+            cells = cols * k + rows
+            if not np.all(cells[1:] > cells[:-1]):
+                raise ValidationError(
+                    "triplets must be sorted by column, then row, with no duplicate cell"
+                )
         expected = self.spec.scale
         if values.size and not np.all(np.abs(values) == expected):
             raise ValidationError(
@@ -159,8 +160,12 @@ class SparseProjection:
     def _csc(self):
         cache = getattr(self, "_csc_cache")
         if cache is None:
+            # triplets are already in csc order, so only the column pointers
+            # need building
+            indptr = np.zeros(self.spec.d + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.cols, minlength=self.spec.d), out=indptr[1:])
             cache = _sparse.csc_matrix(
-                (self.values, (self.rows, self.cols)), shape=(self.spec.k, self.spec.d)
+                (self.values, self.rows, indptr), shape=(self.spec.k, self.spec.d)
             )
             object.__setattr__(self, "_csc_cache", cache)
         return cache
@@ -188,18 +193,17 @@ def generate(spec: ProjectionSpec) -> SparseProjection:
     """Draw the projection matrix for a spec.
 
     Per-entry decisions are made from one uniform draw per cell, consumed in
-    row-major order, so a seed pins down the exact matrix. Triplets are then
-    sorted by column for the streaming multiply.
+    row-major order, so a seed pins down the exact matrix. Triplets are read
+    off the transposed sign masks, which lists them by column, then row, as
+    the streaming multiply needs.
     """
     rng = np.random.default_rng(np.random.SeedSequence(int(spec.seed)))
     uniforms = rng.random((spec.k, spec.d))
     plus, minus = _sign_masks(uniforms, spec.s)
-    rows, cols = np.nonzero(plus | minus)
-    values = np.where(plus[rows, cols], spec.scale, -spec.scale)
-    order = np.lexsort((rows, cols))
-    return SparseProjection(
-        spec, rows[order].astype(np.int64), cols[order].astype(np.int64), values[order]
-    )
+    cells = np.flatnonzero(np.ascontiguousarray((plus | minus).T))
+    cols, rows = np.divmod(cells, spec.k)
+    values = np.where(np.ascontiguousarray(plus.T).ravel()[cells], spec.scale, -spec.scale)
+    return SparseProjection(spec, rows, cols, values)
 
 
 @dataclass(frozen=True)
@@ -267,21 +271,27 @@ class CompressedDataset:
 def apply(projection: SparseProjection, data: Dataset) -> CompressedDataset:
     """Compress every market with the same realized matrix.
 
-    Covariates and shares are projected together in a single (d, b+1) block
-    per market, one streaming pass each; markets are processed in order, so
-    the result does not depend on how work might be scheduled.
+    Covariates and shares of all markets are projected together as one
+    (d, n (b+1)) block in a single streaming pass. The sparse kernel sums
+    each output entry over the columns of R in the same order whatever the
+    block's width, so the result is bit-identical to projecting each market
+    on its own.
     """
     if projection.spec.d != data.d:
         raise DimensionError(
             f"projection expects d={projection.spec.d}, dataset has d={data.d}"
         )
-    compressed = []
-    for market in data.markets:
-        block = np.hstack([market.covariates, market.shares[:, None]])
-        out = projection.apply_to(block)
-        compressed.append(CompressedMarket(out[:, :-1], out[:, -1]))
+    b = data.b
+    block = np.concatenate(
+        [data.covariate_stack(), data.share_stack()[:, :, None]], axis=2
+    )  # (n, d, b+1)
+    out = projection.apply_to(block.transpose(1, 0, 2).reshape(data.d, -1))
+    out = out.reshape(projection.spec.k, data.n, b + 1)
+    compressed = tuple(
+        CompressedMarket(out[:, i, :b], out[:, i, b]) for i in range(data.n)
+    )
     return CompressedDataset(
-        markets=tuple(compressed),
+        markets=compressed,
         spec=projection.spec,
         scaling=data.scaling,
         covariate_names=data.covariate_names,

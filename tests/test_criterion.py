@@ -7,8 +7,10 @@ shares flips it to +2. The Euclidean form doubles residuals, so -4 and +4,
 and the summed criterion picks up a factor 4.
 """
 
+import itertools
 import math
 from itertools import permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,11 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpchoice import (
+    CircleProfile,
     CriterionEvaluator,
     Cycle,
     CycleSet,
     Dataset,
     Market,
+    DimensionError,
     ParameterError,
     ParamPoint,
     ValidationError,
@@ -34,6 +38,7 @@ from rpchoice import (
     generate,
     logit_oracle_dataset,
 )
+from rpchoice.estimate import interval_contains_point
 
 
 def _utility_markets(swap=False):
@@ -126,6 +131,24 @@ class TestEnumerateCycles:
     def test_length_above_n_rejected(self):
         with pytest.raises(ParameterError):
             enumerate_cycles(3, (2, 4))
+
+    def test_matches_itertools_loop_order(self):
+        """Same rows in the same order as the nested combinations/permutations
+        loop the vectorised enumeration replaced."""
+        for n in range(2, 9):
+            for length in range(2, min(n, 5) + 1):
+                for both in (True, False):
+                    rows = []
+                    for combo in itertools.combinations(range(n), length):
+                        anchor, rest = combo[0], combo[1:]
+                        for perm in itertools.permutations(rest):
+                            if length > 2 and not both and perm[0] > perm[-1]:
+                                continue
+                            rows.append((anchor, *perm))
+                    expected = np.array(rows, dtype=np.int64)
+                    (got,) = enumerate_cycles(n, (length,), both).index_arrays()
+                    assert got.dtype == expected.dtype
+                    np.testing.assert_array_equal(got, expected)
 
     def test_from_cycles_round_trip(self):
         original = enumerate_cycles(4, (2, 3))
@@ -356,3 +379,83 @@ class TestEvaluator:
         for theta, val in zip(thetas, values):
             beta = np.array([math.cos(theta), math.sin(theta)])
             assert val == pytest.approx(ev.value(beta), rel=1e-12, abs=1e-15)
+
+
+def literal_grid(D, thetas):
+    """CriterionEvaluator.value_grid on bare residual rows."""
+    return CriterionEvaluator.value_grid(SimpleNamespace(D=D, b=2), thetas)
+
+
+def contained(arcs, theta, slack):
+    return any(interval_contains_point(arc, theta, slack) for arc in arcs)
+
+
+@st.composite
+def residual_rows(draw):
+    """Random D with some all-zero rows; row directions cluster around a
+    center, and a center near pi puts the low arcs across angle 0."""
+    m = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    center = draw(st.one_of(st.just(math.pi), st.floats(0.0, 2.0 * math.pi)))
+    spread = draw(st.floats(0.05, math.pi))
+    zero_frac = draw(st.sampled_from([0.0, 0.3]))
+    rng = np.random.default_rng(seed)
+    angles = center + rng.uniform(-spread, spread, m)
+    radii = rng.uniform(0.1, 3.0, m) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    D = np.column_stack([np.cos(angles), np.sin(angles)]) * radii[:, None]
+    D[rng.random(m) < zero_frac] = 0.0
+    return D
+
+
+class TestCircleProfile:
+    GRID = np.arange(20_000) * (2.0 * math.pi / 20_000)
+
+    @given(residual_rows())
+    @settings(max_examples=60)
+    def test_matches_literal_grid_and_level_set(self, D):
+        literal = literal_grid(D, self.GRID)
+        scale = max(float(literal.max()), 1e-300)
+        profile = CircleProfile(D)
+        values = profile.values(self.GRID)
+        assert np.abs(values - literal).max() <= 1e-12 * scale
+        np.testing.assert_array_equal(values[literal == 0.0] == 0.0, True)
+
+        q_min, argmin = profile.minimum()
+        assert 0.0 <= q_min <= literal.min() + 1e-12 * scale
+        assert literal_grid(D, np.array([argmin]))[0] <= q_min + 1e-12 * scale
+
+        threshold = q_min + max(1e-12, 1e-6 * profile.max_value)
+        arcs = profile.level_set(threshold)
+        if arcs == ((0.0, 2.0 * math.pi),):
+            assert literal.max() <= threshold + 1e-12 * scale
+            return
+        assert arcs == tuple(sorted(arcs))
+        assert all(type(x) is float for arc in arcs for x in arc)
+        # disjoint and never touching, also across angle 0
+        for (_, ub), (lb, _) in zip(arcs, arcs[1:] + arcs[:1]):
+            assert len(arcs) == 1 or (lb - ub) % (2.0 * math.pi) > 1e-12
+        inside = np.array([contained(arcs, t, 1e-12) for t in self.GRID])
+        near = np.array([contained(arcs, t, 1e-9) for t in self.GRID])
+        below = literal <= threshold
+        assert inside[below].all()
+        assert (literal[~near] > threshold).all()
+        assert contained(arcs, argmin, 1e-12)
+
+    def test_no_active_cycle_is_exactly_zero(self):
+        # both rows are violated only on the left half-circle
+        D = np.array([[-1.0, 0.2], [-2.0, -0.3]])
+        profile = CircleProfile(D)
+        assert profile.minimum()[0] == 0.0
+        thetas = np.array([-0.5, 0.0, 0.5]) % (2.0 * math.pi)
+        np.testing.assert_array_equal(profile.values(thetas), 0.0)
+
+    def test_all_zero_rows_give_a_flat_circle(self):
+        profile = CircleProfile(np.zeros((4, 2)))
+        assert profile.pieces == 0
+        assert profile.minimum() == (0.0, 0.0)
+        assert profile.level_set(1e-12) == ((0.0, 2.0 * math.pi),)
+        np.testing.assert_array_equal(profile.values(self.GRID[:10]), 0.0)
+
+    def test_rejects_other_widths(self):
+        with pytest.raises(DimensionError):
+            CircleProfile(np.ones((3, 3)))

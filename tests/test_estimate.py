@@ -6,12 +6,14 @@ the unit sphere; the median is pinned to the value that run produced.
 """
 
 import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
 from rpchoice import (
+    CircleProfile,
     CriterionEvaluator,
     Dataset,
     Market,
@@ -100,7 +102,80 @@ class TestIntervalHelpers:
         assert not interval_contains_interval((1.0, 2.0), (1.5, 2.5))
 
 
+def _circular_runs(mask):
+    hits = np.flatnonzero(mask)
+    if hits.size == mask.size:
+        return [(0, mask.size - 1)]
+    breaks = np.flatnonzero(np.diff(hits) > 1)
+    runs = list(zip([int(hits[0])] + [int(hits[i + 1]) for i in breaks],
+                    [int(hits[i]) for i in breaks] + [int(hits[-1])]))
+    if mask[0] and mask[-1] and len(runs) > 1:
+        first, last = runs.pop(0), runs.pop()
+        runs.append((last[0], first[1]))
+    return runs
+
+
+def _run_contains(run, idx):
+    start, stop = run
+    return start <= idx <= stop if start <= stop else (idx >= start or idx <= stop)
+
+
+def grid_scan_estimate(data, cycles, grid_size=2000, refine=10):
+    """The coarse-scan + refine-pass interval estimate the angular sweep
+    replaced, kept as a reference: the refined arc around the argmin, merged
+    with the coarse run holding the coarse argmin."""
+    evaluator = CriterionEvaluator(data, cycles)
+    step = TWO_PI / grid_size
+    thetas = np.arange(grid_size) * step
+    values = evaluator.value_grid(thetas)
+    tolerance = max(1e-12, 1e-6 * float(values.max()))
+    coarse_min, coarse_argmin = float(values.min()), int(values.argmin())
+    start, stop = next(run for run in _circular_runs(values <= coarse_min + tolerance)
+                       if _run_contains(run, coarse_argmin))
+    lo = thetas[start] - step
+    hi = (thetas[stop] if stop >= start else thetas[stop] + TWO_PI) + step
+    count = int(round((hi - lo) / (step / refine))) + 1
+    fine_thetas = np.linspace(lo, hi, count)
+    fine_values = evaluator.value_grid(fine_thetas % TWO_PI)
+    threshold = min(coarse_min, float(fine_values.min())) + tolerance
+    inside = fine_values <= threshold
+    left = right = int(fine_values.argmin())
+    while left > 0 and inside[left - 1]:
+        left -= 1
+    while right < count - 1 and inside[right + 1]:
+        right += 1
+    lb, ub = float(fine_thetas[left]), float(fine_thetas[right])
+    for run in _circular_runs(values <= threshold):
+        if _run_contains(run, coarse_argmin):
+            lb = min(lb, float(thetas[start]) + ((run[0] - start) % grid_size) * step)
+            ub = max(ub, float(thetas[start]) + ((run[1] - start) % grid_size) * step)
+    return lb % TWO_PI, ub % TWO_PI
+
+
+def angle_gap(a, b):
+    gap = abs(a - b) % TWO_PI
+    return min(gap, TWO_PI - gap)
+
+
 class TestPolarGrid:
+    def test_matches_grid_scan_within_one_refined_step(self, headline_dataset,
+                                                       comp10, cycles30):
+        """The exact arc lands within one refined step, 2pi / (grid * refine),
+        of the arc the coarse scan and refine pass reported."""
+        step = TWO_PI / (2000 * 10)
+        for data in (headline_dataset, comp10):
+            _, idset = estimate_polar_grid(data, cycles30)
+            old = grid_scan_estimate(data, cycles30)
+            assert not idset.full_circle
+            for new_end, old_end in zip(idset.interval_estimate, old):
+                assert angle_gap(new_end, old_end) <= step
+
+    def test_refine_changes_nothing(self, comp10, cycles30):
+        grid_a, a = estimate_polar_grid(comp10, cycles30, grid_size=512, refine=1)
+        grid_b, b = estimate_polar_grid(comp10, cycles30, grid_size=512, refine=8)
+        assert a == b
+        np.testing.assert_array_equal(grid_a.values, grid_b.values)
+
     def test_logit_truth_inside_zero_set(self):
         data = logit_oracle_dataset(10, 40, 2, BETA0, seed=40)
         grid, idset = estimate_polar_grid(data, enumerate_cycles(10, (2, 3)))
@@ -288,6 +363,14 @@ class TestReplications:
         )
         assert summary.nested_count == manual
 
+    def test_records_are_plain_python_values(self, small_mc_dataset):
+        summary = run_replications(small_mc_dataset, k=8, s=1.0, replications=2,
+                                   master_seed=6, grid_size=512, refine=4)
+        for rec in summary.records:
+            assert type(rec.lb) is float and type(rec.ub) is float
+            assert type(rec.wrapped) is bool
+        json.dumps(summary.to_dict(), allow_nan=False)
+
     def test_theta_hat_is_interval_midpoint(self, small_mc_dataset):
         summary = run_replications(small_mc_dataset, k=8, s=1.0, replications=2,
                                    master_seed=6, grid_size=512, refine=4)
@@ -364,6 +447,18 @@ class TestReplicationFailures:
 
 
 class TestConvergenceDiagnostic:
+    def test_profile_matches_value_grid_on_shared_grid(self, small_mc_dataset):
+        """The diagnostic reads criteria off circle profiles at its shared
+        grid; they must equal the literal grid within 1e-12 of max Q."""
+        cycles = enumerate_cycles(small_mc_dataset.n, (2, 3))
+        thetas = np.arange(1024) * (TWO_PI / 1024)
+        comp = apply(generate(ProjectionSpec(k=4, d=40, s=1.0, seed=3)), small_mc_dataset)
+        for data in (small_mc_dataset, comp):
+            evaluator = CriterionEvaluator(data, cycles)
+            literal = evaluator.value_grid(thetas)
+            swept = CircleProfile(evaluator.D).values(thetas)
+            assert np.abs(swept - literal).max() <= 1e-12 * literal.max()
+
     def test_structure_and_determinism(self, small_mc_dataset):
         diag = convergence_diagnostic(small_mc_dataset, k_values=(4, 8), s=1.0,
                                       draws=2, master_seed=3, grid_size=256)

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from rpchoice import (
     DimensionError,
     ParameterError,
     ProjectionSpec,
+    SparseProjection,
+    ValidationError,
     apply,
     generate,
     jl_diagnostic,
@@ -21,6 +24,7 @@ from rpchoice import (
     save_projection,
 )
 from rpchoice._seeds import STREAM_DIAGNOSTIC, seed_sequence
+from rpchoice.projection import _sign_masks
 
 
 class TestSpec:
@@ -93,6 +97,53 @@ class TestGenerate:
     def test_columns_sorted(self):
         proj = generate(ProjectionSpec(k=7, d=40, s=2.0, seed=4))
         assert np.all(np.diff(proj.cols) >= 0)
+
+
+class TestLeanPath:
+    """generate() and apply() against the lexsort / COO route they replaced:
+    the same triplets, the same csc arrays and the same compressed bits."""
+
+    @pytest.mark.parametrize("s", [1.0, 3.0, math.sqrt(900.0)])
+    def test_bit_identical_to_lexsort_coo_reference(self, s):
+        data = logit_oracle_dataset(6, 900, 2, np.array([0.6, 0.8]), seed=3)
+        spec = ProjectionSpec(k=40, d=900, s=s, seed=17)
+        rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+        plus, minus = _sign_masks(rng.random((spec.k, spec.d)), spec.s)
+        rows, cols = np.nonzero(plus | minus)
+        values = np.where(plus[rows, cols], spec.scale, -spec.scale)
+        order = np.lexsort((rows, cols))
+        rows, cols, values = rows[order], cols[order], values[order]
+        reference = sparse.csc_matrix((values, (rows, cols)), shape=(spec.k, spec.d))
+
+        proj = generate(spec)
+        np.testing.assert_array_equal(proj.rows, rows)
+        np.testing.assert_array_equal(proj.cols, cols)
+        np.testing.assert_array_equal(proj.values, values)
+        csc = proj._csc()
+        np.testing.assert_array_equal(csc.indptr, reference.indptr)
+        np.testing.assert_array_equal(csc.indices, reference.indices)
+        np.testing.assert_array_equal(csc.data, reference.data)
+        compressed = apply(proj, data)
+        for market, cm in zip(data.markets, compressed.markets):
+            out = reference @ np.hstack([market.covariates, market.shares[:, None]])
+            np.testing.assert_array_equal(cm.covariates, out[:, :-1])
+            np.testing.assert_array_equal(cm.shares, out[:, -1])
+
+    @pytest.mark.parametrize("swap", [(0, 1), (2, 3)])
+    def test_unsorted_triplets_rejected(self, swap):
+        proj = generate(ProjectionSpec(k=3, d=4, s=1.0, seed=2))
+        order = np.arange(proj.nnz)
+        order[list(swap)] = order[list(reversed(swap))]
+        with pytest.raises(ValidationError, match="sorted by column, then row"):
+            SparseProjection(proj.spec, proj.rows[order], proj.cols[order],
+                             proj.values[order])
+
+    def test_duplicate_cell_rejected(self):
+        proj = generate(ProjectionSpec(k=3, d=4, s=1.0, seed=2))
+        keep = np.r_[0, np.arange(proj.nnz - 1)]
+        with pytest.raises(ValidationError, match="no duplicate cell"):
+            SparseProjection(proj.spec, proj.rows[keep], proj.cols[keep],
+                             proj.values[keep])
 
 
 class TestApply:
