@@ -1,4 +1,4 @@
-"""Command-line front end: simulate, estimate, verify-jl, project.
+"""Command-line front end: simulate, estimate, verify-jl.
 
 Every run writes its artifacts into one output directory together with a
 manifest.json recording the command, the full resolved parameter set, the
@@ -18,7 +18,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import __version__
@@ -30,13 +29,7 @@ from .estimate import (
     run_replications,
     write_grid_csv,
 )
-from .projection import (
-    ProjectionSpec,
-    generate,
-    jl_diagnostic,
-    resolve_sparsity,
-    save_projection,
-)
+from .projection import ProjectionSpec, jl_diagnostic, resolve_sparsity
 from .simulate import DEFAULT_THETA, ErrorSpec, SimConfig, simulate_dataset
 
 TOOL_NAME = "rpchoice"
@@ -85,33 +78,6 @@ def _cycles_list(text: str) -> tuple[int, ...]:
     return lengths
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to account for and re-run one CLI invocation."""
-
-    command: str
-    seed: int
-    params: dict
-    argv: list[str]
-    artifacts: dict
-    started_utc: str
-    elapsed_seconds: float
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "tool": TOOL_NAME,
-            "tool_version": __version__,
-            "command": self.command,
-            "seed": self.seed,
-            "params": self.params,
-            "argv": self.argv,
-            "artifacts": self.artifacts,
-            "started_utc": self.started_utc,
-            "elapsed_seconds": self.elapsed_seconds,
-        }
-
-
 def load_manifest(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)
@@ -154,16 +120,20 @@ class _Timer:
 
 
 def _finish(out_dir, command, seed, params, argv, artifacts, timer) -> None:
-    manifest = RunManifest(
-        command=command,
-        seed=seed,
-        params=params,
-        argv=argv,
-        artifacts=artifacts,
-        started_utc=timer.started_utc,
-        elapsed_seconds=timer.elapsed,
-    )
-    _write_json(manifest.to_dict(), os.path.join(out_dir, "manifest.json"))
+    """Write manifest.json: everything needed to account for and re-run the command."""
+    manifest = {
+        "schema_version": SCHEMA_VERSION,
+        "tool": TOOL_NAME,
+        "tool_version": __version__,
+        "command": command,
+        "seed": seed,
+        "params": params,
+        "argv": argv,
+        "artifacts": artifacts,
+        "started_utc": timer.started_utc,
+        "elapsed_seconds": timer.elapsed,
+    }
+    _write_json(manifest, os.path.join(out_dir, "manifest.json"))
 
 
 def cmd_simulate(args) -> int:
@@ -330,41 +300,6 @@ def cmd_verify_jl(args) -> int:
     return 0
 
 
-def cmd_project(args) -> int:
-    timer = _Timer()
-    data = load_csv(args.data)
-    s_resolved = resolve_sparsity(args.s, data.d)
-    spec = ProjectionSpec(k=args.k, d=data.d, s=s_resolved, seed=args.seed)
-    projection = generate(spec)
-
-    out_dir = _resolve_out(args.out, f"project-seed{args.seed}")
-    save_projection(projection, os.path.join(out_dir, "projection.bin"))
-
-    params = {
-        "data": os.path.abspath(args.data),
-        "k": args.k,
-        "d": data.d,
-        "s": args.s,
-        "s_resolved": s_resolved,
-        "nnz": projection.nnz,
-    }
-    argv = [
-        "project",
-        "--data", os.path.abspath(args.data),
-        "--k", str(args.k),
-        "--s", str(args.s),
-        "--seed", str(args.seed),
-    ]
-    _finish(
-        out_dir, "project", args.seed, params, argv, {"projection": "projection.bin"}, timer
-    )
-    print(
-        f"wrote projection.bin: k={args.k}, d={data.d}, s={s_resolved:g}, "
-        f"{projection.nnz} nonzeros ({projection.nonzero_fraction:.2%} of cells)"
-    )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=TOOL_NAME,
@@ -435,14 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_jl.add_argument("--seed", type=_nonnegative_int, default=0)
     p_jl.add_argument("--out", default=None)
     p_jl.set_defaults(func=cmd_verify_jl)
-
-    p_proj = sub.add_parser("project", help="generate and cache a projection matrix")
-    p_proj.add_argument("--data", required=True, help="dataset CSV fixing the dimension d")
-    p_proj.add_argument("--k", type=_positive_int, required=True)
-    p_proj.add_argument("--s", default="1")
-    p_proj.add_argument("--seed", type=_nonnegative_int, default=0)
-    p_proj.add_argument("--out", default=None)
-    p_proj.set_defaults(func=cmd_project)
 
     return parser
 

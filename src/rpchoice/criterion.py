@@ -195,10 +195,11 @@ def _check_cycles(cycles: CycleSet, n: int) -> None:
 
 def cross_moments(data) -> np.ndarray:
     """Cached blocks C[i, j, :] = X^(i)' p^(j), the only data reduction the
-    dot-form criterion needs: residuals become gathers plus a dot with beta."""
+    dot-form criterion needs: residuals become gathers plus a dot with beta.
+    One batched product, C[i] = P X^(i), with P the (n, d) stacked shares."""
     X = data.covariate_stack()
     P = data.share_stack()
-    return np.einsum("irb,jr->ijb", X, P)
+    return np.matmul(P[None, :, :], X)
 
 
 def _difference_rows(C: np.ndarray, idx: np.ndarray) -> np.ndarray:

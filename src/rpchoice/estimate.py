@@ -8,9 +8,9 @@ set-identified in general, not point-identified).
 With more covariates, an active-set iteration does the minimizing over the
 sphere: it fixes the set of violated cycles, under which the criterion is a
 quadratic form, and jumps to that form's smallest eigenvector, repeating
-while the criterion strictly drops. The replication harness repeats
-compression + estimation over independent projection draws and aggregates
-interval statistics.
+while the criterion strictly drops. One replication driver, `_replicate`,
+repeats seed -> projection -> compression -> estimation over independent
+draws for both the circle and the sphere summaries.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .criterion import (
 from .data import Dataset
 from .errors import PACKAGE_ERRORS, DimensionError, NumericalError, ParameterError
 from .projection import ProjectionSpec, apply, generate, resolve_sparsity
-from .simulate import SimConfig, simulate_dataset
 
 TWO_PI = 2.0 * math.pi
 
@@ -392,6 +391,46 @@ class ReplicationSummary:
         }
 
 
+def _compress(data, k: int, s: float, master_seed: int, *key: int):
+    """Compress `data` with the projection drawn from seed path (master_seed, key)."""
+    spec = ProjectionSpec(
+        k=k, d=data.d, s=s, seed=derive_seed(master_seed, STREAM_PROJECTION, *key)
+    )
+    return apply(generate(spec), data)
+
+
+def _check_replications(data, k: int, s, replications: int, threads: int) -> float:
+    """Validate a replication run up front; return the resolved sparsity."""
+    if replications < 1:
+        raise ParameterError("replications must be at least 1")
+    if threads < 1:
+        raise ParameterError("threads must be at least 1")
+    s_resolved = resolve_sparsity(s, data.d)
+    # fail fast on structurally impossible specs instead of logging R failures
+    ProjectionSpec(k=k, d=data.d, s=s_resolved, seed=0)
+    return s_resolved
+
+
+def _replicate(data, k: int, s: float, replications: int, master_seed: int, threads: int,
+               solve) -> list:
+    """Run solve(r, compressed) for r = 0 .. R-1 on a pool of `threads` threads.
+
+    Replication r's projection is seeded from (master_seed, r) alone, so
+    results are identical whatever the thread count. Returns, in order,
+    (result, None), or (None, "Type: message") when the replication raised
+    one of the package's errors or a LinAlgError; anything else propagates.
+    """
+
+    def one(r: int):
+        try:
+            return solve(r, _compress(data, k, s, master_seed, r)), None
+        except _REPLICATION_ERRORS as exc:
+            return None, f"{type(exc).__name__}: {exc}"
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(one, range(replications)))
+
+
 def run_replications(
     data,
     k: int,
@@ -406,49 +445,34 @@ def run_replications(
 ) -> ReplicationSummary:
     """Repeat (draw projection, compress, sweep the circle) and summarize.
 
-    `data` may be a Dataset or a SimConfig to simulate first. Replication r
-    derives its projection seed from (master_seed, r) alone, so results are
-    identical whatever the thread count. A replication that raises one of the
-    package's errors or a LinAlgError is marked failed and excluded from the
-    statistics rather than aborting the run; any other exception propagates.
+    Replications run through `_replicate`: a failed replication is marked
+    failed and excluded from the statistics rather than aborting the run.
     """
-    if isinstance(data, SimConfig):
-        data = simulate_dataset(data)
     if data.b != 2:
         raise DimensionError("run_replications reports angle intervals; needs b = 2")
-    if replications < 1:
-        raise ParameterError("replications must be at least 1")
-    s_resolved = resolve_sparsity(s, data.d)
-    # fail fast on structurally impossible specs instead of logging R failures
-    ProjectionSpec(k=k, d=data.d, s=s_resolved, seed=0)
+    s_resolved = _check_replications(data, k, s, replications, threads)
     cycles = enumerate_cycles(data.n, cycle_lengths)
 
     grid0, unprojected = estimate_polar_grid(data, cycles, grid_size, refine)
 
-    def one(r: int) -> ReplicationRecord:
-        try:
-            spec = ProjectionSpec(
-                k=k, d=data.d, s=s_resolved, seed=derive_seed(master_seed, STREAM_PROJECTION, r)
-            )
-            compressed = apply(generate(spec), data)
-            _, idset = estimate_polar_grid(compressed, cycles, grid_size, refine)
-            lb, ub = idset.interval_estimate
-            return ReplicationRecord(
-                index=r,
-                lb=lb,
-                ub=ub,
-                theta_hat=interval_midpoint((lb, ub)),
-                q_min=idset.q_min,
-                wrapped=ub < lb,
-            )
-        except _REPLICATION_ERRORS as exc:
-            return ReplicationRecord(index=r, error=f"{type(exc).__name__}: {exc}")
+    def solve(r: int, compressed) -> ReplicationRecord:
+        _, idset = estimate_polar_grid(compressed, cycles, grid_size, refine)
+        lb, ub = idset.interval_estimate
+        return ReplicationRecord(
+            index=r,
+            lb=lb,
+            ub=ub,
+            theta_hat=interval_midpoint((lb, ub)),
+            q_min=idset.q_min,
+            wrapped=ub < lb,
+        )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = tuple(pool.map(one, range(replications)))
-    else:
-        records = tuple(one(r) for r in range(replications))
+    records = tuple(
+        record if error is None else ReplicationRecord(index=r, error=error)
+        for r, (record, error) in enumerate(
+            _replicate(data, k, s_resolved, replications, master_seed, threads, solve)
+        )
+    )
 
     good = [r for r in records if r.ok]
     lbs = np.array([r.lb for r in good])
@@ -541,46 +565,28 @@ def run_coefficient_replications(
 
     Failures are recorded as in `run_replications`.
     """
-    if replications < 1:
-        raise ParameterError("replications must be at least 1")
-    s_resolved = resolve_sparsity(s, data.d)
-    ProjectionSpec(k=k, d=data.d, s=s_resolved, seed=0)
+    s_resolved = _check_replications(data, k, s, replications, threads)
     cycles = enumerate_cycles(data.n, cycle_lengths)
 
-    def one(r: int):
-        try:
-            spec = ProjectionSpec(
-                k=k, d=data.d, s=s_resolved, seed=derive_seed(master_seed, STREAM_PROJECTION, r)
-            )
-            compressed = apply(generate(spec), data)
-            result = estimate_subgradient(
-                compressed,
-                cycles,
-                restarts=restarts,
-                steps=steps,
-                seed=derive_seed(master_seed, STREAM_RESTARTS, r),
-            )
-            return result.beta, result.value, None
-        except _REPLICATION_ERRORS as exc:
-            return None, math.nan, f"{type(exc).__name__}: {exc}"
+    def solve(r: int, compressed) -> SphereDescentResult:
+        return estimate_subgradient(
+            compressed,
+            cycles,
+            restarts=restarts,
+            steps=steps,
+            seed=derive_seed(master_seed, STREAM_RESTARTS, r),
+        )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(replications)))
-    else:
-        results = [one(r) for r in range(replications)]
-
-    betas = [b for b, _, err in results if err is None]
-    values = [v for _, v, err in results if err is None]
-    failures = tuple((i, err) for i, (_, _, err) in enumerate(results) if err is not None)
+    results = _replicate(data, k, s_resolved, replications, master_seed, threads, solve)
+    good = [result for result, error in results if error is None]
     return CoefficientReplicationSummary(
         design_label=design_label or f"d{data.d}k{k}",
         k=k,
         s=s_resolved,
         replications=replications,
-        betas=np.array(betas) if betas else np.empty((0, data.b)),
-        values=np.array(values),
-        failures=failures,
+        betas=np.array([g.beta for g in good]) if good else np.empty((0, data.b)),
+        values=np.array([g.value for g in good]),
+        failures=tuple((r, error) for r, (_, error) in enumerate(results) if error is not None),
     )
 
 
@@ -638,13 +644,7 @@ def convergence_diagnostic(
     gaps = np.empty((len(k_values), draws))
     for ki, k in enumerate(k_values):
         for draw in range(draws):
-            spec = ProjectionSpec(
-                k=k,
-                d=data.d,
-                s=s_resolved,
-                seed=derive_seed(master_seed, STREAM_PROJECTION, ki, draw),
-            )
-            compressed = apply(generate(spec), data)
+            compressed = _compress(data, k, s_resolved, master_seed, ki, draw)
             projected = CircleProfile(CriterionEvaluator(compressed, cycles).D).values(thetas) / m
             gaps[ki, draw] = float(np.abs(projected - base).max())
 

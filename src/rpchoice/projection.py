@@ -15,7 +15,6 @@ would give, and s = sqrt(d) touches only a ~1/sqrt(d) fraction of cells.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,9 +152,6 @@ class SparseProjection:
     @property
     def nonzero_fraction(self) -> float:
         return self.nnz / (self.spec.k * self.spec.d)
-
-    def triplets(self) -> list[tuple[int, int, float]]:
-        return list(zip(self.rows.tolist(), self.cols.tolist(), self.values.tolist()))
 
     def _csc(self):
         cache = getattr(self, "_csc_cache")
@@ -443,34 +439,3 @@ def jl_diagnostic(u, v, spec: ProjectionSpec, draws: int) -> JlDiagnostic:
         gaussian_equivalent=(spec.s == 3.0),
     )
 
-
-_CACHE_MAGIC = b"RPROJ1\x00"
-_CACHE_HEADER = struct.Struct("<QQdQQ")
-
-
-def save_projection(projection: SparseProjection, path: str) -> None:
-    """Binary cache: magic, (k, d, s, seed, nnz) header, then triplet arrays."""
-    spec = projection.spec
-    if spec.k >= 2 ** 32 or spec.d >= 2 ** 32:
-        raise ParameterError("binary cache stores indices as uint32; k and d must fit")
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(_CACHE_HEADER.pack(spec.k, spec.d, spec.s, int(spec.seed), projection.nnz))
-        fh.write(projection.rows.astype("<u4").tobytes())
-        fh.write(projection.cols.astype("<u4").tobytes())
-        fh.write(projection.values.astype("<f8").tobytes())
-
-
-def load_projection(path: str) -> SparseProjection:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_CACHE_MAGIC))
-        if magic != _CACHE_MAGIC:
-            raise ValidationError(f"{path}: not a projection cache file")
-        k, d, s, seed, nnz = _CACHE_HEADER.unpack(fh.read(_CACHE_HEADER.size))
-        rows = np.frombuffer(fh.read(4 * nnz), dtype="<u4").astype(np.int64)
-        cols = np.frombuffer(fh.read(4 * nnz), dtype="<u4").astype(np.int64)
-        values = np.frombuffer(fh.read(8 * nnz), dtype="<f8").astype(np.float64)
-    if rows.size != nnz or cols.size != nnz or values.size != nnz:
-        raise ValidationError(f"{path}: truncated projection cache")
-    spec = ProjectionSpec(k=int(k), d=int(d), s=float(s), seed=int(seed))
-    return SparseProjection(spec, rows, cols, values)

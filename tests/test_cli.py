@@ -9,13 +9,11 @@ import filecmp
 import json
 import os
 
-import numpy as np
 import pytest
 
-from rpchoice import NumericalError, __version__, load_csv, load_projection
+from rpchoice import NumericalError, __version__, load_csv
 from rpchoice.cli import PRESETS, SCHEMA_VERSION, TOOL_NAME, load_manifest, main
 from rpchoice.estimate import run_replications
-from rpchoice.projection import ProjectionSpec, generate
 
 
 def run(*argv) -> int:
@@ -218,24 +216,13 @@ class TestVerifyJl:
         assert filecmp.cmp(out1 / "summary.json", out2 / "summary.json", shallow=False)
 
 
-class TestProject:
-    def test_round_trip_matches_direct_generation(self, tmp_path):
-        csv_path = simulate_small(tmp_path / "sim")
-        out = tmp_path / "proj"
-        code = run("project", "--data", csv_path, "--k", "4", "--s", "1",
-                   "--seed", "21", "--out", str(out))
-        assert code == 0
-        loaded = load_projection(str(out / "projection.bin"))
-        direct = generate(ProjectionSpec(k=4, d=12, s=1.0, seed=21))
-        np.testing.assert_array_equal(loaded.rows, direct.rows)
-        np.testing.assert_array_equal(loaded.cols, direct.cols)
-        np.testing.assert_array_equal(loaded.values, direct.values)
-        manifest = load_manifest(str(out / "manifest.json"))
-        assert manifest["params"]["nnz"] == direct.nnz
-
+class TestParser:
     def test_missing_subcommand_exits_2(self):
         assert run() == 2
 
     def test_version_flag_exits_0(self, capsys):
         assert run("--version") == 0
         assert capsys.readouterr().out.strip() == f"{TOOL_NAME} {__version__}"
+
+    def test_removed_project_command_exits_2(self, tmp_path):
+        assert run("project", "--data", str(tmp_path / "d.csv"), "--k", "2") == 2

@@ -32,6 +32,7 @@ from rpchoice import (
     apply,
     criterion,
     criterion_subgradient,
+    cross_moments,
     cycle_residual_dot,
     cycle_residual_euclid,
     enumerate_cycles,
@@ -380,6 +381,20 @@ class TestEvaluator:
             beta = np.array([math.cos(theta), math.sin(theta)])
             assert val == pytest.approx(ev.value(beta), rel=1e-12, abs=1e-15)
 
+
+    @pytest.mark.parametrize("beta", [[0.6, 0.8], [0.6, -0.48, 0.64]])
+    def test_cross_moments_match_einsum_reference(self, beta):
+        """The batched product sums in another order than the einsum it
+        replaced; it must agree within 1e-12 of the largest block entry, on
+        raw shares and on compressed (partly negative) shares."""
+        beta = np.array(beta)
+        data = logit_oracle_dataset(12, 400, beta.size, beta, seed=23)
+        compressed = apply(generate(ProjectionSpec(k=40, d=400, s=1.0, seed=24)), data)
+        for d in (data, compressed):
+            reference = np.einsum("irb,jr->ijb", d.covariate_stack(), d.share_stack())
+            C = cross_moments(d)
+            assert C.shape == (12, 12, beta.size)
+            assert np.abs(C - reference).max() <= 1e-12 * np.abs(reference).max()
 
 def literal_grid(D, thetas):
     """CriterionEvaluator.value_grid on bare residual rows."""

@@ -18,6 +18,7 @@ from rpchoice import (
     Dataset,
     Market,
     NumericalError,
+    ParameterError,
     ProjectionSpec,
     SimConfig,
     apply,
@@ -32,7 +33,7 @@ from rpchoice import (
     simulate_dataset,
     write_grid_csv,
 )
-from rpchoice._seeds import derive_rng, derive_seed
+from rpchoice._seeds import STREAM_PROJECTION, STREAM_RESTARTS, derive_rng, derive_seed
 from rpchoice.estimate import (
     TWO_PI,
     interval_contains_interval,
@@ -76,6 +77,13 @@ def comp_b3():
 @pytest.fixture(scope="module")
 def cycles20():
     return enumerate_cycles(20, (2, 3))
+
+
+@pytest.fixture(scope="module")
+def b3_data():
+    """Three covariates, 10 markets, d = 40; the solver's end point depends
+    on its restart draws, so a wrong restart seed shows."""
+    return logit_oracle_dataset(10, 40, 3, np.array([0.6, -0.48, 0.64]), seed=46)
 
 
 @pytest.fixture(scope="module")
@@ -406,6 +414,79 @@ class TestReplications:
                                              replications=3, master_seed=5,
                                              restarts=4, steps=200)
         np.testing.assert_array_equal(coef.betas, again.betas)
+
+
+class TestReplicationDriver:
+    """The shared replication driver against an inline serial loop: seed from
+    (master_seed, STREAM_PROJECTION, r), generate, apply, then the circle
+    sweep or the sphere solver; results must be bit-equal."""
+
+    @staticmethod
+    def _serial_compress(data, master_seed, r, k=8):
+        spec = ProjectionSpec(k=k, d=data.d, s=1.0,
+                              seed=derive_seed(master_seed, STREAM_PROJECTION, r))
+        return apply(generate(spec), data)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_intervals_bit_equal_to_serial_loop(self, small_mc_dataset, threads):
+        cycles = enumerate_cycles(small_mc_dataset.n, (2, 3))
+        summary = run_replications(small_mc_dataset, k=8, s=1.0, replications=3,
+                                   master_seed=12, grid_size=64, refine=1,
+                                   threads=threads)
+        assert [rec.index for rec in summary.records] == [0, 1, 2]
+        for r, rec in enumerate(summary.records):
+            compressed = self._serial_compress(small_mc_dataset, 12, r)
+            _, idset = estimate_polar_grid(compressed, cycles, 64, 1)
+            lb, ub = idset.interval_estimate
+            assert (rec.lb, rec.ub, rec.q_min) == (lb, ub, idset.q_min)
+            assert rec.theta_hat == interval_midpoint((lb, ub))
+            assert rec.wrapped == (ub < lb)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_coefficients_bit_equal_to_serial_loop(self, b3_data, threads):
+        cycles = enumerate_cycles(b3_data.n, (2, 3))
+        coef = run_coefficient_replications(b3_data, k=8, s=1.0, replications=3,
+                                            master_seed=12, restarts=2, steps=50,
+                                            threads=threads)
+        assert coef.betas.shape == (3, 3)
+        for r in range(3):
+            res = estimate_subgradient(self._serial_compress(b3_data, 12, r),
+                                       cycles, restarts=2, steps=50,
+                                       seed=derive_seed(12, STREAM_RESTARTS, r))
+            np.testing.assert_array_equal(coef.betas[r], res.beta)
+            assert coef.values[r] == res.value
+
+    def test_coefficient_threads_do_not_change_results(self, b3_data):
+        one, two = (
+            run_coefficient_replications(b3_data, k=8, s=1.0, replications=4,
+                                         master_seed=8, restarts=2, steps=50,
+                                         threads=threads)
+            for threads in (1, 2)
+        )
+        np.testing.assert_array_equal(one.betas, two.betas)
+        np.testing.assert_array_equal(one.values, two.values)
+
+    def test_convergence_gap_recomputed_by_hand(self, small_mc_dataset):
+        diag = convergence_diagnostic(small_mc_dataset, k_values=(4, 8), s=1.0,
+                                      draws=2, master_seed=3, grid_size=256)
+        cycles = enumerate_cycles(small_mc_dataset.n, (2, 3))
+        thetas = np.arange(256) * (TWO_PI / 256)
+        spec = ProjectionSpec(k=8, d=40, s=1.0,
+                              seed=derive_seed(3, STREAM_PROJECTION, 1, 1))
+        compressed = apply(generate(spec), small_mc_dataset)
+        base, projected = (
+            CircleProfile(CriterionEvaluator(data, cycles).D).values(thetas) / len(cycles)
+            for data in (small_mc_dataset, compressed)
+        )
+        assert diag.gaps[1, 1] == float(np.abs(projected - base).max())
+
+    def test_thread_count_below_one_rejected(self, small_mc_dataset):
+        with pytest.raises(ParameterError, match="threads"):
+            run_replications(small_mc_dataset, k=8, s=1.0, replications=1,
+                             master_seed=1, grid_size=64, refine=1, threads=0)
+        with pytest.raises(ParameterError, match="threads"):
+            run_coefficient_replications(small_mc_dataset, k=8, s=1.0, replications=1,
+                                         master_seed=1, restarts=1, steps=5, threads=0)
 
 
 class TestReplicationFailures:

@@ -1,4 +1,4 @@
-"""Projection generation, streaming application, caching, and JL diagnostics."""
+"""Projection generation, streaming application, and JL diagnostics."""
 
 import math
 
@@ -17,11 +17,9 @@ from rpchoice import (
     apply,
     generate,
     jl_diagnostic,
-    load_projection,
     logit_oracle_dataset,
     predicted_distance_variance,
     resolve_sparsity,
-    save_projection,
 )
 from rpchoice._seeds import STREAM_DIAGNOSTIC, seed_sequence
 from rpchoice.projection import _sign_masks
@@ -202,24 +200,6 @@ class TestApply:
         compressed = apply(proj, data)
         stacked = np.concatenate([m.shares for m in compressed.markets])
         assert (stacked < 0).any()
-
-
-class TestCache:
-    def test_round_trip(self, tmp_path):
-        proj = generate(ProjectionSpec(k=8, d=64, s=8.0, seed=11))
-        path = str(tmp_path / "proj.bin")
-        save_projection(proj, path)
-        back = load_projection(path)
-        assert back.spec == proj.spec
-        assert np.array_equal(back.rows, proj.rows)
-        assert np.array_equal(back.cols, proj.cols)
-        assert np.array_equal(back.values, proj.values)
-
-    def test_corrupt_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"NOTAPROJ" + b"\x00" * 64)
-        with pytest.raises(Exception):
-            load_projection(str(path))
 
 
 class TestPredictedVariance:
