@@ -461,9 +461,9 @@ def cycle_residual_dot(cycle: Cycle, beta, data) -> float:
     idx = cycle.indices if isinstance(cycle, Cycle) else Cycle(tuple(cycle)).indices
     _check_cycles(CycleSet.from_cycles([idx]), data.n)
     vec = _as_beta(beta, data.b)
-    markets = data.markets
-    u = {i: markets[i].covariates @ vec for i in idx}
-    p = {i: markets[i].shares for i in idx}
+    X, P = data.covariate_stack(), data.share_stack()
+    u = {i: X[i] @ vec for i in idx}
+    p = {i: P[i] for i in idx}
     total = 0.0
     L = len(idx)
     for l in range(L):
@@ -477,9 +477,9 @@ def cycle_residual_euclid(cycle: Cycle, beta, data) -> float:
     idx = cycle.indices if isinstance(cycle, Cycle) else Cycle(tuple(cycle)).indices
     _check_cycles(CycleSet.from_cycles([idx]), data.n)
     vec = _as_beta(beta, data.b)
-    markets = data.markets
-    u = {i: markets[i].covariates @ vec for i in idx}
-    p = {i: markets[i].shares for i in idx}
+    X, P = data.covariate_stack(), data.share_stack()
+    u = {i: X[i] @ vec for i in idx}
+    p = {i: P[i] for i in idx}
     total = 0.0
     L = len(idx)
     for l in range(L):

@@ -268,7 +268,8 @@ def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
 
     Markets are ordered by market id and choices by choice id (numeric order
     when the ids parse as numbers, lexicographic otherwise), so the same file
-    always produces the same array layout.
+    always produces the same array layout. A header that repeats a column
+    name, or a row with more cells than the header, raises ParseError.
     """
     value_col = schema.quantity if schema.quantity is not None else schema.share
     rows: dict[str, dict[str, tuple[list[float], float]]] = {}
@@ -279,6 +280,9 @@ def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
         header = reader.fieldnames
         if header is None:
             raise ParseError(f"{path}: empty file, expected a header row")
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            raise ParseError(f"{path}: header repeats column(s) {repeated}")
         for required in (schema.market, schema.choice, value_col):
             if required not in header:
                 raise ParseError(f"{path}: missing required column {required!r}")
@@ -293,6 +297,11 @@ def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
             raise ParseError(f"{path}: no covariate columns found")
 
         for row in reader:
+            if None in row:  # DictReader's restkey: cells beyond the header
+                raise ParseError(
+                    f"row {reader.line_num}: {len(header) + len(row[None])} cells, "
+                    f"header has {len(header)}"
+                )
             mid, cid = row[schema.market], row[schema.choice]
             cov = [_parse_cell(row[c], c, reader.line_num) for c in cov_names]
             val = _parse_cell(row[value_col], value_col, reader.line_num)

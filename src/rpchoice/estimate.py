@@ -150,7 +150,7 @@ def estimate_polar_grid(
     """
     if getattr(data, "b") != 2:
         raise DimensionError(
-            "polar grid search needs exactly 2 covariates; use estimate_subgradient"
+            "the circle estimate needs exactly 2 covariates; use estimate_subgradient"
         )
     if grid_size < 8:
         raise ParameterError(f"grid_size must be at least 8, got {grid_size}")
@@ -561,7 +561,8 @@ def run_coefficient_replications(
     threads: int = 1,
     design_label: str = "",
 ) -> CoefficientReplicationSummary:
-    """Replication harness for b != 2: sphere descent instead of a grid.
+    """Replication harness for b != 2: the active-set sphere solver
+    (`estimate_subgradient`) instead of the exact circle sweep.
 
     Failures are recorded as in `run_replications`.
     """

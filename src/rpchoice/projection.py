@@ -80,91 +80,64 @@ class ProjectionSpec:
         return 1.0 / self.s
 
 
-def _sign_masks(uniforms: np.ndarray, s: float):
+def _sign_masks(uniforms: np.ndarray, s: float, plus=None, minus=None):
     """Three-point thresholding shared by generation and the diagnostic sampler.
 
     A uniform below 1/(2s) becomes +1, at or above 1 - 1/(2s) becomes -1,
-    anything in between is a structural zero.
+    anything in between is a structural zero. `plus` and `minus` are optional
+    boolean output buffers.
     """
     half = 0.5 / s
-    return uniforms < half, uniforms >= 1.0 - half
+    return np.less(uniforms, half, out=plus), np.greater_equal(uniforms, 1.0 - half, out=minus)
 
 
 @dataclass(frozen=True)
 class SparseProjection:
-    """A realized projection matrix in triplet form, sorted by column, then
-    row, with each cell at most once.
+    """A realized k x d projection matrix in compressed sparse column (CSC)
+    form, rows sorted within each column and each cell stored at most once.
 
-    Column-sorted storage means applying the matrix is one streaming pass
-    over the rows of the tall data, in row order.
+    Column storage means applying the matrix is one streaming pass over the
+    rows of the tall data, in row order.
     """
 
     spec: ProjectionSpec
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray
+    matrix: _sparse.csc_matrix
 
     def __post_init__(self):
-        rows = _readonly(self.rows, dtype=np.int64)
-        cols = _readonly(self.cols, dtype=np.int64)
-        values = _readonly(self.values)
-        if not rows.shape == cols.shape == values.shape or rows.ndim != 1:
-            raise DimensionError("rows, cols, values must be equal-length vectors")
-        k, d = self.spec.k, self.spec.d
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= k or cols.min() < 0 or cols.max() >= d:
-                raise DimensionError("triplet indices outside the k x d grid")
-            # column-major cell numbers strictly increase exactly when the
-            # triplets are sorted by column, then row, with no cell repeated
-            cells = cols * k + rows
-            if not np.all(cells[1:] > cells[:-1]):
-                raise ValidationError(
-                    "triplets must be sorted by column, then row, with no duplicate cell"
-                )
-        expected = self.spec.scale
-        if values.size and not np.all(np.abs(values) == expected):
+        m = self.matrix
+        shape = (self.spec.k, self.spec.d)
+        if m.shape != shape:
+            raise DimensionError(f"matrix shape {m.shape} does not match k x d = {shape}")
+        try:
+            m.check_format(full_check=True)
+        except ValueError as exc:
+            raise DimensionError(f"invalid csc structure: {exc}") from None
+        if not m.has_canonical_format:
             raise ValidationError(
-                f"every entry must be +/-sqrt(s/k) = {expected!r} exactly"
+                "rows must be sorted within each column, with no duplicate cell"
             )
-        self._check_nonzero_fraction(rows.size)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_csc_cache", None)
-
-    def _check_nonzero_fraction(self, nnz: int) -> None:
-        # binomial sanity bound, only meaningful once the cell count is large
-        cells = self.spec.k * self.spec.d
-        if cells < 10_000:
-            return
-        p = self.spec.nonzero_prob
-        sd = math.sqrt(p * (1.0 - p) / cells)
-        if abs(nnz / cells - p) > 5.0 * sd:
+        expected = self.spec.scale
+        if m.dtype != np.float64 or not np.all(np.abs(m.data) == expected):
             raise ValidationError(
-                f"nonzero fraction {nnz / cells:.6f} is more than 5 binomial sd "
+                f"every entry must be +/-sqrt(s/k) = {expected!r} exactly, as float64"
+            )
+        # binomial sanity bound, only meaningful once the cell count is large
+        cells, p = m.shape[0] * m.shape[1], self.spec.nonzero_prob
+        if cells >= 10_000 and abs(m.nnz / cells - p) > 5.0 * math.sqrt(p * (1.0 - p) / cells):
+            raise ValidationError(
+                f"nonzero fraction {m.nnz / cells:.6f} is more than 5 binomial sd "
                 f"from 1/s = {p:.6f}"
             )
+        for arr in (m.data, m.indices, m.indptr):
+            arr.setflags(write=False)
 
     @property
     def nnz(self) -> int:
-        return self.rows.size
+        return self.matrix.nnz
 
     @property
     def nonzero_fraction(self) -> float:
         return self.nnz / (self.spec.k * self.spec.d)
-
-    def _csc(self):
-        cache = getattr(self, "_csc_cache")
-        if cache is None:
-            # triplets are already in csc order, so only the column pointers
-            # need building
-            indptr = np.zeros(self.spec.d + 1, dtype=np.int64)
-            np.cumsum(np.bincount(self.cols, minlength=self.spec.d), out=indptr[1:])
-            cache = _sparse.csc_matrix(
-                (self.values, self.rows, indptr), shape=(self.spec.k, self.spec.d)
-            )
-            object.__setattr__(self, "_csc_cache", cache)
-        return cache
 
     def apply_to(self, tall: np.ndarray) -> np.ndarray:
         """Multiply R @ tall for a (d,) vector or (d, c) matrix.
@@ -177,91 +150,79 @@ class SparseProjection:
             raise DimensionError(
                 f"input has {arr.shape[0]} rows, projection expects {self.spec.d}"
             )
-        return self._csc() @ arr
+        return self.matrix @ arr
 
     def dense(self) -> np.ndarray:
-        out = np.zeros((self.spec.k, self.spec.d))
-        out[self.rows, self.cols] = self.values
-        return out
+        return self.matrix.toarray()
 
 
 def generate(spec: ProjectionSpec) -> SparseProjection:
     """Draw the projection matrix for a spec.
 
     Per-entry decisions are made from one uniform draw per cell, consumed in
-    row-major order, so a seed pins down the exact matrix. Triplets are read
-    off the transposed sign masks, which lists them by column, then row, as
-    the streaming multiply needs.
+    row-major order, so a seed pins down the exact matrix. The sign masks are
+    written transposed, (d, k), so their row-major nonzeros list the cells by
+    column, then row: exactly the csc order.
     """
     rng = np.random.default_rng(np.random.SeedSequence(int(spec.seed)))
-    uniforms = rng.random((spec.k, spec.d))
-    plus, minus = _sign_masks(uniforms, spec.s)
-    cells = np.flatnonzero(np.ascontiguousarray((plus | minus).T))
-    cols, rows = np.divmod(cells, spec.k)
-    values = np.where(np.ascontiguousarray(plus.T).ravel()[cells], spec.scale, -spec.scale)
-    return SparseProjection(spec, rows, cols, values)
-
-
-@dataclass(frozen=True)
-class CompressedMarket:
-    """Projected covariates (k x b) and projected shares (length k).
-
-    Projected shares routinely go negative; only finiteness is enforced.
-    """
-
-    covariates: np.ndarray
-    shares: np.ndarray
-
-    def __post_init__(self):
-        cov = _readonly(self.covariates)
-        sh = _readonly(self.shares)
-        if cov.ndim != 2 or sh.ndim != 1 or cov.shape[0] != sh.shape[0]:
-            raise DimensionError("compressed covariates and shares are inconsistent")
-        if not (np.isfinite(cov).all() and np.isfinite(sh).all()):
-            raise ValidationError("compressed market contains non-finite values")
-        object.__setattr__(self, "covariates", cov)
-        object.__setattr__(self, "shares", sh)
+    uniforms = rng.random((spec.k, spec.d)).T
+    plus, hits = _sign_masks(uniforms, spec.s, *np.empty((2, spec.d, spec.k), dtype=bool))
+    del uniforms  # the largest array; free it before the index arrays exist
+    hits |= plus
+    indptr = np.zeros(spec.d + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(hits, axis=1), out=indptr[1:])
+    indices = np.flatnonzero(hits)
+    data = np.where(plus.ravel()[indices], spec.scale, -spec.scale)
+    del plus, hits
+    np.remainder(indices, spec.k, out=indices)
+    matrix = _sparse.csc_matrix((data, indices, indptr), shape=(spec.k, spec.d))
+    del indices  # the matrix keeps an int32 copy where the indices fit
+    return SparseProjection(spec, matrix)
 
 
 @dataclass(frozen=True)
 class CompressedDataset:
-    """All markets of a dataset pushed through one shared projection."""
+    """All markets of a dataset pushed through one shared projection.
 
-    markets: tuple[CompressedMarket, ...]
+    `covariates` (n, k, b) and `shares` (n, k) hold market i's projected
+    covariates and projected shares at index i. Projected shares routinely
+    go negative; only finiteness is enforced.
+    """
+
+    covariates: np.ndarray
+    shares: np.ndarray
     spec: ProjectionSpec
     scaling: ColumnScaling
     covariate_names: tuple[str, ...] = ()
     market_ids: tuple[str, ...] = ()
 
     def __post_init__(self):
-        markets = tuple(self.markets)
-        if not markets:
+        cov = _readonly(self.covariates)
+        sh = _readonly(self.shares)
+        if cov.ndim != 3 or sh.ndim != 2 or cov.shape[:2] != sh.shape:
+            raise DimensionError("compressed covariates and shares are inconsistent")
+        if not sh.shape[0]:
             raise ValidationError("compressed dataset has no markets")
-        k, b = markets[0].shares.shape[0], markets[0].covariates.shape[1]
-        for i, m in enumerate(markets):
-            if m.shares.shape[0] != k or m.covariates.shape[1] != b:
-                raise DimensionError(f"compressed market {i} has inconsistent shape")
-        if k != self.spec.k:
+        if sh.shape[1] != self.spec.k:
             raise DimensionError("compressed rows do not match the projection spec")
-        object.__setattr__(self, "markets", markets)
+        if not (np.isfinite(cov).all() and np.isfinite(sh).all()):
+            raise ValidationError("compressed data contain non-finite values")
+        object.__setattr__(self, "covariates", cov)
+        object.__setattr__(self, "shares", sh)
 
     @property
     def n(self) -> int:
-        return len(self.markets)
-
-    @property
-    def k(self) -> int:
-        return self.spec.k
+        return self.shares.shape[0]
 
     @property
     def b(self) -> int:
-        return self.markets[0].covariates.shape[1]
+        return self.covariates.shape[2]
 
     def covariate_stack(self) -> np.ndarray:
-        return np.stack([m.covariates for m in self.markets])
+        return self.covariates
 
     def share_stack(self) -> np.ndarray:
-        return np.stack([m.shares for m in self.markets])
+        return self.shares
 
 
 def apply(projection: SparseProjection, data: Dataset) -> CompressedDataset:
@@ -282,12 +243,10 @@ def apply(projection: SparseProjection, data: Dataset) -> CompressedDataset:
         [data.covariate_stack(), data.share_stack()[:, :, None]], axis=2
     )  # (n, d, b+1)
     out = projection.apply_to(block.transpose(1, 0, 2).reshape(data.d, -1))
-    out = out.reshape(projection.spec.k, data.n, b + 1)
-    compressed = tuple(
-        CompressedMarket(out[:, i, :b], out[:, i, b]) for i in range(data.n)
-    )
+    out = out.reshape(projection.spec.k, data.n, b + 1).transpose(1, 0, 2)
     return CompressedDataset(
-        markets=compressed,
+        covariates=out[:, :, :b],
+        shares=out[:, :, b],
         spec=projection.spec,
         scaling=data.scaling,
         covariate_names=data.covariate_names,
@@ -349,20 +308,18 @@ def _dots_dense(w: np.ndarray, s: float, n_rows: int, rng: np.random.Generator) 
     """Unscaled row sums sum_j sigma_j w_j for n_rows independent matrix rows.
 
     Uses the same uniform-threshold decision as generate(), batched across
-    rows; chunking bounds memory, not the distribution.
+    rows; chunking bounds memory, not the distribution. Every chunk reuses
+    one set of buffers.
     """
-    d = w.size
-    per_chunk = max(1, (1 << 22) // max(d, 1))
+    per_chunk = min(n_rows, max(1, (1 << 22) // max(w.size, 1)))
+    uniforms, signs = np.empty((2, per_chunk, w.size))
+    plus, minus = np.empty((2, per_chunk, w.size), dtype=bool)
     out = np.empty(n_rows)
-    done = 0
-    while done < n_rows:
+    for done in range(0, n_rows, per_chunk):
         count = min(per_chunk, n_rows - done)
-        uniforms = rng.random((count, d))
-        plus, minus = _sign_masks(uniforms, s)
-        signs = plus.astype(np.float64)
-        signs -= minus
-        out[done : done + count] = signs @ w
-        done += count
+        _sign_masks(rng.random(out=uniforms[:count]), s, plus[:count], minus[:count])
+        np.subtract(plus[:count], minus[:count], out=signs[:count], dtype=np.float64)
+        out[done : done + count] = signs[:count] @ w
     return out
 
 

@@ -222,6 +222,6 @@ def test_generation_performance():
     comp = apply(proj, data)
     elapsed = time.monotonic() - t0
     frac = proj.nonzero_fraction
-    ok = elapsed < 5.0 and 0.012 <= frac <= 0.016 and comp.markets[0].covariates.shape == (500, 2)
+    ok = elapsed < 5.0 and 0.012 <= frac <= 0.016 and comp.covariates.shape == (30, 500, 2)
     report(ok, "projection touches about 1.4% of cells and applies fast",
            f"{frac:.4%} of cells, {elapsed:.2f}s for 30 markets (limits 1.2-1.6%, 5s)")

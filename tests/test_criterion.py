@@ -187,6 +187,27 @@ class TestResiduals:
             r_euc = cycle_residual_euclid(cycle, beta, data)
             assert r_euc == pytest.approx(2.0 * r_dot, rel=1e-12, abs=1e-12)
 
+    def test_literal_residuals_on_compressed_data(self):
+        data = logit_oracle_dataset(4, 30, 2, np.array([0.6, 0.8]), seed=14)
+        proj = generate(ProjectionSpec(k=6, d=30, s=1.0, seed=2))
+        compressed = apply(proj, data)
+        R = proj.dense()
+        beta = np.array([-0.6, -0.8])
+        cycles = enumerate_cycles(4, (2, 3))
+        total = 0.0
+        for cycle in cycles.cycles():
+            idx = cycle.indices
+            u = [R @ data.markets[i].covariates @ beta for i in idx]
+            p = [R @ data.markets[i].shares for i in idx]
+            expected = sum((u[(l + 1) % len(idx)] - u[l]) @ p[l] for l in range(len(idx)))
+            r_dot = cycle_residual_dot(cycle, beta, compressed)
+            assert r_dot == pytest.approx(expected, rel=1e-10, abs=1e-12)
+            r_euc = cycle_residual_euclid(cycle, beta, compressed)
+            assert r_euc == pytest.approx(2.0 * r_dot, rel=1e-9, abs=1e-12)
+            total += max(r_dot, 0.0) ** 2
+        assert total > 0.0
+        assert total == pytest.approx(criterion(beta, compressed, cycles), rel=1e-9)
+
     def test_two_cycle_orientation_symmetry(self):
         data = logit_oracle_dataset(3, 4, 2, np.array([0.6, 0.8]), seed=4)
         beta = np.array([0.0, 1.0])

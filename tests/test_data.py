@@ -14,6 +14,7 @@ from rpchoice import (
     DimensionError,
     InfeasibleError,
     Market,
+    ParseError,
     ScalingError,
     ValidationError,
     build_outside_option,
@@ -107,6 +108,16 @@ class TestLoadCsv:
     def test_malformed_cell_reports_row(self, tmp_path):
         text = BASIC_CSV.replace("1,b,-0.25,2.0,0.3", "1,b,oops,2.0,0.3")
         with pytest.raises(Exception, match="row 3"):
+            load_csv(_write(tmp_path / "d.csv", text))
+
+    def test_repeated_header_column_rejected(self, tmp_path):
+        text = BASIC_CSV.replace("market,choice,x1,x2,share", "market,choice,x1,x1,share")
+        with pytest.raises(ParseError, match="repeats column.*'x1'"):
+            load_csv(_write(tmp_path / "d.csv", text))
+
+    def test_row_longer_than_header_rejected(self, tmp_path):
+        text = BASIC_CSV.replace("1,b,-0.25,2.0,0.3", "1,b,-0.25,2.0,0.3,7.0")
+        with pytest.raises(ParseError, match="row 3: 6 cells, header has 5"):
             load_csv(_write(tmp_path / "d.csv", text))
 
     def test_duplicate_pair_rejected(self, tmp_path):

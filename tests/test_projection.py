@@ -1,6 +1,7 @@
 """Projection generation, streaming application, and JL diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ class TestGenerate:
     def test_s1_is_fully_dense(self):
         proj = generate(ProjectionSpec(k=10, d=100, s=1.0, seed=3))
         assert proj.nnz == 1000
-        np.testing.assert_allclose(np.abs(proj.values), 1.0 / math.sqrt(10.0))
+        np.testing.assert_allclose(np.abs(proj.matrix.data), 1.0 / math.sqrt(10.0))
 
     def test_sqrt_d_sparsity_fraction(self):
         # d=5000, s=sqrt(5000): nonzero probability 1/s ~ 0.0141, so the
@@ -75,31 +76,45 @@ class TestGenerate:
     def test_determinism(self):
         spec = ProjectionSpec(k=2, d=2, s=2.0, seed=99)
         a, b = generate(spec), generate(spec)
-        assert np.array_equal(a.rows, b.rows)
-        assert np.array_equal(a.cols, b.cols)
-        assert np.array_equal(a.values, b.values)
-        assert set(np.unique(a.values)).issubset({-1.0, 0.0, 1.0})
+        assert np.array_equal(a.matrix.indptr, b.matrix.indptr)
+        assert np.array_equal(a.matrix.indices, b.matrix.indices)
+        assert np.array_equal(a.matrix.data, b.matrix.data)
+        assert set(np.unique(a.matrix.data)).issubset({-1.0, 0.0, 1.0})
 
     def test_different_seeds_differ(self):
         a = generate(ProjectionSpec(k=5, d=50, s=1.0, seed=0))
         b = generate(ProjectionSpec(k=5, d=50, s=1.0, seed=1))
-        assert not np.array_equal(a.values, b.values) or not np.array_equal(
-            a.cols, b.cols
+        assert not np.array_equal(a.matrix.data, b.matrix.data) or not np.array_equal(
+            a.matrix.indices, b.matrix.indices
         )
 
     def test_no_duplicate_cells(self):
-        proj = generate(ProjectionSpec(k=7, d=40, s=2.0, seed=4))
-        cells = set(zip(proj.rows.tolist(), proj.cols.tolist()))
-        assert len(cells) == proj.nnz
+        coo = generate(ProjectionSpec(k=7, d=40, s=2.0, seed=4)).matrix.tocoo()
+        cells = set(zip(coo.row.tolist(), coo.col.tolist()))
+        assert len(cells) == coo.nnz
 
     def test_columns_sorted(self):
-        proj = generate(ProjectionSpec(k=7, d=40, s=2.0, seed=4))
-        assert np.all(np.diff(proj.cols) >= 0)
+        # stored order: column-major cell numbers strictly increase
+        coo = generate(ProjectionSpec(k=7, d=40, s=2.0, seed=4)).matrix.tocoo()
+        assert np.all(np.diff(coo.col.astype(np.int64) * 7 + coo.row) > 0)
+
+    def test_peak_memory_per_cell(self):
+        # the uniforms take 8 bytes per cell; the masks and the csc index and
+        # value arrays must fit in the rest of the bound
+        spec = ProjectionSpec(k=200, d=2000, s=1.0, seed=5)
+        generate(spec)  # warm imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            generate(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (spec.k * spec.d) <= 40.0
 
 
 class TestLeanPath:
     """generate() and apply() against the lexsort / COO route they replaced:
-    the same triplets, the same csc arrays and the same compressed bits."""
+    the same csc arrays and the same compressed bits."""
 
     @pytest.mark.parametrize("s", [1.0, 3.0, math.sqrt(900.0)])
     def test_bit_identical_to_lexsort_coo_reference(self, s):
@@ -114,34 +129,46 @@ class TestLeanPath:
         reference = sparse.csc_matrix((values, (rows, cols)), shape=(spec.k, spec.d))
 
         proj = generate(spec)
-        np.testing.assert_array_equal(proj.rows, rows)
-        np.testing.assert_array_equal(proj.cols, cols)
-        np.testing.assert_array_equal(proj.values, values)
-        csc = proj._csc()
-        np.testing.assert_array_equal(csc.indptr, reference.indptr)
-        np.testing.assert_array_equal(csc.indices, reference.indices)
-        np.testing.assert_array_equal(csc.data, reference.data)
+        np.testing.assert_array_equal(proj.matrix.indptr, reference.indptr)
+        np.testing.assert_array_equal(proj.matrix.indices, reference.indices)
+        np.testing.assert_array_equal(proj.matrix.data, reference.data)
+        assert not proj.matrix.data.flags.writeable
+        assert not proj.matrix.indices.flags.writeable
         compressed = apply(proj, data)
-        for market, cm in zip(data.markets, compressed.markets):
+        for i, market in enumerate(data.markets):
             out = reference @ np.hstack([market.covariates, market.shares[:, None]])
-            np.testing.assert_array_equal(cm.covariates, out[:, :-1])
-            np.testing.assert_array_equal(cm.shares, out[:, -1])
+            np.testing.assert_array_equal(compressed.covariates[i], out[:, :-1])
+            np.testing.assert_array_equal(compressed.shares[i], out[:, -1])
 
-    @pytest.mark.parametrize("swap", [(0, 1), (2, 3)])
-    def test_unsorted_triplets_rejected(self, swap):
+    @pytest.mark.parametrize(
+        "case, error, match",
+        [
+            ("shape", DimensionError, "does not match k x d"),
+            ("unsorted", ValidationError, "sorted within each column"),
+            ("repeated", ValidationError, "no duplicate cell"),
+            ("out_of_range", DimensionError, "invalid csc structure"),
+            ("value", ValidationError, r"sqrt\(s/k\)"),
+        ],
+        ids=["shape", "unsorted", "repeated", "out_of_range", "value"],
+    )
+    def test_constructor_rejects(self, case, error, match):
         proj = generate(ProjectionSpec(k=3, d=4, s=1.0, seed=2))
-        order = np.arange(proj.nnz)
-        order[list(swap)] = order[list(reversed(swap))]
-        with pytest.raises(ValidationError, match="sorted by column, then row"):
-            SparseProjection(proj.spec, proj.rows[order], proj.cols[order],
-                             proj.values[order])
-
-    def test_duplicate_cell_rejected(self):
-        proj = generate(ProjectionSpec(k=3, d=4, s=1.0, seed=2))
-        keep = np.r_[0, np.arange(proj.nnz - 1)]
-        with pytest.raises(ValidationError, match="no duplicate cell"):
-            SparseProjection(proj.spec, proj.rows[keep], proj.cols[keep],
-                             proj.values[keep])
+        m = proj.matrix
+        data, indices, indptr = m.data.copy(), m.indices.copy(), m.indptr.copy()
+        shape = (3, 4)
+        if case == "shape":
+            shape = (4, 4)
+        elif case == "unsorted":
+            indices[[0, 1]] = indices[[1, 0]]
+        elif case == "repeated":
+            indices[1] = indices[0]
+        elif case == "out_of_range":
+            indices[0] = 3
+        else:
+            data[0] *= 2.0
+        SparseProjection(proj.spec, sparse.csc_matrix((m.data, m.indices, m.indptr), shape=(3, 4)))
+        with pytest.raises(error, match=match):
+            SparseProjection(proj.spec, sparse.csc_matrix((data, indices, indptr), shape=shape))
 
 
 class TestApply:
@@ -150,11 +177,13 @@ class TestApply:
         proj = generate(ProjectionSpec(k=4, d=9, s=2.0, seed=6))
         dense = proj.dense()
         compressed = apply(proj, data)
-        for market, cm in zip(data.markets, compressed.markets):
+        for i, market in enumerate(data.markets):
             np.testing.assert_allclose(
-                cm.covariates, dense @ market.covariates, atol=1e-12
+                compressed.covariates[i], dense @ market.covariates, atol=1e-12
             )
-            np.testing.assert_allclose(cm.shares, dense @ market.shares, atol=1e-12)
+            np.testing.assert_allclose(
+                compressed.shares[i], dense @ market.shares, atol=1e-12
+            )
 
     def test_single_all_plus_row_sums_shares(self):
         # s=1, k=1: entries are exactly +/-1; pick a seed whose single row is
@@ -163,21 +192,20 @@ class TestApply:
         seed = next(
             s
             for s in range(200)
-            if (generate(ProjectionSpec(k=1, d=d, s=1.0, seed=s)).values == 1.0).all()
+            if (generate(ProjectionSpec(k=1, d=d, s=1.0, seed=s)).matrix.data == 1.0).all()
         )
         proj = generate(ProjectionSpec(k=1, d=d, s=1.0, seed=seed))
         data = logit_oracle_dataset(2, d, 2, np.array([0.6, 0.8]), seed=8)
         compressed = apply(proj, data)
-        for cm in compressed.markets:
-            assert cm.shares[0] == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(compressed.shares[:, 0], 1.0, atol=1e-12)
 
     def test_large_design_shapes(self):
         data = logit_oracle_dataset(30, 5000, 2, np.array([0.6, 0.8]), seed=0)
         proj = generate(ProjectionSpec(k=100, d=5000, s=1.0, seed=1))
         compressed = apply(proj, data)
         assert compressed.n == 30
-        assert all(m.covariates.shape == (100, 2) for m in compressed.markets)
-        assert all(m.shares.shape == (100,) for m in compressed.markets)
+        assert compressed.covariates.shape == (30, 100, 2)
+        assert compressed.shares.shape == (30, 100)
 
     def test_dimension_mismatch(self):
         data = logit_oracle_dataset(3, 9, 2, np.array([0.6, 0.8]), seed=5)
@@ -198,8 +226,7 @@ class TestApply:
         data = logit_oracle_dataset(2, 50, 2, np.array([0.6, 0.8]), seed=9)
         proj = generate(ProjectionSpec(k=10, d=50, s=1.0, seed=10))
         compressed = apply(proj, data)
-        stacked = np.concatenate([m.shares for m in compressed.markets])
-        assert (stacked < 0).any()
+        assert (compressed.shares < 0).any()
 
 
 class TestPredictedVariance:
