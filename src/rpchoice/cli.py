@@ -19,6 +19,7 @@ import os
 import sys
 import time
 from datetime import datetime, timezone
+from functools import partial
 
 from . import __version__
 from ._seeds import STREAM_COVARIATES, derive_rng
@@ -46,24 +47,23 @@ PRESETS: dict[str, tuple[int, int]] = {
 }
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_type(low: int, kind: str):
+    """Argument type for integers of at least `low`, named `kind` in errors."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {value}")
+        return value
+
+    return parse
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
-    return value
+_positive_int = _int_type(1, "positive")
+_nonnegative_int = _int_type(0, "nonnegative")
 
 
 def _cycles_list(text: str) -> tuple[int, ...]:
@@ -76,11 +76,6 @@ def _cycles_list(text: str) -> tuple[int, ...]:
     if not lengths:
         raise argparse.ArgumentTypeError("no cycle lengths given")
     return lengths
-
-
-def load_manifest(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def _null_non_finite(value):
@@ -105,43 +100,63 @@ def _resolve_out(out: str | None, default_name: str) -> str:
     path = out if out else default_name
     if not os.path.isabs(path) and root:
         path = os.path.join(root, path)
-    os.makedirs(path, exist_ok=True)
     return path
 
 
-class _Timer:
-    def __init__(self):
-        self.started_utc = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        self._t0 = time.monotonic()
-
-    @property
-    def elapsed(self) -> float:
-        return time.monotonic() - self._t0
+def _flag_text(value) -> str:
+    if isinstance(value, (list, tuple)):
+        return ",".join(str(item) for item in value)
+    return str(value)
 
 
-def _finish(out_dir, command, seed, params, argv, artifacts, timer) -> None:
-    """Write manifest.json: everything needed to account for and re-run the command."""
+def _run(body, parser: argparse.ArgumentParser, args) -> int:
+    """Run one command and write its manifest.json.
+
+    `body(args, out_dir)` does the command's work and returns (resolved,
+    artifacts, report, code): `resolved` maps flags to the values the run
+    actually used, plus derived values such as s_resolved; `artifacts` maps a
+    key to (file name, writer). The output directory is created only once the
+    body has returned, so a run that fails early leaves nothing behind.
+
+    The manifest's `params` and re-run `argv` come from the subcommand's own
+    flags. `params` leaves out --seed (recorded on its own), --out and
+    --threads (neither changes a result); `argv` also leaves out --preset,
+    whose design it pins through the resolved --d.
+    """
+    started_utc = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    t0 = time.monotonic()
+    out_dir = _resolve_out(args.out, f"{args.command}-seed{args.seed}")
+    resolved, artifacts, report, code = body(args, out_dir)
+    os.makedirs(out_dir, exist_ok=True)
+    for name, write in artifacts.values():
+        write(os.path.join(out_dir, name))
+
+    values = {**vars(args), **resolved}
+    flags = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+    params = {a.dest: values[a.dest] for a in flags if a.dest not in ("seed", "out", "threads")}
+    argv = [args.command]
+    for a in flags:
+        if a.dest not in ("out", "threads", "preset"):
+            argv += [a.option_strings[0], _flag_text(values[a.dest])]
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "tool": TOOL_NAME,
         "tool_version": __version__,
-        "command": command,
-        "seed": seed,
-        "params": params,
+        "command": args.command,
+        "seed": args.seed,
+        "params": {**params, **resolved},
         "argv": argv,
-        "artifacts": artifacts,
-        "started_utc": timer.started_utc,
-        "elapsed_seconds": timer.elapsed,
+        "artifacts": {key: name for key, (name, _) in artifacts.items()},
+        "started_utc": started_utc,
+        "elapsed_seconds": time.monotonic() - t0,
     }
     _write_json(manifest, os.path.join(out_dir, "manifest.json"))
+    print(report, file=sys.stderr if code else sys.stdout)
+    return code
 
 
-def cmd_simulate(args) -> int:
-    timer = _Timer()
-    if args.preset is not None:
-        d, _ = PRESETS[args.preset]
-    else:
-        d = args.d
+def cmd_simulate(args, out_dir):
+    d = PRESETS[args.preset][0] if args.preset is not None else args.d
     config = SimConfig(
         d=d,
         n=args.n,
@@ -152,61 +167,32 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
     )
     data = simulate_dataset(config)
-
-    out_dir = _resolve_out(args.out, f"simulate-seed{args.seed}")
-    write_csv(data, os.path.join(out_dir, "dataset.csv"))
-    save_metadata(data, os.path.join(out_dir, "metadata.json"))
-
-    params = {
-        "d": config.d,
-        "n": config.n,
-        "theta0": config.theta0,
-        "mode": config.covariate_mode,
-        "error": config.error.kind,
-        "mc_draws": config.resolved_mc_draws,
-        "preset": args.preset,
+    artifacts = {
+        "dataset": ("dataset.csv", partial(write_csv, data)),
+        "metadata": ("metadata.json", partial(save_metadata, data)),
     }
-    argv = [
-        "simulate",
-        "--d", str(config.d),
-        "--n", str(config.n),
-        "--theta0", repr(config.theta0),
-        "--mode", config.covariate_mode,
-        "--error", config.error.kind,
-        "--mc-draws", str(config.resolved_mc_draws),
-        "--seed", str(args.seed),
-    ]
-    artifacts = {"dataset": "dataset.csv", "metadata": "metadata.json"}
-    _finish(out_dir, "simulate", args.seed, params, argv, artifacts, timer)
-    print(f"wrote dataset.csv (n={config.n}, d={config.d}) to {out_dir}")
-    return 0
+    resolved = {"d": config.d, "mc_draws": config.resolved_mc_draws}
+    return resolved, artifacts, f"wrote dataset.csv (n={config.n}, d={config.d}) to {out_dir}", 0
 
 
-def cmd_estimate(args) -> int:
-    timer = _Timer()
+def cmd_estimate(args, out_dir):
     data = load_csv(args.data)
     s_resolved = resolve_sparsity(args.s, data.d)
     if args.k > data.d:
         raise ParameterError(f"k={args.k} exceeds the data dimension d={data.d}")
     threads = args.threads if args.threads else (os.cpu_count() or 1)
-
-    out_dir = _resolve_out(args.out, f"estimate-seed{args.seed}")
-    artifacts = {"summary": "summary.json"}
-
+    common = dict(
+        k=args.k,
+        s=s_resolved,
+        replications=args.replications,
+        master_seed=args.seed,
+        cycle_lengths=args.cycles,
+        threads=threads,
+    )
+    artifacts = {}
     if data.b == 2:
-        summary = run_replications(
-            data,
-            k=args.k,
-            s=s_resolved,
-            replications=args.replications,
-            master_seed=args.seed,
-            cycle_lengths=args.cycles,
-            grid_size=args.grid,
-            refine=args.refine,
-            threads=threads,
-        )
-        write_grid_csv(summary.unprojected_grid, os.path.join(out_dir, "grid.csv"))
-        artifacts["grid"] = "grid.csv"
+        summary = run_replications(data, grid_size=args.grid, refine=args.refine, **common)
+        artifacts["grid"] = ("grid.csv", partial(write_grid_csv, summary.unprojected_grid))
         lo, hi = summary.unprojected_set.interval_estimate
         report = (
             f"unprojected interval [{lo:.4f}, {hi:.4f}], "
@@ -216,88 +202,38 @@ def cmd_estimate(args) -> int:
         succeeded = summary.successes
     else:
         summary = run_coefficient_replications(
-            data,
-            k=args.k,
-            s=s_resolved,
-            replications=args.replications,
-            master_seed=args.seed,
-            cycle_lengths=args.cycles,
-            restarts=args.restarts,
-            steps=args.steps,
-            threads=threads,
+            data, restarts=args.restarts, steps=args.steps, **common
         )
         succeeded = summary.replications - len(summary.failures)
         report = f"{succeeded} replications succeeded"
-
     payload = {"schema_version": SCHEMA_VERSION, **summary.to_dict()}
-    _write_json(payload, os.path.join(out_dir, "summary.json"))
+    artifacts["summary"] = ("summary.json", partial(_write_json, payload))
 
-    params = {
-        "data": os.path.abspath(args.data),
-        "k": args.k,
-        "s": args.s,
-        "s_resolved": s_resolved,
-        "cycles": list(args.cycles),
-        "replications": args.replications,
-        "grid": args.grid,
-        "refine": args.refine,
-        "restarts": args.restarts,
-        "steps": args.steps,
-    }
-    argv = [
-        "estimate",
-        "--data", os.path.abspath(args.data),
-        "--k", str(args.k),
-        "--s", str(args.s),
-        "--cycles", ",".join(str(c) for c in args.cycles),
-        "--replications", str(args.replications),
-        "--grid", str(args.grid),
-        "--refine", str(args.refine),
-        "--restarts", str(args.restarts),
-        "--steps", str(args.steps),
-        "--seed", str(args.seed),
-    ]
-    _finish(out_dir, "estimate", args.seed, params, argv, artifacts, timer)
+    resolved = {"data": os.path.abspath(args.data), "s_resolved": s_resolved}
     if succeeded == 0:
-        print(
+        report = (
             f"error: all {args.replications} replications failed; their errors "
-            f"are in {os.path.join(out_dir, 'summary.json')}",
-            file=sys.stderr,
+            f"are in {os.path.join(out_dir, 'summary.json')}"
         )
-        return 1
-    print(f"{report}; wrote summary.json to {out_dir}")
-    return 0
+        return resolved, artifacts, report, 1
+    return resolved, artifacts, f"{report}; wrote summary.json to {out_dir}", 0
 
 
-def cmd_verify_jl(args) -> int:
-    timer = _Timer()
+def cmd_verify_jl(args, out_dir):
     s_resolved = resolve_sparsity(args.s, args.d)
     spec = ProjectionSpec(k=args.k, d=args.d, s=s_resolved, seed=args.seed)
     rng = derive_rng(args.seed, STREAM_COVARIATES)
     u, v = rng.standard_normal((2, args.d))
     diag = jl_diagnostic(u, v, spec, args.draws)
-
-    out_dir = _resolve_out(args.out, f"verify-jl-seed{args.seed}")
     payload = {"schema_version": SCHEMA_VERSION, **diag.to_dict()}
-    _write_json(payload, os.path.join(out_dir, "summary.json"))
-
-    params = {"d": args.d, "k": args.k, "s": args.s, "s_resolved": s_resolved, "draws": args.draws}
-    argv = [
-        "verify-jl",
-        "--d", str(args.d),
-        "--k", str(args.k),
-        "--s", str(args.s),
-        "--draws", str(args.draws),
-        "--seed", str(args.seed),
-    ]
-    _finish(out_dir, "verify-jl", args.seed, params, argv, {"summary": "summary.json"}, timer)
     tag = " (gaussian-equivalent)" if diag.gaussian_equivalent else ""
-    print(
+    report = (
         f"s={s_resolved:g}{tag}: mean {diag.mean_sq_dist:.6f} vs exact "
         f"{diag.exact_sq_dist:.6f} (rel err {diag.mean_rel_err:.3%}), "
         f"variance rel err {diag.var_rel_err:.3%}"
     )
-    return 0
+    artifacts = {"summary": ("summary.json", partial(_write_json, payload))}
+    return {"s_resolved": s_resolved}, artifacts, report, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--mc-draws", type=_positive_int, default=None)
     p_sim.add_argument("--seed", type=_nonnegative_int, default=0)
     p_sim.add_argument("--out", default=None, help="output directory")
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=partial(_run, cmd_simulate, p_sim))
 
     p_est = sub.add_parser("estimate", help="replicated projection + estimation")
     p_est.add_argument("--data", required=True, help="dataset CSV")
@@ -360,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--threads", type=_positive_int, default=None)
     p_est.add_argument("--seed", type=_nonnegative_int, default=0)
     p_est.add_argument("--out", default=None)
-    p_est.set_defaults(func=cmd_estimate)
+    p_est.set_defaults(func=partial(_run, cmd_estimate, p_est))
 
     p_jl = sub.add_parser("verify-jl", help="distance-preservation diagnostic")
     p_jl.add_argument("--d", type=_positive_int, required=True)
@@ -369,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_jl.add_argument("--draws", type=_positive_int, required=True)
     p_jl.add_argument("--seed", type=_nonnegative_int, default=0)
     p_jl.add_argument("--out", default=None)
-    p_jl.set_defaults(func=cmd_verify_jl)
+    p_jl.set_defaults(func=partial(_run, cmd_verify_jl, p_jl))
 
     return parser
 

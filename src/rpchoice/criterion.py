@@ -111,14 +111,12 @@ class CycleSet:
         return sum(arr.shape[0] for arr in self._groups.values())
 
 
-def enumerate_cycles(n: int, lengths=(2, 3), both_orientations: bool = True) -> CycleSet:
+def enumerate_cycles(n: int, lengths=(2, 3)) -> CycleSet:
     """All distinct cycles over n markets for the requested lengths.
 
     Each cycle is anchored at its smallest market index, and the remaining
     members are permuted, which de-duplicates rotations. For length 2 the two
-    orientations coincide so one copy is kept; for longer cycles both
-    orientations are kept unless both_orientations is False, in which case
-    the copy whose second element is smaller than its last survives.
+    orientations coincide so one copy is kept; longer cycles keep both.
 
     The count grows as (L-1)! * C(n, L) per length, so long cycles on many
     markets get expensive quickly.
@@ -138,13 +136,9 @@ def enumerate_cycles(n: int, lengths=(2, 3), both_orientations: bool = True) -> 
             dtype=np.int64,
             count=math.comb(n, L) * L,
         ).reshape(-1, L)
-        # positions into each sorted combination: the anchor, then one
-        # permutation of the rest; comparing positions compares values
-        orders = [
-            (0, *perm)
-            for perm in itertools.permutations(range(1, L))
-            if L == 2 or both_orientations or perm[0] < perm[-1]
-        ]
+        # positions into each sorted combination: the anchor, then each
+        # permutation of the rest
+        orders = [(0, *perm) for perm in itertools.permutations(range(1, L))]
         groups[L] = combos[:, np.array(orders)].reshape(-1, L)
     return CycleSet(groups)
 
@@ -243,12 +237,13 @@ class CriterionEvaluator:
         viol = np.maximum(self.residuals(beta), 0.0)
         return float(viol @ viol), 2.0 * (viol @ self.D)
 
-    def value_grid(self, thetas: np.ndarray, chunk: int = 512) -> np.ndarray:
+    def value_grid(self, thetas: np.ndarray) -> np.ndarray:
         """Criterion along unit-circle angles; b = 2 only."""
         if self.b != 2:
             raise DimensionError("angle grids require exactly 2 covariates")
         thetas = np.asarray(thetas, dtype=np.float64)
         values = np.empty(thetas.shape[0])
+        chunk = 512  # angles per block: bounds the (cycles x angles) temporary
         for start in range(0, thetas.shape[0], chunk):
             block = thetas[start : start + chunk]
             B = np.vstack([np.cos(block), np.sin(block)])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,11 @@ from .errors import (
 )
 
 SHARE_SUM_TOL = 1e-9
+
+
+def _repeats(items) -> list:
+    """The items that occur more than once, sorted."""
+    return sorted(item for item, count in Counter(items).items() if count > 1)
 
 
 def _readonly(values, dtype=np.float64) -> np.ndarray:
@@ -139,7 +145,11 @@ def map_to_original_units(scaling: ColumnScaling, beta: np.ndarray) -> np.ndarra
 
 @dataclass(frozen=True)
 class Dataset:
-    """Balanced panel of markets sharing one choice set and covariate layout."""
+    """Balanced panel of markets sharing one choice set and covariate layout.
+
+    Market ids, choice ids and covariate names must each be distinct, so the
+    dataset can be written as one long CSV and read back.
+    """
 
     markets: tuple[Market, ...]
     scaling: ColumnScaling = None  # type: ignore[assignment]
@@ -152,6 +162,8 @@ class Dataset:
         if len(markets) < 2:
             raise ValidationError("a dataset needs at least 2 markets")
         d, b = markets[0].d, markets[0].b
+        if d < 1 or b < 1:
+            raise DimensionError(f"markets need a choice and a covariate, got shape ({d}, {b})")
         for i, m in enumerate(markets):
             if m.d != d or m.b != b:
                 raise DimensionError(
@@ -169,6 +181,10 @@ class Dataset:
         cids = tuple(self.choice_ids) or tuple(str(j) for j in range(d))
         if len(cids) != d:
             raise DimensionError("choice id count does not match choice count")
+        for label, ids in (("market ids", mids), ("choice ids", cids), ("covariate names", names)):
+            repeated = _repeats(ids)
+            if repeated:
+                raise ValidationError(f"repeated {label} {repeated}")
         object.__setattr__(self, "markets", markets)
         object.__setattr__(self, "scaling", scaling)
         object.__setattr__(self, "covariate_names", names)
@@ -252,14 +268,47 @@ def _parse_cell(raw: str, column: str, line_num: int) -> float:
         ) from None
 
 
+def _checked_rows(fh, path: str, required: tuple[str, ...]):
+    """Header and (line number, row dict) pairs of an open CSV file.
+
+    A missing header, a header that repeats a column name or lacks a
+    `required` column, and a row with more cells than the header raise
+    ParseError.
+    """
+    reader = csv.DictReader(fh)
+    header = reader.fieldnames
+    if header is None:
+        raise ParseError(f"{path}: empty file, expected a header row")
+    repeated = _repeats(header)
+    if repeated:
+        raise ParseError(f"{path}: header repeats column(s) {repeated}")
+    for column in required:
+        if column not in header:
+            raise ParseError(f"{path}: missing required column {column!r}")
+
+    def records():
+        for row in reader:
+            if None in row:  # DictReader's restkey: cells beyond the header
+                raise ParseError(
+                    f"row {reader.line_num}: {len(header) + len(row[None])} cells, "
+                    f"header has {len(header)}"
+                )
+            yield reader.line_num, row
+
+    return header, records()
+
+
 def _load_custcounts(path: str) -> dict[str, float]:
     counts: dict[str, float] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"market", "custcount"} <= set(reader.fieldnames):
-            raise ParseError(f"{path}: expected header with columns market,custcount")
-        for row in reader:
-            counts[row["market"]] = _parse_cell(row["custcount"], "custcount", reader.line_num)
+        _, records = _checked_rows(fh, path, ("market", "custcount"))
+        for line_num, row in records:
+            mid = row["market"]
+            if mid in counts:
+                raise ValidationError(
+                    f"{path}: row {line_num}: repeated custcount entry for market {mid!r}"
+                )
+            counts[mid] = _parse_cell(row["custcount"], "custcount", line_num)
     return counts
 
 
@@ -276,16 +325,7 @@ def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
     cov_names: tuple[str, ...] = schema.covariates
 
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
-        if header is None:
-            raise ParseError(f"{path}: empty file, expected a header row")
-        repeated = sorted({c for c in header if header.count(c) > 1})
-        if repeated:
-            raise ParseError(f"{path}: header repeats column(s) {repeated}")
-        for required in (schema.market, schema.choice, value_col):
-            if required not in header:
-                raise ParseError(f"{path}: missing required column {required!r}")
+        header, records = _checked_rows(fh, path, (schema.market, schema.choice, value_col))
         if not cov_names:
             reserved = {schema.market, schema.choice, value_col}
             cov_names = tuple(c for c in header if c not in reserved)
@@ -296,19 +336,14 @@ def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
         if not cov_names:
             raise ParseError(f"{path}: no covariate columns found")
 
-        for row in reader:
-            if None in row:  # DictReader's restkey: cells beyond the header
-                raise ParseError(
-                    f"row {reader.line_num}: {len(header) + len(row[None])} cells, "
-                    f"header has {len(header)}"
-                )
+        for line_num, row in records:
             mid, cid = row[schema.market], row[schema.choice]
-            cov = [_parse_cell(row[c], c, reader.line_num) for c in cov_names]
-            val = _parse_cell(row[value_col], value_col, reader.line_num)
+            cov = [_parse_cell(row[c], c, line_num) for c in cov_names]
+            val = _parse_cell(row[value_col], value_col, line_num)
             per_market = rows.setdefault(mid, {})
             if cid in per_market:
                 raise ValidationError(
-                    f"row {reader.line_num}: duplicate entry for market {mid!r}, choice {cid!r}"
+                    f"row {line_num}: duplicate entry for market {mid!r}, choice {cid!r}"
                 )
             per_market[cid] = (cov, val)
 
@@ -380,7 +415,19 @@ def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
 
 
 def write_csv(data: Dataset, path: str) -> None:
-    """Write the long-format CSV. repr round-trips float64 exactly."""
+    """Write the long-format CSV. repr round-trips float64 exactly.
+
+    What load_csv could not read back is refused before the file is opened:
+    a covariate named like the id or share columns would repeat a header
+    column, and a NUL character in an id or name is unreadable for the csv
+    module before Python 3.11.
+    """
+    clash = sorted({"market", "choice", "share"} & set(data.covariate_names))
+    if clash:
+        raise ValidationError(f"covariate name(s) {clash} collide with the csv's own columns")
+    labels = (*data.market_ids, *data.choice_ids, *data.covariate_names)
+    if any("\x00" in label for label in labels):
+        raise ValidationError("ids and covariate names must not contain NUL characters")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["market", "choice", *data.covariate_names, "share"])

@@ -203,7 +203,6 @@ def estimate_subgradient(
     cycles: CycleSet,
     restarts: int = 20,
     steps: int = 5000,
-    tolerance: float = 0.0,
     seed: int = 0,
     initial=None,
 ) -> SphereDescentResult:
@@ -217,15 +216,13 @@ def estimate_subgradient(
     no step improves (there are finitely many active sets) or after `steps`
     steps. Each restart starts from a uniform sphere draw (the first uses
     `initial` when given); the best iterate over all restarts is returned.
-    Stops early once the best value is <= tolerance.
+    Stops early once a restart reaches Q = 0, the global minimum.
 
     The name is kept for API stability: the method replaced a projected
     subgradient walk, whose step-size schedule it no longer needs.
     """
     if restarts < 1 or steps < 1:
         raise ParameterError("restarts and steps must be positive")
-    if tolerance < 0:
-        raise ParameterError("tolerance must be nonnegative")
     evaluator = CriterionEvaluator(data, cycles)
     b = evaluator.b
     D = evaluator.D
@@ -262,7 +259,7 @@ def estimate_subgradient(
         residuals = D @ beta
         value = violation(residuals, restart, 0)
         for step in range(1, steps + 1):
-            if value <= tolerance:
+            if value == 0.0:
                 break
             active = D[residuals > 0.0]
             _, vectors = np.linalg.eigh(active.T @ active)
@@ -278,7 +275,7 @@ def estimate_subgradient(
         restart_values.append(value)
         if value < best_value:
             best_value, best_beta = value, beta
-        if best_value <= tolerance:
+        if best_value == 0.0:
             break
 
     assert best_beta is not None

@@ -14,14 +14,16 @@ would give, and s = sqrt(d) touches only a ~1/sqrt(d) fraction of cells.
 
 from __future__ import annotations
 
+import copy
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse as _sparse
 
 from ._seeds import STREAM_DIAGNOSTIC, seed_sequence
-from .data import ColumnScaling, Dataset, _readonly
+from .data import Dataset, _readonly
 from .errors import DimensionError, ParameterError, ValidationError
 
 # named sparsity presets; "sqrt" resolves against the data dimension
@@ -192,9 +194,6 @@ class CompressedDataset:
     covariates: np.ndarray
     shares: np.ndarray
     spec: ProjectionSpec
-    scaling: ColumnScaling
-    covariate_names: tuple[str, ...] = ()
-    market_ids: tuple[str, ...] = ()
 
     def __post_init__(self):
         cov = _readonly(self.covariates)
@@ -248,9 +247,6 @@ def apply(projection: SparseProjection, data: Dataset) -> CompressedDataset:
         covariates=out[:, :, :b],
         shares=out[:, :, b],
         spec=projection.spec,
-        scaling=data.scaling,
-        covariate_names=data.covariate_names,
-        market_ids=data.market_ids,
     )
 
 
@@ -308,18 +304,38 @@ def _dots_dense(w: np.ndarray, s: float, n_rows: int, rng: np.random.Generator) 
     """Unscaled row sums sum_j sigma_j w_j for n_rows independent matrix rows.
 
     Uses the same uniform-threshold decision as generate(), batched across
-    rows; chunking bounds memory, not the distribution. Every chunk reuses
-    one set of buffers.
+    rows; chunking bounds memory, not the distribution. The chunks run on two
+    threads, each over a contiguous half with its own buffers and its own
+    copy of `rng`, advanced to the half's first uniform (one 64-bit draw per
+    uniform). The two streams together are exactly `rng`'s stream, so the
+    result does not depend on the split; `rng` ends advanced past every draw.
     """
-    per_chunk = min(n_rows, max(1, (1 << 22) // max(w.size, 1)))
-    uniforms, signs = np.empty((2, per_chunk, w.size))
-    plus, minus = np.empty((2, per_chunk, w.size), dtype=bool)
+    d = w.size
+    per_chunk = min(n_rows, max(1, (1 << 22) // max(d, 1)))
+    n_chunks = -(-n_rows // per_chunk)
+    split = min(n_rows, -(-n_chunks // 2) * per_chunk)
     out = np.empty(n_rows)
-    for done in range(0, n_rows, per_chunk):
-        count = min(per_chunk, n_rows - done)
-        _sign_masks(rng.random(out=uniforms[:count]), s, plus[:count], minus[:count])
-        np.subtract(plus[:count], minus[:count], out=signs[:count], dtype=np.float64)
-        out[done : done + count] = signs[:count] @ w
+
+    def stream_at(row: int) -> np.random.Generator:
+        bit_gen = copy.deepcopy(rng.bit_generator)
+        bit_gen.advance(row * d)
+        return np.random.Generator(bit_gen)
+
+    def run(stream: np.random.Generator, first: int, stop: int) -> None:
+        uniforms, signs = np.empty((2, per_chunk, d))
+        plus, minus = np.empty((2, per_chunk, d), dtype=bool)
+        for done in range(first, stop, per_chunk):
+            count = min(per_chunk, stop - done)
+            _sign_masks(stream.random(out=uniforms[:count]), s, plus[:count], minus[:count])
+            np.subtract(plus[:count], minus[:count], out=signs[:count], dtype=np.float64)
+            out[done : done + count] = signs[:count] @ w
+
+    halves = [(0, split), (split, n_rows)] if split < n_rows else [(0, n_rows)]
+    with ThreadPoolExecutor(max_workers=len(halves)) as pool:
+        jobs = [pool.submit(run, stream_at(first), first, stop) for first, stop in halves]
+        for job in jobs:
+            job.result()
+    rng.bit_generator.advance(n_rows * d)
     return out
 
 

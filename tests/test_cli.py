@@ -12,12 +12,17 @@ import os
 import pytest
 
 from rpchoice import NumericalError, __version__, load_csv
-from rpchoice.cli import PRESETS, SCHEMA_VERSION, TOOL_NAME, load_manifest, main
+from rpchoice.cli import PRESETS, SCHEMA_VERSION, TOOL_NAME, build_parser, main
 from rpchoice.estimate import run_replications
 
 
 def run(*argv) -> int:
     return main(list(argv))
+
+
+def load_manifest(path) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def simulate_small(out_dir, seed="3"):
@@ -214,6 +219,60 @@ class TestVerifyJl:
         code = run(*manifest["argv"], "--out", str(out2))
         assert code == 0
         assert filecmp.cmp(out1 / "summary.json", out2 / "summary.json", shallow=False)
+
+
+# every subcommand flag the re-run argv must name, in parser order
+RERUN_FLAGS = {
+    "simulate": ["--d", "--n", "--theta0", "--mode", "--error", "--mc-draws", "--seed"],
+    "estimate": ["--data", "--k", "--s", "--cycles", "--replications", "--grid",
+                 "--refine", "--restarts", "--steps", "--seed"],
+    "verify-jl": ["--d", "--k", "--s", "--draws", "--seed"],
+}
+
+
+def _case_argv(case, tmp_path):
+    if case == "simulate-preset":
+        return ["simulate", "--preset", "d100k10", "--mc-draws", "1000", "--seed", "7"]
+    if case == "simulate-d":
+        return ["simulate", "--d", "6", "--n", "3", "--theta0", "1.25",
+                "--mode", "market-effects"]
+    if case == "estimate":
+        csv_path = os.path.relpath(simulate_small(tmp_path / "sim"))
+        return ["estimate", "--data", csv_path, "--k", "4", "--s", "sqrt",
+                "--cycles", "2", "--replications", "1", "--grid", "64", "--threads", "1"]
+    return ["verify-jl", "--d", "30", "--k", "3", "--s", "sqrt", "--draws", "1000"]
+
+
+class TestManifest:
+    @pytest.mark.parametrize("case", ["simulate-preset", "simulate-d", "estimate", "verify-jl"])
+    def test_argv_and_params_come_from_the_parser(self, tmp_path, case):
+        argv = _case_argv(case, tmp_path)
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == 0
+        manifest = load_manifest(out / "manifest.json")
+        command, params, rerun = manifest["command"], manifest["params"], manifest["argv"]
+        assert rerun[0] == command == argv[0]
+        assert rerun[1::2] == RERUN_FLAGS[command]
+
+        parsed = build_parser().parse_args(rerun)
+        assert parsed.seed == manifest["seed"]
+        assert parsed.out is None and getattr(parsed, "threads", None) is None
+        assert not {"seed", "out", "threads"} & set(params)
+        flags = set(vars(parsed)) - {"command", "func", "seed", "out", "threads", "preset"}
+        assert flags <= set(params)
+        for name in flags:
+            assert json.loads(json.dumps(getattr(parsed, name))) == params[name], name
+
+        if command == "simulate":
+            assert params["d"] == (100 if case == "simulate-preset" else 6)
+            assert params["preset"] == ("d100k10" if case == "simulate-preset" else None)
+            assert params["mc_draws"] is not None
+        if command == "estimate":
+            assert os.path.isabs(params["data"])
+        if command in ("estimate", "verify-jl"):
+            assert params["s"] == "sqrt"
+            d = 12 if command == "estimate" else 30
+            assert params["s_resolved"] == pytest.approx(d ** 0.5)
 
 
 class TestParser:

@@ -120,11 +120,6 @@ class TestEnumerateCycles:
         triples = {c.indices for c in enumerate_cycles(3, (3,)).cycles()}
         assert triples == {(0, 1, 2), (0, 2, 1)}
 
-    def test_orientation_flag(self):
-        one_way = enumerate_cycles(4, (3,), both_orientations=False)
-        both = enumerate_cycles(4, (3,))
-        assert len(both) == 2 * len(one_way)
-
     def test_smallest_index_anchored(self):
         for cycle in enumerate_cycles(5, (3,)).cycles():
             assert cycle.indices[0] == min(cycle.indices)
@@ -138,18 +133,15 @@ class TestEnumerateCycles:
         loop the vectorised enumeration replaced."""
         for n in range(2, 9):
             for length in range(2, min(n, 5) + 1):
-                for both in (True, False):
-                    rows = []
-                    for combo in itertools.combinations(range(n), length):
-                        anchor, rest = combo[0], combo[1:]
-                        for perm in itertools.permutations(rest):
-                            if length > 2 and not both and perm[0] > perm[-1]:
-                                continue
-                            rows.append((anchor, *perm))
-                    expected = np.array(rows, dtype=np.int64)
-                    (got,) = enumerate_cycles(n, (length,), both).index_arrays()
-                    assert got.dtype == expected.dtype
-                    np.testing.assert_array_equal(got, expected)
+                rows = []
+                for combo in itertools.combinations(range(n), length):
+                    anchor, rest = combo[0], combo[1:]
+                    for perm in itertools.permutations(rest):
+                        rows.append((anchor, *perm))
+                expected = np.array(rows, dtype=np.int64)
+                (got,) = enumerate_cycles(n, (length,)).index_arrays()
+                assert got.dtype == expected.dtype
+                np.testing.assert_array_equal(got, expected)
 
     def test_from_cycles_round_trip(self):
         original = enumerate_cycles(4, (2, 3))

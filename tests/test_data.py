@@ -85,6 +85,21 @@ class TestDataset:
         with pytest.raises(DimensionError):
             Dataset((m1, m2))
 
+    @pytest.mark.parametrize("field, values", [
+        ("market_ids", ("a", "a")),
+        ("choice_ids", ("x", "x")),
+        ("covariate_names", ("z", "z")),
+    ])
+    def test_rejects_repeated_ids_and_names(self, field, values):
+        with pytest.raises(ValidationError, match="repeated .*" + repr(values[0])):
+            Dataset(_two_markets(b=2), **{field: values})
+
+    @pytest.mark.parametrize("shape", [(0, 1), (2, 0)])
+    def test_rejects_empty_choice_set_or_covariates(self, shape):
+        m = Market(np.zeros(shape), np.zeros(shape[0]))
+        with pytest.raises(DimensionError, match="need a choice and a covariate"):
+            Dataset((m, m))
+
     def test_shape_properties(self):
         data = logit_oracle_dataset(4, 7, 3, np.array([1.0, 0.0, 0.0]), seed=0)
         assert (data.n, data.d, data.b) == (4, 7, 3)
@@ -158,6 +173,24 @@ class TestLoadCsv:
         np.testing.assert_allclose(data.markets[1].shares, [0.50, 0.25, 0.25])
         assert np.all(data.markets[0].covariates[-1] == 0.0)
 
+    @pytest.mark.parametrize("sidecar, error, match", [
+        ("market,custcount\nm1,100\nm2,100\nm1,40\n", ValidationError,
+         "row 4: repeated custcount entry for market 'm1'"),
+        ("market,custcount\nm1,100,7\nm2,100\n", ParseError, "row 2: 3 cells, header has 2"),
+        ("market,custcount,custcount\nm1,100,40\nm2,100,40\n", ParseError,
+         "repeats column.*'custcount'"),
+    ], ids=["repeated_market", "long_row", "repeated_column"])
+    def test_custcount_sidecar_checked_like_main_file(self, tmp_path, sidecar, error, match):
+        text = "market,choice,x1,quantity\nm1,a,0.5,10\nm1,b,1.0,20\nm2,a,0.25,5\nm2,b,0.5,5\n"
+        schema = CsvSchema(quantity="quantity", custcount_path=_write(tmp_path / "c.csv", sidecar))
+        with pytest.raises(error, match=match):
+            load_csv(_write(tmp_path / "q.csv", text), schema)
+
+
+def _two_markets(b=1):
+    m = Market(np.zeros((2, b)), np.array([0.5, 0.5]))
+    return (m, m)
+
 
 class TestRoundTrip:
     def test_write_then_load_is_bit_exact(self, tmp_path):
@@ -174,6 +207,59 @@ class TestRoundTrip:
         for a, b in zip(data.markets, back.markets):
             assert np.array_equal(a.covariates, b.covariates)
             assert np.array_equal(a.shares, b.shares)
+
+    @pytest.mark.parametrize("name", ["market", "choice", "share"])
+    def test_write_refuses_covariate_named_like_a_column(self, tmp_path, name):
+        path = tmp_path / "d.csv"
+        with pytest.raises(ValidationError, match=repr(name)):
+            write_csv(Dataset(_two_markets(), covariate_names=(name,)), str(path))
+        assert not path.exists()
+
+    def test_write_refuses_nul_in_an_id(self, tmp_path):
+        path = tmp_path / "d.csv"
+        with pytest.raises(ValidationError, match="NUL"):
+            write_csv(Dataset(_two_markets(), market_ids=("a\x00", "b")), str(path))
+        assert not path.exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 3),
+        d=st.integers(0, 3),
+        b=st.integers(0, 2),
+        labels=st.lists(
+            st.text(max_size=2) | st.sampled_from(["market", "choice", "share", "1", "1.0"]),
+            min_size=8, max_size=8,
+        ),
+        values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=18, max_size=18),
+        shares=st.lists(st.floats(0.0, 1.0 / 3.0), min_size=9, max_size=9),
+    )
+    def test_every_written_dataset_loads_back_bit_exact(self, tmp_path_factory, n, d, b, labels,
+                                                        values, shares):
+        """Whatever Dataset and write_csv accept, load_csv reads back: the same
+        ids and names, and bit-identical values for every (market, choice)."""
+        cov = np.array(values[: n * d * b]).reshape(n, d, b)
+        sh = np.array(shares[: n * d]).reshape(n, d)
+        try:
+            data = Dataset(tuple(Market(cov[i], sh[i]) for i in range(n)),
+                           covariate_names=labels[:b], market_ids=labels[2:2 + n],
+                           choice_ids=labels[5:5 + d])
+        except (ValidationError, DimensionError):
+            return
+        path = str(tmp_path_factory.mktemp("rt") / "d.csv")
+        try:
+            write_csv(data, path)
+        except ValidationError:
+            return
+        back = load_csv(path, CsvSchema(has_outside=True))
+        assert back.covariate_names == data.covariate_names
+        assert sorted(back.market_ids) == sorted(data.market_ids)
+        assert sorted(back.choice_ids) == sorted(data.choice_ids)
+        rows = [back.market_ids.index(m) for m in data.market_ids]
+        cols = [back.choice_ids.index(c) for c in data.choice_ids]
+        got_cov = back.covariate_stack()[np.ix_(rows, cols)]
+        got_sh = back.share_stack()[np.ix_(rows, cols)]
+        assert got_cov.tobytes() == data.covariate_stack().tobytes()
+        assert got_sh.tobytes() == data.share_stack().tobytes()
 
     def test_metadata_export(self, tmp_path):
         data = logit_oracle_dataset(3, 4, 2, np.array([0.6, 0.8]), seed=1)

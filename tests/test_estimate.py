@@ -252,10 +252,12 @@ class TestDescent:
         assert len(res.restart_values) == 3
         assert res.value == min(res.restart_values)
 
-    def test_tolerance_short_circuits(self, comp10, cycles30):
-        res = estimate_subgradient(comp10, cycles30, restarts=5, steps=50,
-                                   seed=5, tolerance=1e9)
-        assert len(res.restart_values) == 1
+    def test_zero_value_short_circuits(self):
+        beta = np.array([0.6, -0.48, 0.64])
+        data = logit_oracle_dataset(8, 20, 3, beta, seed=42)
+        cycles = enumerate_cycles(8, (2, 3))
+        res = estimate_subgradient(data, cycles, restarts=5, steps=50, initial=beta)
+        assert res.restart_values == (0.0,)
 
     def test_deterministic_in_seed(self, comp10, cycles30):
         a = estimate_subgradient(comp10, cycles30, restarts=2, steps=100, seed=9)

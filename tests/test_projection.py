@@ -23,7 +23,7 @@ from rpchoice import (
     resolve_sparsity,
 )
 from rpchoice._seeds import STREAM_DIAGNOSTIC, seed_sequence
-from rpchoice.projection import _sign_masks
+from rpchoice.projection import _dots_dense, _sign_masks
 
 
 class TestSpec:
@@ -282,6 +282,28 @@ class TestJlDiagnostic:
         sq = (dots**2).reshape(draws, k).sum(axis=1) * (spec.s / spec.k)
         assert diag.mean_sq_dist == sq.mean()
         assert diag.var_sq_dist == sq.var(ddof=1)
+
+    @pytest.mark.parametrize("s", [1.0, 2.0, 3.0])
+    def test_dense_chunks_on_two_threads_reproduce_one_stream(self, s):
+        """The dense sampler splits its chunks between two threads; the dots
+        and the generator's final state must equal one generator drawing the
+        same chunks one after another."""
+        d = 1000
+        per_chunk = (1 << 22) // d
+        n_rows = 2 * per_chunk + 123  # three chunks, the last one short
+        w = np.random.default_rng(5).standard_normal(d)
+        rng = np.random.default_rng(8)
+        dots = _dots_dense(w, s, n_rows, rng)
+
+        stream = np.random.default_rng(8)
+        half = 0.5 / s
+        expected = np.empty(n_rows)
+        for lo in range(0, n_rows, per_chunk):
+            uniforms = stream.random((min(per_chunk, n_rows - lo), d))
+            signs = (uniforms < half).astype(float) - (uniforms >= 1.0 - half)
+            expected[lo : lo + len(signs)] = signs @ w
+        assert dots.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == stream.bit_generator.state
 
     def test_sparse_route_unbiased_and_variance(self):
         """Geometric skip-sampling route (1/s <= 0.05) against the formulas."""
