@@ -11,26 +11,21 @@ the same steps into reproducible batch runs.
 from .criterion import (
     CircleProfile,
     CriterionEvaluator,
-    Cycle,
     CycleSet,
     ParamPoint,
     criterion,
-    criterion_subgradient,
     cross_moments,
     cycle_residual_dot,
     cycle_residual_euclid,
     enumerate_cycles,
 )
 from .data import (
-    ColumnScaling,
     CsvSchema,
     Dataset,
     Market,
     build_outside_option,
     exact_unit_sum,
     load_csv,
-    map_to_original_units,
-    rescale_columns,
     save_metadata,
     write_csv,
 )
@@ -40,7 +35,6 @@ from .errors import (
     NumericalError,
     ParameterError,
     ParseError,
-    ScalingError,
     ValidationError,
 )
 from .estimate import (
@@ -82,12 +76,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AngleGrid",
     "CircleProfile",
-    "ColumnScaling",
     "CompressedDataset",
     "ConvergenceDiagnostic",
     "CriterionEvaluator",
     "CsvSchema",
-    "Cycle",
     "CycleSet",
     "Dataset",
     "DimensionError",
@@ -102,7 +94,6 @@ __all__ = [
     "ParseError",
     "ProjectionSpec",
     "ReplicationSummary",
-    "ScalingError",
     "SimConfig",
     "SparseProjection",
     "SphereDescentResult",
@@ -112,7 +103,6 @@ __all__ = [
     "compute_shares_mc",
     "convergence_diagnostic",
     "criterion",
-    "criterion_subgradient",
     "cross_moments",
     "cycle_residual_dot",
     "cycle_residual_euclid",
@@ -126,9 +116,7 @@ __all__ = [
     "jl_diagnostic",
     "load_csv",
     "logit_oracle_dataset",
-    "map_to_original_units",
     "predicted_distance_variance",
-    "rescale_columns",
     "resolve_sparsity",
     "run_coefficient_replications",
     "run_replications",

@@ -37,33 +37,19 @@ _TWO_PI = 2.0 * math.pi
 _MERGE_GAP = 1e-12
 
 
-@dataclass(frozen=True)
-class Cycle:
-    """An ordered tuple of distinct market indices; closure back to the start is implicit."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if len(idx) < 2:
-            raise ValidationError("a cycle needs at least 2 markets")
-        if len(set(idx)) != len(idx):
-            raise ValidationError(f"cycle {idx} repeats a market")
-        if min(idx) < 0:
-            raise ValidationError("market indices must be nonnegative")
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def length(self) -> int:
-        return len(self.indices)
-
-
 class CycleSet:
-    """Cycles grouped by length into (m, L) index arrays for vector evaluation."""
+    """Cycles grouped by length into (m, L) index arrays for vector evaluation.
+
+    A cycle is an ordered sequence of at least 2 distinct, nonnegative market
+    indices; closure back to the start is implicit. This is the only place
+    cycles are validated.
+    """
 
     def __init__(self, groups: dict[int, np.ndarray]):
         cleaned: dict[int, np.ndarray] = {}
         for length in sorted(groups):
+            if length < 2:
+                raise ValidationError("a cycle needs at least 2 markets")
             arr = np.asarray(groups[length], dtype=np.int64)
             if arr.size == 0:
                 continue
@@ -84,10 +70,11 @@ class CycleSet:
 
     @classmethod
     def from_cycles(cls, cycles) -> "CycleSet":
+        """A cycle set from sequences of market indices."""
         groups: dict[int, list] = {}
-        for c in cycles:
-            cyc = c if isinstance(c, Cycle) else Cycle(tuple(c))
-            groups.setdefault(cyc.length, []).append(cyc.indices)
+        for cycle in cycles:
+            indices = tuple(int(i) for i in cycle)
+            groups.setdefault(len(indices), []).append(indices)
         return cls({length: np.array(rows) for length, rows in groups.items()})
 
     @property
@@ -101,11 +88,8 @@ class CycleSet:
     def index_arrays(self):
         return [self._groups[length] for length in self._groups]
 
-    def cycles(self) -> list[Cycle]:
-        out = []
-        for arr in self.index_arrays():
-            out.extend(Cycle(tuple(row)) for row in arr.tolist())
-        return out
+    def cycles(self) -> list[tuple[int, ...]]:
+        return [tuple(row) for arr in self.index_arrays() for row in arr.tolist()]
 
     def __len__(self) -> int:
         return sum(arr.shape[0] for arr in self._groups.values())
@@ -160,16 +144,6 @@ class ParamPoint:
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
 
-    @classmethod
-    def from_angle(cls, theta: float) -> "ParamPoint":
-        return cls(np.array([math.cos(theta), math.sin(theta)]))
-
-    @property
-    def angle(self) -> float:
-        if self.beta.size != 2:
-            raise DimensionError("angle is only defined for 2-d coefficients")
-        return float(np.arctan2(self.beta[1], self.beta[0]) % (2.0 * math.pi))
-
 
 def _as_beta(beta, b: int) -> np.ndarray:
     vec = beta.beta if isinstance(beta, ParamPoint) else np.asarray(beta, dtype=np.float64)
@@ -211,8 +185,8 @@ class CriterionEvaluator:
     """Reusable dot-form evaluator for one (data, cycles) pair.
 
     Residuals are linear in beta: r = D beta with D precomputed from the
-    cross-moment blocks, so values, subgradients and whole angle grids cost
-    one small matrix product each.
+    cross-moment blocks, so values and whole angle grids cost one small
+    matrix product each.
     """
 
     def __init__(self, data, cycles: CycleSet):
@@ -229,11 +203,9 @@ class CriterionEvaluator:
         viol = np.maximum(self.residuals(beta), 0.0)
         return float(viol @ viol)
 
-    def subgradient(self, beta) -> np.ndarray:
-        viol = np.maximum(self.residuals(beta), 0.0)
-        return 2.0 * (viol @ self.D)
-
     def value_and_subgradient(self, beta) -> tuple[float, np.ndarray]:
+        # no solver calls this; the benchmark's tracer counts calls to it by
+        # name (bench/run.py), so it stays until the next benchmark change
         viol = np.maximum(self.residuals(beta), 0.0)
         return float(viol @ viol), 2.0 * (viol @ self.D)
 
@@ -451,14 +423,19 @@ def _sublevel_segments(M: np.ndarray, threshold: float, lo: float, hi: float):
     return out
 
 
-def cycle_residual_dot(cycle: Cycle, beta, data) -> float:
-    """Literal evaluation of sum_l (u^(next) - u^(cur)) . p^(cur)."""
-    idx = cycle.indices if isinstance(cycle, Cycle) else Cycle(tuple(cycle)).indices
-    _check_cycles(CycleSet.from_cycles([idx]), data.n)
+def _literal_cycle(cycle, beta, data):
+    """One cycle's validated indices, with each member's utilities and shares."""
+    cycles = CycleSet.from_cycles([cycle])
+    _check_cycles(cycles, data.n)
+    (idx,) = cycles.cycles()
     vec = _as_beta(beta, data.b)
     X, P = data.covariate_stack(), data.share_stack()
-    u = {i: X[i] @ vec for i in idx}
-    p = {i: P[i] for i in idx}
+    return idx, {i: X[i] @ vec for i in idx}, {i: P[i] for i in idx}
+
+
+def cycle_residual_dot(cycle: tuple[int, ...], beta, data) -> float:
+    """Literal evaluation of sum_l (u^(next) - u^(cur)) . p^(cur)."""
+    idx, u, p = _literal_cycle(cycle, beta, data)
     total = 0.0
     L = len(idx)
     for l in range(L):
@@ -467,14 +444,9 @@ def cycle_residual_dot(cycle: Cycle, beta, data) -> float:
     return total
 
 
-def cycle_residual_euclid(cycle: Cycle, beta, data) -> float:
+def cycle_residual_euclid(cycle: tuple[int, ...], beta, data) -> float:
     """Literal squared-distance form; equals 2x the dot form by telescoping."""
-    idx = cycle.indices if isinstance(cycle, Cycle) else Cycle(tuple(cycle)).indices
-    _check_cycles(CycleSet.from_cycles([idx]), data.n)
-    vec = _as_beta(beta, data.b)
-    X, P = data.covariate_stack(), data.share_stack()
-    u = {i: X[i] @ vec for i in idx}
-    p = {i: P[i] for i in idx}
+    idx, u, p = _literal_cycle(cycle, beta, data)
     total = 0.0
     L = len(idx)
     for l in range(L):
@@ -483,25 +455,6 @@ def cycle_residual_euclid(cycle: Cycle, beta, data) -> float:
             np.sum((u[nxt] - p[cur]) ** 2)
         )
     return total
-
-
-def _euclid_residual_groups(data, cycles: CycleSet, vec: np.ndarray):
-    """Vectorized euclid residuals per cycle group, via pairwise squared
-    distances between utility vectors and share vectors (no inner products)."""
-    X = data.covariate_stack()
-    P = data.share_stack()
-    U = X @ vec
-    E = ((U[:, None, :] - P[None, :, :]) ** 2).sum(axis=2)
-    out = []
-    for idx in cycles.index_arrays():
-        m, L = idx.shape
-        r = np.zeros(m)
-        for l in range(L):
-            cur = idx[:, l]
-            nxt = idx[:, (l + 1) % L]
-            r += E[nxt, nxt] - E[nxt, cur]
-        out.append(r)
-    return out
 
 
 def criterion(beta, data, cycles: CycleSet, form: str = "dot") -> float:
@@ -516,38 +469,17 @@ def criterion(beta, data, cycles: CycleSet, form: str = "dot") -> float:
     if form == "euclid":
         _check_cycles(cycles, data.n)
         vec = _as_beta(beta, data.b)
+        # pairwise squared distances between utility and share vectors
+        U = data.covariate_stack() @ vec
+        E = ((U[:, None, :] - data.share_stack()[None, :, :]) ** 2).sum(axis=2)
         total = 0.0
-        for r in _euclid_residual_groups(data, cycles, vec):
+        for idx in cycles.index_arrays():
+            m, L = idx.shape
+            r = np.zeros(m)
+            for l in range(L):
+                cur, nxt = idx[:, l], idx[:, (l + 1) % L]
+                r += E[nxt, nxt] - E[nxt, cur]
             viol = np.maximum(r, 0.0)
             total += float(viol @ viol)
         return total
-    raise ParameterError(f"unknown criterion form {form!r}")
-
-
-def criterion_subgradient(beta, data, cycles: CycleSet, form: str = "dot") -> np.ndarray:
-    """A subgradient of Q at beta: sum over violated cycles of
-    2 max(r, 0) * sum_l (X^(a_{l+1}) - X^(a_l))' p^(a_l).
-
-    Where no residual is exactly zero this is the gradient. The euclid form
-    differentiates the squared-distance residuals directly and comes out 4x
-    the dot form, matching the criterion identity.
-    """
-    if form == "dot":
-        return CriterionEvaluator(data, cycles).subgradient(beta)
-    if form == "euclid":
-        _check_cycles(cycles, data.n)
-        vec = _as_beta(beta, data.b)
-        X = data.covariate_stack()
-        P = data.share_stack()
-        grad = np.zeros(data.b)
-        residual_groups = _euclid_residual_groups(data, cycles, vec)
-        for idx, r in zip(cycles.index_arrays(), residual_groups):
-            m, L = idx.shape
-            drdb = np.zeros((m, data.b))
-            for l in range(L):
-                cur = idx[:, l]
-                nxt = idx[:, (l + 1) % L]
-                drdb += 2.0 * np.einsum("mrb,mr->mb", X[nxt], P[cur] - P[nxt])
-            grad += 2.0 * (np.maximum(r, 0.0) @ drdb)
-        return grad
     raise ParameterError(f"unknown criterion form {form!r}")

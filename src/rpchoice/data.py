@@ -12,17 +12,11 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    InfeasibleError,
-    ParseError,
-    ScalingError,
-    ValidationError,
-)
+from .errors import DimensionError, InfeasibleError, ParseError, ValidationError
 
 SHARE_SUM_TOL = 1e-9
 
@@ -98,50 +92,6 @@ class Market:
     def b(self) -> int:
         return self.covariates.shape[1]
 
-    def share_sum(self) -> float:
-        return math.fsum(self.shares.tolist())
-
-
-@dataclass(frozen=True)
-class ColumnScaling:
-    """Per-column multipliers relative to the covariates' original units.
-
-    Stored covariates equal original covariates times `factors`. A unit-norm
-    coefficient estimated on scaled data maps back to original units by
-    multiplying elementwise with `factors` and renormalizing; see
-    map_to_original_units.
-    """
-
-    factors: np.ndarray
-
-    def __post_init__(self):
-        f = _readonly(self.factors)
-        if f.ndim != 1:
-            raise DimensionError("scaling factors must be a vector")
-        if not np.isfinite(f).all() or (f <= 0).any():
-            raise ScalingError("scaling factors must be positive and finite")
-        object.__setattr__(self, "factors", f)
-
-    @staticmethod
-    def identity(b: int) -> "ColumnScaling":
-        return ColumnScaling(np.ones(b))
-
-    def compose(self, other: "ColumnScaling") -> "ColumnScaling":
-        return ColumnScaling(self.factors * other.factors)
-
-
-def map_to_original_units(scaling: ColumnScaling, beta: np.ndarray) -> np.ndarray:
-    """Convert a coefficient vector estimated on scaled data back to original units.
-
-    Scaled column X'_c = f_c * X_c, so utilities X'beta' equal X(f * beta');
-    the original-unit direction is f * beta', renormalized to the sphere.
-    """
-    raw = scaling.factors * np.asarray(beta, dtype=np.float64)
-    norm = float(np.linalg.norm(raw))
-    if norm == 0.0:
-        raise ScalingError("coefficient vector maps to zero")
-    return raw / norm
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -152,7 +102,6 @@ class Dataset:
     """
 
     markets: tuple[Market, ...]
-    scaling: ColumnScaling = None  # type: ignore[assignment]
     covariate_names: tuple[str, ...] = ()
     market_ids: tuple[str, ...] = ()
     choice_ids: tuple[str, ...] = ()
@@ -169,9 +118,6 @@ class Dataset:
                 raise DimensionError(
                     f"market {i} has shape ({m.d}, {m.b}), expected ({d}, {b})"
                 )
-        scaling = self.scaling if self.scaling is not None else ColumnScaling.identity(b)
-        if scaling.factors.shape[0] != b:
-            raise DimensionError("scaling factor count does not match covariate count")
         names = tuple(self.covariate_names) or tuple(f"x{j + 1}" for j in range(b))
         if len(names) != b:
             raise DimensionError("covariate name count does not match covariate count")
@@ -186,7 +132,6 @@ class Dataset:
             if repeated:
                 raise ValidationError(f"repeated {label} {repeated}")
         object.__setattr__(self, "markets", markets)
-        object.__setattr__(self, "scaling", scaling)
         object.__setattr__(self, "covariate_names", names)
         object.__setattr__(self, "market_ids", mids)
         object.__setattr__(self, "choice_ids", cids)
@@ -218,7 +163,6 @@ class Dataset:
             "d": self.d,
             "b": self.b,
             "covariate_names": list(self.covariate_names),
-            "scaling_factors": [float(f) for f in self.scaling.factors],
         }
 
 
@@ -250,13 +194,21 @@ class CsvSchema:
 
 
 def _sort_ids(ids) -> list[str]:
-    """Numeric order when every id parses as a number, else lexicographic."""
+    """Numeric order when every id parses as a number other than NaN, else
+    lexicographic.
+
+    Numerically equal ids ("1" and "1.0") are ordered by their strings, so
+    the order never depends on the order of the input. NaN compares false
+    with every number, so an id that parses as NaN would not have a place.
+    """
     ids = list(ids)
     try:
         keys = [float(i) for i in ids]
     except ValueError:
         return sorted(ids)
-    return [i for _, i in sorted(zip(keys, ids), key=lambda t: t[0])]
+    if any(math.isnan(k) for k in keys):
+        return sorted(ids)
+    return [i for _, i in sorted(zip(keys, ids))]
 
 
 def _parse_cell(raw: str, column: str, line_num: int) -> float:
@@ -464,50 +416,6 @@ def build_outside_option(quantities, custcount: float) -> np.ndarray:
         shares[-1] = 0.0
         shares = exact_unit_sum(shares, adjust=int(np.argmax(shares[:-1])))
     return shares
-
-
-def rescale_columns(
-    data: Dataset, policy="unit-norm", reference: int = 0
-) -> tuple[Dataset, ColumnScaling]:
-    """Rescale covariate columns, recording the multipliers.
-
-    policy "unit-norm": every column, stacked across all markets, gets the
-    same Euclidean length as the stacked reference column. Otherwise policy
-    is an explicit vector of b positive factors. Returns the rescaled
-    dataset (with cumulative scaling composed in) and this step's factors.
-    """
-    stack = data.covariate_stack()
-    if isinstance(policy, str):
-        if policy != "unit-norm":
-            raise ScalingError(f"unknown scaling policy {policy!r}")
-        if not 0 <= reference < data.b:
-            raise ScalingError(f"reference column {reference} out of range")
-        norms = np.sqrt((stack ** 2).sum(axis=(0, 1)))
-        if norms[reference] == 0.0:
-            raise ScalingError(f"reference column {reference} has zero norm")
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise ScalingError(f"columns {zero.tolist()} have zero norm, cannot rescale")
-        factors = norms[reference] / norms
-    else:
-        factors = np.asarray(policy, dtype=np.float64)
-        if factors.shape != (data.b,):
-            raise ScalingError(f"expected {data.b} factors, got shape {factors.shape}")
-        if not np.isfinite(factors).all() or (factors <= 0).any():
-            raise ScalingError("explicit factors must be positive and finite")
-
-    step = ColumnScaling(factors)
-    markets = tuple(
-        Market(m.covariates * factors, m.shares) for m in data.markets
-    )
-    rescaled = Dataset(
-        markets=markets,
-        scaling=data.scaling.compose(step),
-        covariate_names=data.covariate_names,
-        market_ids=data.market_ids,
-        choice_ids=data.choice_ids,
-    )
-    return rescaled, step
 
 
 def save_metadata(data: Dataset, path: str) -> None:

@@ -21,10 +21,6 @@ class ParameterError(ValueError):
     """A configuration value is outside its admissible range."""
 
 
-class ScalingError(ValueError):
-    """Column rescaling is impossible (zero-length column, bad factors)."""
-
-
 class InfeasibleError(ValueError):
     """Quantities are inconsistent with the reported market size."""
 
@@ -38,7 +34,6 @@ PACKAGE_ERRORS = (
     ValidationError,
     DimensionError,
     ParameterError,
-    ScalingError,
     InfeasibleError,
     NumericalError,
 )

@@ -39,6 +39,8 @@ TWO_PI = 2.0 * math.pi
 _TOL_FLOOR = 1e-12
 _TOL_RELATIVE = 1e-6
 _CONTAIN_SLACK = 1e-12
+# angles of the grid the convergence diagnostic compares criteria on
+_DIAGNOSTIC_GRID = 1024
 
 # what a replication records as its failure; anything else is a bug and
 # propagates out of the harness
@@ -65,10 +67,6 @@ class AngleGrid:
         values.setflags(write=False)
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "values", values)
-
-    @property
-    def size(self) -> int:
-        return self.thetas.size
 
 
 def interval_width(interval) -> float:
@@ -146,7 +144,8 @@ def estimate_polar_grid(
     {Q <= q_min + tolerance} come out in closed form, with tolerance
     max(1e-12, 1e-6 * max Q). The returned grid holds Q at `grid_size`
     uniform angles, for plotting only. `refine` is validated but changes
-    nothing: the arcs are exact, with no refinement pass left to tune.
+    nothing: the arcs are exact, with no refinement pass left to tune. It
+    stays while the benchmark replay (bench/replay.py) passes it.
     """
     if getattr(data, "b") != 2:
         raise DimensionError(
@@ -436,7 +435,6 @@ def run_replications(
     master_seed: int,
     cycle_lengths=(2, 3),
     grid_size: int = 2000,
-    refine: int = 10,
     threads: int = 1,
     design_label: str = "",
 ) -> ReplicationSummary:
@@ -450,10 +448,10 @@ def run_replications(
     s_resolved = _check_replications(data, k, s, replications, threads)
     cycles = enumerate_cycles(data.n, cycle_lengths)
 
-    grid0, unprojected = estimate_polar_grid(data, cycles, grid_size, refine)
+    grid0, unprojected = estimate_polar_grid(data, cycles, grid_size)
 
     def solve(r: int, compressed) -> ReplicationRecord:
-        _, idset = estimate_polar_grid(compressed, cycles, grid_size, refine)
+        _, idset = estimate_polar_grid(compressed, cycles, grid_size)
         lb, ub = idset.interval_estimate
         return ReplicationRecord(
             index=r,
@@ -619,11 +617,11 @@ def convergence_diagnostic(
     draws: int,
     master_seed: int,
     cycle_lengths=(2, 3),
-    grid_size: int = 1024,
 ) -> ConvergenceDiagnostic:
     """Average sup-grid criterion gap per k, over independent projection draws.
 
-    Criteria on the shared grid come from each dataset's circle profile.
+    Criteria on the shared grid of 1024 angles come from each dataset's
+    circle profile.
     """
     if data.b != 2:
         raise DimensionError("the diagnostic compares angle grids; needs b = 2")
@@ -635,8 +633,7 @@ def convergence_diagnostic(
     s_resolved = resolve_sparsity(s, data.d)
     cycles = enumerate_cycles(data.n, cycle_lengths)
     m = len(cycles)
-    step = TWO_PI / grid_size
-    thetas = np.arange(grid_size) * step
+    thetas = np.arange(_DIAGNOSTIC_GRID) * (TWO_PI / _DIAGNOSTIC_GRID)
     base = CircleProfile(CriterionEvaluator(data, cycles).D).values(thetas) / m
 
     gaps = np.empty((len(k_values), draws))

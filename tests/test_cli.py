@@ -107,7 +107,7 @@ class TestEstimate:
         data = load_csv(csv_path)
         expected = run_replications(data, k=4, s=1.0, replications=2,
                                     master_seed=5, cycle_lengths=(2, 3),
-                                    grid_size=256, refine=2, threads=1)
+                                    grid_size=256, threads=1)
         assert payload["summary"]["mean_lb"] == expected.mean_lb
         assert payload["summary"]["mean_ub"] == expected.mean_ub
         assert payload["summary"]["nested_count"] == expected.nested_count

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from rpchoice import (
     CircleProfile,
     CriterionEvaluator,
-    Cycle,
     CycleSet,
     Dataset,
     Market,
@@ -31,7 +30,6 @@ from rpchoice import (
     ProjectionSpec,
     apply,
     criterion,
-    criterion_subgradient,
     cross_moments,
     cycle_residual_dot,
     cycle_residual_euclid,
@@ -54,20 +52,29 @@ def _utility_markets(swap=False):
 
 
 BETA1 = np.array([1.0])
-TWO_CYCLE = Cycle((0, 1))
-
-
-class TestCycle:
-    def test_requires_distinct_indices(self):
-        with pytest.raises(ValidationError):
-            Cycle((0, 1, 0))
-
-    def test_requires_length_two(self):
-        with pytest.raises(ValidationError):
-            Cycle((3,))
+TWO_CYCLE = (0, 1)
 
 
 class TestCycleSet:
+    @pytest.mark.parametrize(
+        "cycles, error, message",
+        [
+            ([(0, 1), (3,)], ValidationError, "a cycle needs at least 2 markets"),
+            ([(0, 1, 0)], ValidationError, "cycle (0, 1, 0) repeats a market"),
+            ([(0, -1)], ValidationError, "market indices must be nonnegative"),
+            ([], ParameterError, "cycle set is empty"),
+        ],
+        ids=["length_one", "repeated_market", "negative_index", "empty_set"],
+    )
+    def test_from_cycles_rejects(self, cycles, error, message):
+        """One validator: from_cycles and the grouped constructor it builds
+        on reject the same cycles with the same message."""
+        groups = {len(cycle): np.array([cycle]) for cycle in cycles}
+        for build, arg in ((CycleSet.from_cycles, cycles), (CycleSet, groups)):
+            with pytest.raises(error) as info:
+                build(arg)
+            assert str(info.value) == message
+
     @given(st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=3),
                     min_size=1, max_size=12))
     @settings(max_examples=200)
@@ -112,17 +119,17 @@ class TestEnumerateCycles:
         assert len(ours) == len(seen) == 10 + 20
 
     def test_length_two_single_orientation(self):
-        pairs = [c.indices for c in enumerate_cycles(4, (2,)).cycles()]
+        pairs = enumerate_cycles(4, (2,)).cycles()
         assert len(pairs) == 6
         assert all(a < b for a, b in pairs)
 
     def test_length_three_both_orientations(self):
-        triples = {c.indices for c in enumerate_cycles(3, (3,)).cycles()}
+        triples = set(enumerate_cycles(3, (3,)).cycles())
         assert triples == {(0, 1, 2), (0, 2, 1)}
 
     def test_smallest_index_anchored(self):
         for cycle in enumerate_cycles(5, (3,)).cycles():
-            assert cycle.indices[0] == min(cycle.indices)
+            assert cycle[0] == min(cycle)
 
     def test_length_above_n_rejected(self):
         with pytest.raises(ParameterError):
@@ -146,9 +153,7 @@ class TestEnumerateCycles:
     def test_from_cycles_round_trip(self):
         original = enumerate_cycles(4, (2, 3))
         rebuilt = CycleSet.from_cycles(original.cycles())
-        assert {c.indices for c in rebuilt.cycles()} == {
-            c.indices for c in original.cycles()
-        }
+        assert set(rebuilt.cycles()) == set(original.cycles())
 
 
 class TestResiduals:
@@ -187,14 +192,13 @@ class TestResiduals:
         beta = np.array([-0.6, -0.8])
         cycles = enumerate_cycles(4, (2, 3))
         total = 0.0
-        for cycle in cycles.cycles():
-            idx = cycle.indices
+        for idx in cycles.cycles():
             u = [R @ data.markets[i].covariates @ beta for i in idx]
             p = [R @ data.markets[i].shares for i in idx]
             expected = sum((u[(l + 1) % len(idx)] - u[l]) @ p[l] for l in range(len(idx)))
-            r_dot = cycle_residual_dot(cycle, beta, compressed)
+            r_dot = cycle_residual_dot(idx, beta, compressed)
             assert r_dot == pytest.approx(expected, rel=1e-10, abs=1e-12)
-            r_euc = cycle_residual_euclid(cycle, beta, compressed)
+            r_euc = cycle_residual_euclid(idx, beta, compressed)
             assert r_euc == pytest.approx(2.0 * r_dot, rel=1e-9, abs=1e-12)
             total += max(r_dot, 0.0) ** 2
         assert total > 0.0
@@ -203,8 +207,8 @@ class TestResiduals:
     def test_two_cycle_orientation_symmetry(self):
         data = logit_oracle_dataset(3, 4, 2, np.array([0.6, 0.8]), seed=4)
         beta = np.array([0.0, 1.0])
-        fwd = cycle_residual_dot(Cycle((0, 2)), beta, data)
-        rev = cycle_residual_dot(Cycle((2, 0)), beta, data)
+        fwd = cycle_residual_dot((0, 2), beta, data)
+        rev = cycle_residual_dot((2, 0), beta, data)
         assert fwd == pytest.approx(rev, rel=1e-12, abs=1e-15)
 
 
@@ -271,9 +275,7 @@ class TestCriterion:
     def test_reversed_two_cycles_leave_q_unchanged(self):
         data = logit_oracle_dataset(5, 8, 2, np.array([0.6, 0.8]), seed=14)
         fwd = enumerate_cycles(5, (2,))
-        rev = CycleSet.from_cycles(
-            [Cycle(tuple(reversed(c.indices))) for c in fwd.cycles()]
-        )
+        rev = CycleSet.from_cycles([tuple(reversed(c)) for c in fwd.cycles()])
         for theta in np.linspace(0.0, 2 * math.pi, 17):
             beta = np.array([math.cos(theta), math.sin(theta)])
             assert criterion(beta, data, rev) == pytest.approx(
@@ -311,21 +313,23 @@ class TestCriterion:
 
 
 class TestSubgradient:
+    """CriterionEvaluator.value_and_subgradient: value and gradient of Q."""
+
     def test_zero_vector_where_q_zero(self):
         data = _utility_markets()
         cs = CycleSet.from_cycles([TWO_CYCLE])
-        np.testing.assert_array_equal(
-            criterion_subgradient(BETA1, data, cs), np.zeros(1)
-        )
+        value, grad = CriterionEvaluator(data, cs).value_and_subgradient(BETA1)
+        assert value == 0.0
+        np.testing.assert_array_equal(grad, np.zeros(1))
 
     def test_hand_violated_two_cycle(self):
         # with swapped shares r(beta) = 2*beta, so Q = 4 beta^2 and the
         # subgradient at beta=1 is 8
         data = _utility_markets(swap=True)
         cs = CycleSet.from_cycles([TWO_CYCLE])
-        np.testing.assert_allclose(
-            criterion_subgradient(BETA1, data, cs), [8.0]
-        )
+        value, grad = CriterionEvaluator(data, cs).value_and_subgradient(BETA1)
+        assert value == pytest.approx(4.0)
+        np.testing.assert_allclose(grad, [8.0])
 
     def test_finite_difference_match(self):
         data = logit_oracle_dataset(5, 8, 2, np.array([0.6, 0.8]), seed=17)
@@ -340,7 +344,8 @@ class TestSubgradient:
             # smooth point: no residual near the kink
             if np.abs(residuals).min() < 1e-4:
                 continue
-            grad = criterion_subgradient(beta, data, cycles)
+            value, grad = ev.value_and_subgradient(beta)
+            assert value == pytest.approx(criterion(beta, data, cycles), rel=1e-12)
             for axis in range(2):
                 e = np.zeros(2)
                 e[axis] = h
@@ -354,26 +359,11 @@ class TestSubgradient:
                     assert abs(grad[axis] - fd) < 1e-6
             checked += 1
 
-    def test_euclid_form_is_four_times_dot(self):
-        data = logit_oracle_dataset(4, 6, 2, np.array([0.6, 0.8]), seed=18)
-        cycles = enumerate_cycles(4, (2, 3))
-        beta = np.array([-0.9, 0.7])
-        g_dot = criterion_subgradient(beta, data, cycles)
-        g_euc = criterion_subgradient(beta, data, cycles, form="euclid")
-        np.testing.assert_allclose(g_euc, 4.0 * g_dot, rtol=1e-10)
-
 
 class TestParamPoint:
     def test_unit_norm_enforced(self):
         with pytest.raises(ValidationError):
             ParamPoint(np.array([0.5, 0.5]))
-
-    def test_from_angle(self):
-        p = ParamPoint.from_angle(0.75 * math.pi)
-        assert p.angle == pytest.approx(0.75 * math.pi)
-        np.testing.assert_allclose(
-            p.beta, [math.cos(0.75 * math.pi), math.sin(0.75 * math.pi)]
-        )
 
 
 class TestEvaluator:

@@ -1,21 +1,25 @@
-"""Dataset construction, CSV round-trips, outside options, and rescaling."""
+"""Dataset construction, CSV round-trips and outside options."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rpchoice
 from rpchoice import (
-    ColumnScaling,
     CsvSchema,
     Dataset,
     DimensionError,
     InfeasibleError,
     Market,
     ParseError,
-    ScalingError,
     ValidationError,
     build_outside_option,
     enumerate_cycles,
@@ -23,11 +27,10 @@ from rpchoice import (
     exact_unit_sum,
     load_csv,
     logit_oracle_dataset,
-    map_to_original_units,
-    rescale_columns,
     save_metadata,
     write_csv,
 )
+from rpchoice.data import _sort_ids
 
 
 def _write(path, text):
@@ -61,7 +64,7 @@ class TestMarket:
     def test_allows_sum_below_one(self):
         # outside option not represented as a row
         m = Market(np.zeros((2, 1)), np.array([0.2, 0.3]))
-        assert m.share_sum() == pytest.approx(0.5)
+        assert math.fsum(m.shares.tolist()) == pytest.approx(0.5)
 
     def test_rejects_nonfinite_covariates(self):
         with pytest.raises(ValidationError):
@@ -155,6 +158,33 @@ class TestLoadCsv:
         text = BASIC_CSV + "10,a,0,0,1\n10,b,0,0,0\n10,c,0,0,0\n"
         data = load_csv(_write(tmp_path / "d.csv", text))
         assert data.market_ids == ("1", "2", "10")
+
+    @pytest.mark.parametrize("ids, expected", [
+        (["1.0", "2", "1"], ["1", "1.0", "2"]),  # "1" and "1.0" tie as numbers
+        (["nan", "2", "10"], ["10", "2", "nan"]),  # NaN has no numeric place
+    ], ids=["numeric_tie", "nan"])
+    def test_sort_ids_ignores_input_order(self, ids, expected):
+        for order in (ids, ids[::-1], ids[1:] + ids[:1]):
+            assert _sort_ids(order) == expected
+
+    def test_choice_order_independent_of_hash_seed(self, tmp_path):
+        """load_csv gathers choice ids in a set, whose iteration order follows
+        the string hash seed; the loaded layout must not."""
+        path = _write(tmp_path / "d.csv", "market,choice,x1,share\n"
+                      "1,1,0.5,0.25\n1,1.0,1.5,0.75\n2,1,0.0,0.5\n2,1.0,1.0,0.5\n")
+        script = ("import sys; from rpchoice import load_csv; d = load_csv(sys.argv[1]); "
+                  "print(d.choice_ids, d.covariate_stack().tolist())")
+        src = str(Path(rpchoice.__file__).resolve().parents[1])
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", script, path],
+                env={**os.environ, "PYTHONHASHSEED": seed,
+                     "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("1", "2", "3", "4")
+        }
+        assert outputs == {"('1', '1.0') [[[0.5], [1.5]], [[0.0], [1.0]]]\n"}
 
     def test_quantity_mode(self, tmp_path):
         side = _write(tmp_path / "cust.csv", "market,custcount\nm1,100\nm2,100\n")
@@ -265,11 +295,9 @@ class TestRoundTrip:
         data = logit_oracle_dataset(3, 4, 2, np.array([0.6, 0.8]), seed=1)
         path = tmp_path / "meta.json"
         save_metadata(data, str(path))
-        import json
-
         meta = json.loads(path.read_text())
-        assert meta["n"] == 3 and meta["d"] == 4 and meta["b"] == 2
-        assert meta["scaling_factors"] == [1.0, 1.0]
+        assert meta == {"schema_version": 1, "n": 3, "d": 4, "b": 2,
+                        "covariate_names": ["x1", "x2"]}
 
 
 class TestOutsideOption:
@@ -307,41 +335,7 @@ class TestOutsideOption:
 
 
 class TestRescaling:
-    def test_identity_factors_leave_data_unchanged(self):
-        data = logit_oracle_dataset(3, 5, 2, np.array([0.6, 0.8]), seed=2)
-        rescaled, step = rescale_columns(data, np.array([1.0, 1.0]))
-        np.testing.assert_array_equal(step.factors, [1.0, 1.0])
-        for a, b in zip(data.markets, rescaled.markets):
-            assert np.array_equal(a.covariates, b.covariates)
-
-    def test_unit_norm_factor_arithmetic(self):
-        # stacked norms 10 and 2: second column should be multiplied by 5
-        m1 = Market(np.array([[6.0, 2.0], [0.0, 0.0]]), np.array([0.5, 0.5]))
-        m2 = Market(np.array([[8.0, 0.0], [0.0, 0.0]]), np.array([0.5, 0.5]))
-        rescaled, step = rescale_columns(Dataset((m1, m2)), "unit-norm")
-        np.testing.assert_allclose(step.factors, [1.0, 5.0])
-        np.testing.assert_allclose(rescaled.markets[0].covariates[0], [6.0, 10.0])
-
-    def test_zero_column_rejected(self):
-        m1 = Market(np.array([[1.0, 0.0], [2.0, 0.0]]), np.array([0.5, 0.5]))
-        m2 = Market(np.array([[1.0, 0.0], [0.5, 0.0]]), np.array([0.5, 0.5]))
-        with pytest.raises(ScalingError):
-            rescale_columns(Dataset((m1, m2)), "unit-norm")
-
-    def test_scaling_composes(self):
-        data = logit_oracle_dataset(3, 5, 2, np.array([0.6, 0.8]), seed=2)
-        once, _ = rescale_columns(data, np.array([2.0, 4.0]))
-        twice, _ = rescale_columns(once, np.array([3.0, 0.5]))
-        np.testing.assert_allclose(twice.scaling.factors, [6.0, 2.0])
-
-    def test_map_to_original_units_inverts(self):
-        scaling = ColumnScaling(np.array([2.0, 5.0]))
-        beta_scaled = np.array([0.3, 0.4])
-        original = map_to_original_units(scaling, beta_scaled)
-        # scaled-data coefficient beta' represents original direction f * beta',
-        # renormalized to the sphere
-        expected = np.array([0.6, 2.0]) / np.hypot(0.6, 2.0)
-        np.testing.assert_allclose(original, expected)
+    """The circle estimate follows a hand rescaling of the covariate columns."""
 
     def test_argmin_set_invariant_up_to_reparametrization(self):
         """Rescaling columns maps the minimizing angles through the factors."""
@@ -350,7 +344,7 @@ class TestRescaling:
         grid_size = 720
         _, base_set = estimate_polar_grid(data, cycles, grid_size=grid_size)
         factors = np.array([2.0, 0.5])
-        rescaled, _ = rescale_columns(data, factors)
+        rescaled = Dataset(tuple(Market(m.covariates * factors, m.shares) for m in data.markets))
         _, new_set = estimate_polar_grid(rescaled, cycles, grid_size=grid_size)
         step = 2 * math.pi / grid_size
         # map each endpoint of the rescaled set back: beta_orig = beta_new * f

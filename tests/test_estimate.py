@@ -187,7 +187,6 @@ class TestPolarGrid:
     def test_logit_truth_inside_zero_set(self):
         data = logit_oracle_dataset(10, 40, 2, BETA0, seed=40)
         grid, idset = estimate_polar_grid(data, enumerate_cycles(10, (2, 3)))
-        assert grid.size == 2000
         assert grid.thetas.shape == (2000,)
         assert (grid.values >= 0).all()
         assert idset.q_min == 0.0
@@ -348,7 +347,7 @@ class TestIrrelevantCoefficientRecovery:
 class TestReplications:
     def test_summary_statistics_recompute(self, small_mc_dataset):
         summary = run_replications(small_mc_dataset, k=8, s=1.0, replications=3,
-                                   master_seed=5, grid_size=512, refine=4)
+                                   master_seed=5, grid_size=512)
         assert summary.replications == 3
         assert len(summary.records) == 3
         assert summary.failures == 0
@@ -366,7 +365,7 @@ class TestReplications:
 
     def test_nested_count_matches_manual_check(self, small_mc_dataset):
         summary = run_replications(small_mc_dataset, k=8, s=1.0, replications=3,
-                                   master_seed=5, grid_size=512, refine=4)
+                                   master_seed=5, grid_size=512)
         manual = sum(
             summary.unprojected_set.covers_interval((r.lb, r.ub))
             for r in summary.records
@@ -375,7 +374,7 @@ class TestReplications:
 
     def test_records_are_plain_python_values(self, small_mc_dataset):
         summary = run_replications(small_mc_dataset, k=8, s=1.0, replications=2,
-                                   master_seed=6, grid_size=512, refine=4)
+                                   master_seed=6, grid_size=512)
         for rec in summary.records:
             assert type(rec.lb) is float and type(rec.ub) is float
             assert type(rec.wrapped) is bool
@@ -383,7 +382,7 @@ class TestReplications:
 
     def test_theta_hat_is_interval_midpoint(self, small_mc_dataset):
         summary = run_replications(small_mc_dataset, k=8, s=1.0, replications=2,
-                                   master_seed=6, grid_size=512, refine=4)
+                                   master_seed=6, grid_size=512)
         for rec in summary.records:
             assert rec.theta_hat == pytest.approx(
                 interval_midpoint((rec.lb, rec.ub)), abs=1e-12
@@ -391,16 +390,16 @@ class TestReplications:
 
     def test_single_replication_zero_spread(self, small_mc_dataset):
         summary = run_replications(small_mc_dataset, k=8, s=1.0, replications=1,
-                                   master_seed=7, grid_size=512, refine=4)
+                                   master_seed=7, grid_size=512)
         assert summary.sd_lb == 0.0
         assert summary.sd_ub == 0.0
         assert summary.sd_theta == 0.0
 
     def test_threads_do_not_change_results(self, small_mc_dataset):
         one = run_replications(small_mc_dataset, k=8, s=1.0, replications=4,
-                               master_seed=8, grid_size=512, refine=4, threads=1)
+                               master_seed=8, grid_size=512, threads=1)
         three = run_replications(small_mc_dataset, k=8, s=1.0, replications=4,
-                                 master_seed=8, grid_size=512, refine=4, threads=3)
+                                 master_seed=8, grid_size=512, threads=3)
         for a, b in zip(one.records, three.records):
             assert (a.lb, a.ub, a.theta_hat, a.q_min) == (b.lb, b.ub, b.theta_hat, b.q_min)
 
@@ -433,8 +432,7 @@ class TestReplicationDriver:
     def test_intervals_bit_equal_to_serial_loop(self, small_mc_dataset, threads):
         cycles = enumerate_cycles(small_mc_dataset.n, (2, 3))
         summary = run_replications(small_mc_dataset, k=8, s=1.0, replications=3,
-                                   master_seed=12, grid_size=64, refine=1,
-                                   threads=threads)
+                                   master_seed=12, grid_size=64, threads=threads)
         assert [rec.index for rec in summary.records] == [0, 1, 2]
         for r, rec in enumerate(summary.records):
             compressed = self._serial_compress(small_mc_dataset, 12, r)
@@ -470,9 +468,9 @@ class TestReplicationDriver:
 
     def test_convergence_gap_recomputed_by_hand(self, small_mc_dataset):
         diag = convergence_diagnostic(small_mc_dataset, k_values=(4, 8), s=1.0,
-                                      draws=2, master_seed=3, grid_size=256)
+                                      draws=2, master_seed=3)
         cycles = enumerate_cycles(small_mc_dataset.n, (2, 3))
-        thetas = np.arange(256) * (TWO_PI / 256)
+        thetas = np.arange(1024) * (TWO_PI / 1024)
         spec = ProjectionSpec(k=8, d=40, s=1.0,
                               seed=derive_seed(3, STREAM_PROJECTION, 1, 1))
         compressed = apply(generate(spec), small_mc_dataset)
@@ -485,7 +483,7 @@ class TestReplicationDriver:
     def test_thread_count_below_one_rejected(self, small_mc_dataset):
         with pytest.raises(ParameterError, match="threads"):
             run_replications(small_mc_dataset, k=8, s=1.0, replications=1,
-                             master_seed=1, grid_size=64, refine=1, threads=0)
+                             master_seed=1, grid_size=64, threads=0)
         with pytest.raises(ParameterError, match="threads"):
             run_coefficient_replications(small_mc_dataset, k=8, s=1.0, replications=1,
                                          master_seed=1, restarts=1, steps=5, threads=0)
@@ -506,8 +504,7 @@ class TestReplicationFailures:
         monkeypatch.setattr("rpchoice.estimate.generate",
                             self._broken_generate(NumericalError("injected")))
         summary = run_replications(small_mc_dataset, k=8, s=1.0, replications=2,
-                                   master_seed=5, grid_size=64, refine=1,
-                                   threads=threads)
+                                   master_seed=5, grid_size=64, threads=threads)
         assert summary.failures == 2
         assert all(r.error == "NumericalError: injected" for r in summary.records)
         coef = run_coefficient_replications(small_mc_dataset, k=8, s=1.0,
@@ -522,7 +519,7 @@ class TestReplicationFailures:
                             self._broken_generate(TypeError("injected")))
         with pytest.raises(TypeError, match="injected"):
             run_replications(small_mc_dataset, k=8, s=1.0, replications=2,
-                             master_seed=5, grid_size=64, refine=1, threads=threads)
+                             master_seed=5, grid_size=64, threads=threads)
         with pytest.raises(TypeError, match="injected"):
             run_coefficient_replications(small_mc_dataset, k=8, s=1.0,
                                          replications=2, master_seed=5,
@@ -544,7 +541,7 @@ class TestConvergenceDiagnostic:
 
     def test_structure_and_determinism(self, small_mc_dataset):
         diag = convergence_diagnostic(small_mc_dataset, k_values=(4, 8), s=1.0,
-                                      draws=2, master_seed=3, grid_size=256)
+                                      draws=2, master_seed=3)
         assert tuple(diag.k_values) == (4, 8)
         assert len(diag.mean_gaps) == 2
         gaps = np.asarray(diag.gaps, dtype=float)
@@ -553,7 +550,7 @@ class TestConvergenceDiagnostic:
         assert 0 <= diag.decreasing_pairs <= 1
         assert diag.strictly_decreasing == (diag.decreasing_pairs == 1)
         again = convergence_diagnostic(small_mc_dataset, k_values=(4, 8), s=1.0,
-                                       draws=2, master_seed=3, grid_size=256)
+                                       draws=2, master_seed=3)
         np.testing.assert_array_equal(diag.mean_gaps, again.mean_gaps)
 
 
