@@ -30,7 +30,14 @@ from .estimate import (
     write_grid_csv,
 )
 from .projection import ProjectionSpec, jl_diagnostic, resolve_sparsity
-from .simulate import DEFAULT_THETA, ErrorSpec, SimConfig, simulate_dataset
+from .simulate import (
+    COVARIATE_MODES,
+    DEFAULT_THETA,
+    ERROR_KINDS,
+    ErrorSpec,
+    SimConfig,
+    simulate_dataset,
+)
 
 TOOL_NAME = "rpchoice"
 SCHEMA_VERSION = 1
@@ -196,18 +203,16 @@ def cmd_estimate(args, out_dir):
             f"mean projected [{summary.mean_lb:.4f}, {summary.mean_ub:.4f}], "
             f"nested {summary.nested_count}/{summary.successes}"
         )
-        succeeded = summary.successes
     else:
         summary = run_coefficient_replications(
             data, restarts=args.restarts, steps=args.steps, **common
         )
-        succeeded = summary.replications - len(summary.failures)
-        report = f"{succeeded} replications succeeded"
+        report = f"{summary.successes} replications succeeded"
     payload = {"schema_version": SCHEMA_VERSION, **summary.to_dict()}
     artifacts["summary"] = ("summary.json", partial(_write_json, payload))
 
     resolved = {"data": os.path.abspath(args.data), "s_resolved": s_resolved}
-    if succeeded == 0:
+    if summary.successes == 0:
         report = (
             f"error: all {args.replications} replications failed; their errors "
             f"are in {os.path.join(out_dir, 'summary.json')}"
@@ -249,12 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=_positive_int, default=30, help="number of markets")
     p_sim.add_argument("--theta0", type=float, default=DEFAULT_THETA)
     p_sim.add_argument(
-        "--mode",
-        choices=["iid", "brand-effects", "market-effects"],
-        default="iid",
-        help="covariate dependence structure",
+        "--mode", choices=COVARIATE_MODES, default="iid", help="covariate dependence structure"
     )
-    p_sim.add_argument("--error", choices=["ma-window", "iid-gumbel"], default="ma-window")
+    p_sim.add_argument("--error", choices=ERROR_KINDS, default="ma-window")
     p_sim.add_argument("--mc-draws", type=_positive_int, default=None)
     p_sim.add_argument("--seed", type=_nonnegative_int, default=0)
     p_sim.add_argument("--out", default=None, help="output directory")

@@ -78,10 +78,6 @@ class CycleSet:
         return cls({length: np.array(rows) for length, rows in groups.items()})
 
     @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(self._groups)
-
-    @property
     def max_index(self) -> int:
         return max(int(arr.max()) for arr in self._groups.values())
 

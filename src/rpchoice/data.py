@@ -214,7 +214,7 @@ def _sort_ids(ids) -> list[str]:
 def _parse_cell(raw: str, column: str, line_num: int) -> float:
     try:
         return float(raw)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ParseError(
             f"row {line_num}: cannot parse {raw!r} in column {column!r} as a number"
         ) from None
@@ -224,11 +224,11 @@ def _checked_rows(fh, path: str, required: tuple[str, ...]):
     """Header and (line number, row dict) pairs of an open CSV file.
 
     A missing header, a header that repeats a column name or lacks a
-    `required` column, and a row with more cells than the header raise
-    ParseError.
+    `required` column, and a row whose cell count differs from the
+    header's raise ParseError. Blank lines are skipped.
     """
-    reader = csv.DictReader(fh)
-    header = reader.fieldnames
+    reader = csv.reader(fh)
+    header = next(reader, None)
     if header is None:
         raise ParseError(f"{path}: empty file, expected a header row")
     repeated = _repeats(header)
@@ -240,12 +240,13 @@ def _checked_rows(fh, path: str, required: tuple[str, ...]):
 
     def records():
         for row in reader:
-            if None in row:  # DictReader's restkey: cells beyond the header
+            if not row:
+                continue
+            if len(row) != len(header):
                 raise ParseError(
-                    f"row {reader.line_num}: {len(header) + len(row[None])} cells, "
-                    f"header has {len(header)}"
+                    f"row {reader.line_num}: {len(row)} cells, header has {len(header)}"
                 )
-            yield reader.line_num, row
+            yield reader.line_num, dict(zip(header, row))
 
     return header, records()
 
@@ -270,7 +271,8 @@ def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
     Markets are ordered by market id and choices by choice id (numeric order
     when the ids parse as numbers, lexicographic otherwise), so the same file
     always produces the same array layout. A header that repeats a column
-    name, or a row with more cells than the header, raises ParseError.
+    name, or a row whose cell count differs from the header's, raises
+    ParseError.
     """
     value_col = schema.quantity if schema.quantity is not None else schema.share
     rows: dict[str, dict[str, tuple[list[float], float]]] = {}

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -74,20 +75,20 @@ def interval_width(interval) -> float:
     return (ub - lb) if ub >= lb else (ub - lb + TWO_PI)
 
 
-def interval_contains_point(interval, theta: float, slack: float = _CONTAIN_SLACK) -> bool:
+def interval_contains_point(interval, theta: float) -> bool:
     lb, _ = interval
     offset = (theta - lb) % TWO_PI
-    if offset >= TWO_PI - slack:
+    if offset >= TWO_PI - _CONTAIN_SLACK:
         offset = 0.0
-    return offset <= interval_width(interval) + slack
+    return offset <= interval_width(interval) + _CONTAIN_SLACK
 
 
-def interval_contains_interval(outer, inner, slack: float = _CONTAIN_SLACK) -> bool:
+def interval_contains_interval(outer, inner) -> bool:
     offset = (inner[0] - outer[0]) % TWO_PI
-    if offset >= TWO_PI - slack:
+    if offset >= TWO_PI - _CONTAIN_SLACK:
         offset = 0.0
-    outer_w = interval_width(outer)
-    return offset <= outer_w + slack and offset + interval_width(inner) <= outer_w + slack
+    reach = interval_width(outer) + _CONTAIN_SLACK
+    return offset <= reach and offset + interval_width(inner) <= reach
 
 
 def interval_midpoint(interval) -> float:
@@ -99,28 +100,35 @@ class IdentifiedSet:
     """Level set {theta : Q(theta) <= q_min + tolerance} as angle intervals.
 
     Intervals are closed, disjoint, and sorted by lower bound; an interval
-    with ub < lb wraps through 2pi. interval_estimate is the arc containing
-    the global minimizer, the quantity replications report. A full circle is
-    reported as the single interval (0, 2pi).
+    with ub < lb wraps through 2pi. A flat criterion gives the single
+    interval (0, 2pi), the full circle. The global minimizer `argmin` must
+    lie in an interval; the first one holding it is `interval_estimate`,
+    the quantity replications report.
     """
 
     intervals: tuple[tuple[float, float], ...]
     q_min: float
     tolerance: float
     argmin: float
-    interval_estimate: tuple[float, float]
-    full_circle: bool = False
 
-    def contains(self, theta: float, slack: float = _CONTAIN_SLACK) -> bool:
-        if self.full_circle:
-            return True
-        return any(interval_contains_point(iv, theta, slack) for iv in self.intervals)
+    def __post_init__(self):
+        if not self.contains(self.argmin):
+            raise NumericalError(f"the minimizer {self.argmin!r} lies in no arc of the level set")
 
-    def covers_interval(self, interval, slack: float = _CONTAIN_SLACK) -> bool:
-        if self.full_circle:
-            return True
-        return any(
-            interval_contains_interval(iv, interval, slack) for iv in self.intervals
+    @property
+    def interval_estimate(self) -> tuple[float, float]:
+        return next(iv for iv in self.intervals if interval_contains_point(iv, self.argmin))
+
+    @property
+    def full_circle(self) -> bool:
+        return self.intervals == ((0.0, TWO_PI),)
+
+    def contains(self, theta: float) -> bool:
+        return any(interval_contains_point(iv, theta) for iv in self.intervals)
+
+    def covers_interval(self, interval) -> bool:
+        return self.full_circle or any(
+            interval_contains_interval(iv, interval) for iv in self.intervals
         )
 
     def to_dict(self) -> dict:
@@ -164,26 +172,8 @@ def estimate_polar_grid(
     tolerance = max(_TOL_FLOOR, _TOL_RELATIVE * profile.max_value)
     arcs = profile.level_set(q_min + tolerance)
     if arcs == ((0.0, TWO_PI),):
-        # flat criterion: every direction is as good as any other
-        return grid, IdentifiedSet(
-            intervals=arcs,
-            q_min=q_min,
-            tolerance=tolerance,
-            argmin=0.0,
-            interval_estimate=arcs[0],
-            full_circle=True,
-        )
-    estimate = next((arc for arc in arcs if interval_contains_point(arc, argmin)), None)
-    if estimate is None:
-        raise NumericalError(f"the minimizer {argmin!r} lies in no arc of the level set")
-    return grid, IdentifiedSet(
-        intervals=arcs,
-        q_min=q_min,
-        tolerance=tolerance,
-        argmin=argmin,
-        interval_estimate=estimate,
-        full_circle=False,
-    )
+        argmin = 0.0  # flat criterion: every direction is as good as any other
+    return grid, IdentifiedSet(arcs, q_min, tolerance, argmin)
 
 
 @dataclass(frozen=True)
@@ -287,17 +277,25 @@ def estimate_subgradient(
 
 @dataclass(frozen=True)
 class ReplicationRecord:
+    """One replication's interval estimate [lb, ub], or the error it raised."""
+
     index: int
     lb: float = math.nan
     ub: float = math.nan
-    theta_hat: float = math.nan
     q_min: float = math.nan
-    wrapped: bool = False
     error: str | None = None
 
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    @property
+    def theta_hat(self) -> float:
+        return interval_midpoint((self.lb, self.ub))
+
+    @property
+    def wrapped(self) -> bool:
+        return self.ub < self.lb
 
     def to_dict(self) -> dict:
         return {
@@ -311,34 +309,48 @@ class ReplicationRecord:
         }
 
 
+_q25 = partial(np.quantile, q=0.25, method="linear")
+_q75 = partial(np.quantile, q=0.75, method="linear")
+
+
+def _statistic(fn, values: str) -> property:
+    """Read-only float fn(self.<values>); NaN when that array is empty."""
+
+    def read(self) -> float:
+        arr = getattr(self, values)
+        return float(fn(arr)) if arr.size else math.nan
+
+    return property(read)
+
+
 @dataclass(frozen=True)
 class ReplicationSummary:
     """Interval statistics across projection replications.
 
-    Quantiles use linear interpolation on order statistics (numpy's default,
-    quantile type 7); dispersion is the population standard deviation, which
+    Only the records and the unprojected estimate are stored; every
+    statistic is computed from the successful records when read. Quantiles
+    use linear interpolation on order statistics (numpy's default, quantile
+    type 7); dispersion is the population standard deviation, which
     degrades gracefully to 0 for a single replication.
     """
 
     design_label: str
     k: int
     s: float
-    replications: int
     records: tuple[ReplicationRecord, ...]
     unprojected_set: IdentifiedSet
     unprojected_grid: AngleGrid = field(repr=False)
-    mean_lb: float = math.nan
-    sd_lb: float = math.nan
-    mean_ub: float = math.nan
-    sd_ub: float = math.nan
-    q25_lb: float = math.nan
-    q75_ub: float = math.nan
-    min_lb: float = math.nan
-    max_ub: float = math.nan
-    mean_theta: float = math.nan
-    sd_theta: float = math.nan
-    nested_count: int = 0
-    failures: int = 0
+
+    mean_lb = _statistic(np.mean, "lb")
+    sd_lb = _statistic(np.std, "lb")
+    mean_ub = _statistic(np.mean, "ub")
+    sd_ub = _statistic(np.std, "ub")
+    q25_lb = _statistic(_q25, "lb")
+    q75_ub = _statistic(_q75, "ub")
+    min_lb = _statistic(np.min, "lb")
+    max_ub = _statistic(np.max, "ub")
+    mean_theta = _statistic(np.mean, "theta_hat")
+    sd_theta = _statistic(np.std, "theta_hat")
 
     @property
     def lb(self) -> np.ndarray:
@@ -353,8 +365,23 @@ class ReplicationSummary:
         return np.array([r.theta_hat for r in self.records if r.ok])
 
     @property
+    def replications(self) -> int:
+        return len(self.records)
+
+    @property
     def successes(self) -> int:
         return sum(1 for r in self.records if r.ok)
+
+    @property
+    def failures(self) -> int:
+        return self.replications - self.successes
+
+    @property
+    def nested_count(self) -> int:
+        return sum(
+            1 for r in self.records
+            if r.ok and self.unprojected_set.covers_interval((r.lb, r.ub))
+        )
 
     @property
     def nested_fraction(self) -> float:
@@ -362,26 +389,15 @@ class ReplicationSummary:
         return self.nested_count / good if good else math.nan
 
     def to_dict(self) -> dict:
+        stats = ("mean_lb", "sd_lb", "mean_ub", "sd_ub", "q25_lb", "q75_ub", "min_lb",
+                 "max_ub", "mean_theta", "sd_theta", "nested_count", "nested_fraction",
+                 "failures")
         return {
             "design": self.design_label,
             "k": self.k,
             "s": self.s,
             "replications": self.replications,
-            "summary": {
-                "mean_lb": self.mean_lb,
-                "sd_lb": self.sd_lb,
-                "mean_ub": self.mean_ub,
-                "sd_ub": self.sd_ub,
-                "q25_lb": self.q25_lb,
-                "q75_ub": self.q75_ub,
-                "min_lb": self.min_lb,
-                "max_ub": self.max_ub,
-                "mean_theta": self.mean_theta,
-                "sd_theta": self.sd_theta,
-                "nested_count": self.nested_count,
-                "nested_fraction": self.nested_fraction,
-                "failures": self.failures,
-            },
+            "summary": {name: getattr(self, name) for name in stats},
             "unprojected": self.unprojected_set.to_dict(),
             "records": [r.to_dict() for r in self.records],
         }
@@ -453,14 +469,7 @@ def run_replications(
     def solve(r: int, compressed) -> ReplicationRecord:
         _, idset = estimate_polar_grid(compressed, cycles, grid_size)
         lb, ub = idset.interval_estimate
-        return ReplicationRecord(
-            index=r,
-            lb=lb,
-            ub=ub,
-            theta_hat=interval_midpoint((lb, ub)),
-            q_min=idset.q_min,
-            wrapped=ub < lb,
-        )
+        return ReplicationRecord(index=r, lb=lb, ub=ub, q_min=idset.q_min)
 
     records = tuple(
         record if error is None else ReplicationRecord(index=r, error=error)
@@ -468,79 +477,62 @@ def run_replications(
             _replicate(data, k, s_resolved, replications, master_seed, threads, solve)
         )
     )
-
-    good = [r for r in records if r.ok]
-    lbs = np.array([r.lb for r in good])
-    ubs = np.array([r.ub for r in good])
-    thetas = np.array([r.theta_hat for r in good])
-    nested = sum(
-        1 for r in good if unprojected.covers_interval((r.lb, r.ub))
-    )
-
-    def _stat(fn, arr):
-        return float(fn(arr)) if arr.size else math.nan
-
     return ReplicationSummary(
         design_label=design_label or f"d{data.d}k{k}",
         k=k,
         s=s_resolved,
-        replications=replications,
         records=records,
         unprojected_set=unprojected,
         unprojected_grid=grid0,
-        mean_lb=_stat(np.mean, lbs),
-        sd_lb=_stat(np.std, lbs),
-        mean_ub=_stat(np.mean, ubs),
-        sd_ub=_stat(np.std, ubs),
-        q25_lb=_stat(lambda a: np.quantile(a, 0.25, method="linear"), lbs),
-        q75_ub=_stat(lambda a: np.quantile(a, 0.75, method="linear"), ubs),
-        min_lb=_stat(np.min, lbs),
-        max_ub=_stat(np.max, ubs),
-        mean_theta=_stat(np.mean, thetas),
-        sd_theta=_stat(np.std, thetas),
-        nested_count=nested,
-        failures=len(records) - len(good),
     )
 
 
 @dataclass(frozen=True)
 class CoefficientReplicationSummary:
-    """Per-coefficient spread across projection replications (b != 2 path)."""
+    """Per-coefficient spread across projection replications (b != 2 path).
+
+    `betas` (one row per successful replication) and `values` hold the
+    successful solves in replication order; `errors` holds the
+    (index, message) pair of each failed one.
+    """
 
     design_label: str
     k: int
     s: float
-    replications: int
     betas: np.ndarray
     values: np.ndarray
-    failures: tuple[tuple[int, str], ...]
+    errors: tuple[tuple[int, str], ...]
+
+    @property
+    def successes(self) -> int:
+        return len(self.betas)
+
+    @property
+    def failures(self) -> int:
+        return len(self.errors)
+
+    @property
+    def replications(self) -> int:
+        return self.successes + self.failures
 
     def to_dict(self) -> dict:
-        med = np.median(self.betas, axis=0) if self.betas.size else np.array([])
-        q25 = (
-            np.quantile(self.betas, 0.25, axis=0, method="linear")
-            if self.betas.size
-            else np.array([])
-        )
-        q75 = (
-            np.quantile(self.betas, 0.75, axis=0, method="linear")
-            if self.betas.size
-            else np.array([])
-        )
+        def across(fn) -> list:
+            return fn(self.betas, axis=0).tolist() if self.betas.size else []
+
         return {
             "design": self.design_label,
             "k": self.k,
             "s": self.s,
             "replications": self.replications,
             "summary": {
-                "median": med.tolist(),
-                "q25": q25.tolist(),
-                "q75": q75.tolist(),
+                "median": across(np.median),
+                "q25": across(_q25),
+                "q75": across(_q75),
                 "mean_value": float(self.values.mean()) if self.values.size else math.nan,
-                "failures": len(self.failures),
+                "failures": self.failures,
             },
             "betas": self.betas.tolist(),
-            "errors": [list(f) for f in self.failures],
+            "errors": [list(f) for f in self.errors],
         }
 
 
@@ -554,7 +546,6 @@ def run_coefficient_replications(
     restarts: int = 20,
     steps: int = 5000,
     threads: int = 1,
-    design_label: str = "",
 ) -> CoefficientReplicationSummary:
     """Replication harness for b != 2: the active-set sphere solver
     (`estimate_subgradient`) instead of the exact circle sweep.
@@ -576,13 +567,12 @@ def run_coefficient_replications(
     results = _replicate(data, k, s_resolved, replications, master_seed, threads, solve)
     good = [result for result, error in results if error is None]
     return CoefficientReplicationSummary(
-        design_label=design_label or f"d{data.d}k{k}",
+        design_label=f"d{data.d}k{k}",
         k=k,
         s=s_resolved,
-        replications=replications,
         betas=np.array([g.beta for g in good]) if good else np.empty((0, data.b)),
         values=np.array([g.value for g in good]),
-        failures=tuple((r, error) for r, (_, error) in enumerate(results) if error is not None),
+        errors=tuple((r, error) for r, (_, error) in enumerate(results) if error is not None),
     )
 
 
@@ -591,23 +581,25 @@ class ConvergenceDiagnostic:
     """Sup-gap between compressed and uncompressed criteria as k grows.
 
     Gaps compare per-cycle-normalized criteria over a shared angle grid:
-    gap = max_theta |Qtilde(theta) - Q(theta)| / (number of cycles).
+    gaps[i, draw] = max_theta |Qtilde(theta) - Q(theta)| / (number of cycles)
+    for k_values[i]; the rest is computed from them when read.
     """
 
     k_values: tuple[int, ...]
-    mean_gaps: tuple[float, ...]
     gaps: np.ndarray
-    strictly_decreasing: bool
-    decreasing_pairs: int
 
-    def to_dict(self) -> dict:
-        return {
-            "k_values": list(self.k_values),
-            "mean_gaps": list(self.mean_gaps),
-            "gaps": self.gaps.tolist(),
-            "strictly_decreasing": self.strictly_decreasing,
-            "decreasing_pairs": self.decreasing_pairs,
-        }
+    @property
+    def mean_gaps(self) -> tuple[float, ...]:
+        return tuple(float(g) for g in self.gaps.mean(axis=1))
+
+    @property
+    def decreasing_pairs(self) -> int:
+        means = self.mean_gaps
+        return sum(1 for before, after in zip(means, means[1:]) if after < before)
+
+    @property
+    def strictly_decreasing(self) -> bool:
+        return self.decreasing_pairs == len(self.k_values) - 1
 
 
 def convergence_diagnostic(
@@ -643,17 +635,7 @@ def convergence_diagnostic(
             projected = CircleProfile(CriterionEvaluator(compressed, cycles).D).values(thetas) / m
             gaps[ki, draw] = float(np.abs(projected - base).max())
 
-    means = gaps.mean(axis=1)
-    decreasing = sum(
-        1 for i in range(len(k_values) - 1) if means[i + 1] < means[i]
-    )
-    return ConvergenceDiagnostic(
-        k_values=k_values,
-        mean_gaps=tuple(float(g) for g in means),
-        gaps=gaps,
-        strictly_decreasing=(decreasing == len(k_values) - 1),
-        decreasing_pairs=decreasing,
-    )
+    return ConvergenceDiagnostic(k_values=k_values, gaps=gaps)
 
 
 def write_grid_csv(grid: AngleGrid, path: str) -> None:

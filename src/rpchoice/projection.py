@@ -270,7 +270,11 @@ class JlDiagnostic:
     mean_sq_dist: float
     var_sq_dist: float
     predicted_var: float
-    gaussian_equivalent: bool
+
+    @property
+    def gaussian_equivalent(self) -> bool:
+        """s = 3 gives the variance a dense Gaussian matrix would."""
+        return self.s == 3.0
 
     @property
     def mean_rel_err(self) -> float:
@@ -409,6 +413,5 @@ def jl_diagnostic(u, v, spec: ProjectionSpec, draws: int) -> JlDiagnostic:
         mean_sq_dist=mean_sq,
         var_sq_dist=var_sq,
         predicted_var=predicted,
-        gaussian_equivalent=(spec.s == 3.0),
     )
 

@@ -26,8 +26,8 @@ DEFAULT_THETA = 0.75 * math.pi
 MA_TAPS = 4
 MA_WEIGHT = 1.0 / 3.0
 
-_COVARIATE_MODES = ("iid", "brand-effects", "market-effects")
-_ERROR_KINDS = ("ma-window", "iid-gumbel")
+COVARIATE_MODES = ("iid", "brand-effects", "market-effects")
+ERROR_KINDS = ("ma-window", "iid-gumbel")
 
 _MEANS = np.array([1.0, -1.0])
 # common-effect modes split the unit variance: effect variance 0.5, noise
@@ -53,9 +53,9 @@ class ErrorSpec:
     kind: str = "ma-window"
 
     def __post_init__(self):
-        if self.kind not in _ERROR_KINDS:
+        if self.kind not in ERROR_KINDS:
             raise ParameterError(
-                f"unknown error kind {self.kind!r}, expected one of {_ERROR_KINDS}"
+                f"unknown error kind {self.kind!r}, expected one of {ERROR_KINDS}"
             )
 
 
@@ -78,10 +78,10 @@ class SimConfig:
             raise ParameterError(f"need at least 2 choices, got d={self.d}")
         if not math.isfinite(self.theta0):
             raise ParameterError(f"theta0 must be finite, got {self.theta0!r}")
-        if self.covariate_mode not in _COVARIATE_MODES:
+        if self.covariate_mode not in COVARIATE_MODES:
             raise ParameterError(
                 f"unknown covariate mode {self.covariate_mode!r}, "
-                f"expected one of {_COVARIATE_MODES}"
+                f"expected one of {COVARIATE_MODES}"
             )
         if self.mc_draws is not None and self.mc_draws < _MIN_MC_DRAWS:
             raise ParameterError(

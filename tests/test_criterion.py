@@ -37,7 +37,7 @@ from rpchoice import (
     generate,
     logit_oracle_dataset,
 )
-from rpchoice.estimate import interval_contains_point
+from rpchoice.estimate import interval_width
 
 
 def _utility_markets(swap=False):
@@ -405,7 +405,12 @@ def literal_grid(D, thetas):
 
 
 def contained(arcs, theta, slack):
-    return any(interval_contains_point(arc, theta, slack) for arc in arcs)
+    """theta lies within `slack` radians of an arc, across angle 0 too."""
+    for arc in arcs:
+        offset = (theta - arc[0]) % (2.0 * math.pi)
+        if offset <= interval_width(arc) + slack or offset >= 2.0 * math.pi - slack:
+            return True
+    return False
 
 
 @st.composite

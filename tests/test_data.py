@@ -1,5 +1,6 @@
 """Dataset construction, CSV round-trips and outside options."""
 
+import csv
 import json
 import math
 import os
@@ -30,13 +31,35 @@ from rpchoice import (
     save_metadata,
     write_csv,
 )
-from rpchoice.data import _sort_ids
+from rpchoice.data import SHARE_SUM_TOL, _sort_ids
 
 
 def _write(path, text):
     path.write_text(text)
     return str(path)
 
+
+# numeric cells for the float() differential test: every float64 repr, digit
+# runs with underscores, exponents, nan/inf spellings, hex, near misses and
+# empty strings, with signs and surrounding whitespace
+_SPACES = st.sampled_from(["", " ", "\t", "\n", " \t\n "])
+_CELL_BODIES = st.one_of(
+    st.floats().map(repr),
+    st.from_regex(
+        r"[0-9](_?[0-9]){0,6}(\.([0-9](_?[0-9]){0,3})?)?([eE][+-]?[0-9](_?[0-9]){0,3})?",
+        fullmatch=True,
+    ),
+    st.sampled_from([
+        "nan", "NaN", "nAn", "inf", "Inf", "INF", "infinity", "Infinity", "iNfInItY",
+        "infinit", "0x10", "0x1p3", "0X1.8P1", "1e", "e5", ".", ".5", "5.", "1__0", "_1",
+        "1_", "1_.5", "1._5", "1e_5", "", "1e400", "1e-400", "0e0", "-0", "-0.0",
+    ]),
+    st.text(alphabet="0123456789_+-.eExXpPnaifNAIFty ", max_size=8),
+)
+NUMERIC_CELLS = st.builds(
+    lambda pre, sign, body, post: pre + sign + body + post,
+    _SPACES, st.sampled_from(["", "+", "-"]), _CELL_BODIES, _SPACES,
+)
 
 BASIC_CSV = """market,choice,x1,x2,share
 1,a,0.5,1.0,0.2
@@ -133,10 +156,49 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="repeats column.*'x1'"):
             load_csv(_write(tmp_path / "d.csv", text))
 
-    def test_row_longer_than_header_rejected(self, tmp_path):
-        text = BASIC_CSV.replace("1,b,-0.25,2.0,0.3", "1,b,-0.25,2.0,0.3,7.0")
-        with pytest.raises(ParseError, match="row 3: 6 cells, header has 5"):
+    @pytest.mark.parametrize("text, match", [
+        (BASIC_CSV.replace("1,b,-0.25,2.0,0.3", "1,b,-0.25,2.0,0.3,7.0"),
+         "row 3: 6 cells, header has 5"),
+        ("x1,x2,share,market,choice\n1,2,0.5,a,1\n1,2,0.5,a,2\n1,2,0.5,b,1\n1,2,0.5,b\n",
+         "row 5: 4 cells, header has 5"),
+        (BASIC_CSV.replace("1,b,-0.25,2.0,0.3", "1,b,-0.25,0.3"),
+         "row 3: 4 cells, header has 5"),
+    ], ids=["long_row", "short_row_missing_id", "short_row_missing_number"])
+    def test_row_cell_count_must_match_header(self, tmp_path, text, match):
+        with pytest.raises(ParseError, match=match):
             load_csv(_write(tmp_path / "d.csv", text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(cell=NUMERIC_CELLS, column=st.sampled_from(["x1", "share"]))
+    def test_numeric_cells_parse_exactly_as_float(self, tmp_path_factory, cell, column):
+        """A covariate or share cell loads exactly when float() accepts it, as
+        float()'s value bit for bit (-0.0 included). A cell float() rejects is
+        a ParseError naming the row and column; a non-finite value, or a share
+        outside [0, 1], is a ValidationError."""
+        rows = [["a", "1", "0.5", "0.0"], ["a", "2", "0.5", "0.0"],
+                ["b", "1", "0.5", "0.5"], ["b", "2", "0.5", "0.5"]]
+        rows[0][2 if column == "x1" else 3] = cell
+        path = str(tmp_path_factory.mktemp("cell") / "d.csv")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["market", "choice", "x1", "share"])
+            writer.writerows(rows)
+        schema = CsvSchema(has_outside=True)
+        try:
+            expected = float(cell)
+        except ValueError:
+            line = 2 + cell.count("\n")  # the header, then the cell's own line breaks
+            with pytest.raises(ParseError, match=f"row {line}: .* in column '{column}'"):
+                load_csv(path, schema)
+            return
+        in_range = column == "x1" or 0.0 <= expected <= 1.0 + SHARE_SUM_TOL
+        if not (math.isfinite(expected) and in_range):
+            with pytest.raises(ValidationError):
+                load_csv(path, schema)
+            return
+        market = load_csv(path, schema).markets[0]
+        got = market.covariates[0, 0] if column == "x1" else market.shares[0]
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
     def test_duplicate_pair_rejected(self, tmp_path):
         text = BASIC_CSV + "2,c,0.0,0.0,0.0\n"
@@ -207,9 +269,10 @@ class TestLoadCsv:
         ("market,custcount\nm1,100\nm2,100\nm1,40\n", ValidationError,
          "row 4: repeated custcount entry for market 'm1'"),
         ("market,custcount\nm1,100,7\nm2,100\n", ParseError, "row 2: 3 cells, header has 2"),
+        ("market,custcount\nm1,100\nm2\n", ParseError, "row 3: 1 cells, header has 2"),
         ("market,custcount,custcount\nm1,100,40\nm2,100,40\n", ParseError,
          "repeats column.*'custcount'"),
-    ], ids=["repeated_market", "long_row", "repeated_column"])
+    ], ids=["repeated_market", "long_row", "short_row", "repeated_column"])
     def test_custcount_sidecar_checked_like_main_file(self, tmp_path, sidecar, error, match):
         text = "market,choice,x1,quantity\nm1,a,0.5,10\nm1,b,1.0,20\nm2,a,0.25,5\nm2,b,0.5,5\n"
         schema = CsvSchema(quantity="quantity", custcount_path=_write(tmp_path / "c.csv", sidecar))

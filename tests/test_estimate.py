@@ -6,6 +6,7 @@ the unit sphere; the median is pinned to the value that run produced.
 """
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -16,6 +17,7 @@ from rpchoice import (
     CircleProfile,
     CriterionEvaluator,
     Dataset,
+    IdentifiedSet,
     Market,
     NumericalError,
     ParameterError,
@@ -36,6 +38,7 @@ from rpchoice import (
 from rpchoice._seeds import STREAM_PROJECTION, STREAM_RESTARTS, derive_rng, derive_seed
 from rpchoice.estimate import (
     TWO_PI,
+    ReplicationRecord,
     interval_contains_interval,
     interval_contains_point,
     interval_midpoint,
@@ -108,6 +111,41 @@ class TestIntervalHelpers:
     def test_contains_interval_modular(self):
         assert interval_contains_interval((5.8, 0.2), (5.9, 0.1))
         assert not interval_contains_interval((1.0, 2.0), (1.5, 2.5))
+
+
+class TestResultTypes:
+    """Result types store what was computed; the rest is derived when read."""
+
+    def test_identified_set_rejects_argmin_outside_every_arc(self):
+        with pytest.raises(NumericalError, match="lies in no arc"):
+            IdentifiedSet(((1.0, 2.0), (4.0, 5.0)), q_min=0.5, tolerance=1e-6, argmin=3.0)
+
+    def test_identified_set_derives_estimate_and_full_circle(self):
+        idset = IdentifiedSet(((1.0, 2.0), (5.8, 0.2)), q_min=0.5, tolerance=1e-6, argmin=0.1)
+        assert idset.interval_estimate == (5.8, 0.2)
+        assert not idset.full_circle
+        flat = IdentifiedSet(((0.0, TWO_PI),), q_min=0.0, tolerance=1e-12, argmin=0.0)
+        assert flat.full_circle and flat.interval_estimate == (0.0, TWO_PI)
+        assert flat.contains(math.pi) and flat.covers_interval((0.1, 6.0))
+
+    def test_record_derives_midpoint_and_wrap(self):
+        rec = ReplicationRecord(index=0, lb=5.8, ub=0.2, q_min=0.1)
+        assert rec.theta_hat == interval_midpoint((5.8, 0.2))
+        assert rec.wrapped is True
+        failed = ReplicationRecord(index=1, error="NumericalError: x")
+        assert math.isnan(failed.theta_hat) and failed.wrapped is False
+
+    def test_summary_statistics_skip_failed_records(self, small_mc_dataset):
+        summary = run_replications(small_mc_dataset, k=8, s=1.0, replications=2,
+                                   master_seed=6, grid_size=64)
+        failed = ReplicationRecord(index=2, error="NumericalError: injected")
+        both = dataclasses.replace(summary, records=(*summary.records, failed))
+        assert (both.replications, both.successes, both.failures) == (3, 2, 1)
+        assert both.nested_count == summary.nested_count
+        assert both.to_dict()["summary"] == {**summary.to_dict()["summary"], "failures": 1}
+        none = dataclasses.replace(summary, records=(failed,))
+        assert none.nested_count == 0 and math.isnan(none.mean_lb)
+        assert math.isnan(none.nested_fraction)
 
 
 def _circular_runs(mask):
@@ -410,7 +448,8 @@ class TestReplications:
         assert coef.betas.shape == (3, 2)
         np.testing.assert_allclose(np.linalg.norm(coef.betas, axis=1), 1.0, atol=1e-12)
         assert (coef.values >= 0).all()
-        assert coef.failures == ()
+        assert coef.errors == ()
+        assert (coef.replications, coef.successes, coef.failures) == (3, 3, 0)
         again = run_coefficient_replications(small_mc_dataset, k=8, s=1.0,
                                              replications=3, master_seed=5,
                                              restarts=4, steps=200)
@@ -510,8 +549,10 @@ class TestReplicationFailures:
         coef = run_coefficient_replications(small_mc_dataset, k=8, s=1.0,
                                             replications=2, master_seed=5,
                                             restarts=1, steps=5, threads=threads)
-        assert coef.failures == ((0, "NumericalError: injected"),
-                                 (1, "NumericalError: injected"))
+        assert coef.errors == ((0, "NumericalError: injected"),
+                               (1, "NumericalError: injected"))
+        assert (coef.replications, coef.successes, coef.failures) == (2, 0, 2)
+        assert coef.betas.shape == (0, 2)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_programming_error_propagates(self, small_mc_dataset, monkeypatch, threads):
