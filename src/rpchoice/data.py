@@ -166,27 +166,27 @@ class Dataset:
         }
 
 
+# The one CSV layout, written by write_csv and read by load_csv: a row per
+# (market, choice) pair with the columns market, choice, <covariates...>,
+# share. Columns are found by name, so the header may order them freely.
+ID_COLUMNS = ("market", "choice")
+SHARE_COLUMN = "share"
+
+
 @dataclass(frozen=True)
 class CsvSchema:
-    """Column-name mapping for the long-format CSV layout.
+    """Options for reading the CSV layout; every one is off by default.
 
-    One row per (market, choice) pair. Either `share` holds observed shares
-    directly, or `quantity` holds purchase counts and `custcount_path` names
-    a sidecar CSV (columns market,custcount) with per-market customer counts;
-    in quantity mode shares are quantity/custcount and an outside alternative
-    with zero covariates absorbs the remaining mass.
-
-    covariates: names of the covariate columns, in order. Empty means every
-    column other than the id and share/quantity columns, in header order.
+    quantity: the name of a column of purchase counts that takes the share
+    column's place. custcount_path then names a sidecar CSV (columns
+    market,custcount) of per-market customer counts: shares are
+    quantity/custcount, and an outside alternative with zero covariates
+    absorbs the remaining mass.
     fill_missing: absent (market, choice) rows become share 0, covariates 0.
     has_outside: inside shares may sum to less than 1 (an outside option
     exists but is not a row); without it each market must sum to 1.
     """
 
-    market: str = "market"
-    choice: str = "choice"
-    covariates: tuple[str, ...] = ()
-    share: str = "share"
     quantity: str | None = None
     custcount_path: str | None = None
     fill_missing: bool = False
@@ -221,7 +221,7 @@ def _parse_cell(raw: str, column: str, line_num: int) -> float:
 
 
 def _checked_rows(fh, path: str, required: tuple[str, ...]):
-    """Header and (line number, row dict) pairs of an open CSV file.
+    """Header and (line number, cells) pairs of an open CSV file.
 
     A missing header, a header that repeats a column name or lacks a
     `required` column, and a row whose cell count differs from the
@@ -246,7 +246,7 @@ def _checked_rows(fh, path: str, required: tuple[str, ...]):
                 raise ParseError(
                     f"row {reader.line_num}: {len(row)} cells, header has {len(header)}"
                 )
-            yield reader.line_num, dict(zip(header, row))
+            yield reader.line_num, row
 
     return header, records()
 
@@ -254,129 +254,113 @@ def _checked_rows(fh, path: str, required: tuple[str, ...]):
 def _load_custcounts(path: str) -> dict[str, float]:
     counts: dict[str, float] = {}
     with open(path, newline="") as fh:
-        _, records = _checked_rows(fh, path, ("market", "custcount"))
+        header, records = _checked_rows(fh, path, ("market", "custcount"))
+        mid_at, count_at = header.index("market"), header.index("custcount")
         for line_num, row in records:
-            mid = row["market"]
+            mid = row[mid_at]
             if mid in counts:
                 raise ValidationError(
                     f"{path}: row {line_num}: repeated custcount entry for market {mid!r}"
                 )
-            counts[mid] = _parse_cell(row["custcount"], "custcount", line_num)
+            counts[mid] = _parse_cell(row[count_at], "custcount", line_num)
     return counts
 
 
 def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
-    """Read a long-format CSV into a Dataset.
+    """Read a CSV in the module's layout into a Dataset.
 
-    Markets are ordered by market id and choices by choice id (numeric order
-    when the ids parse as numbers, lexicographic otherwise), so the same file
-    always produces the same array layout. A header that repeats a column
-    name, or a row whose cell count differs from the header's, raises
-    ParseError.
+    The file needs the market, choice and share columns (the schema's
+    quantity column in place of share); every other column is a covariate,
+    in header order. Markets are ordered by market id and choices by choice
+    id (numeric order when the ids parse as numbers, lexicographic
+    otherwise), so the result does not depend on the order of the rows. The
+    first fault in file order is raised: a row whose cell count differs
+    from the header's, or a cell float() rejects, is a ParseError, and a
+    repeated (market, choice) pair a ValidationError.
     """
-    value_col = schema.quantity if schema.quantity is not None else schema.share
-    rows: dict[str, dict[str, tuple[list[float], float]]] = {}
-    cov_names: tuple[str, ...] = schema.covariates
-
+    value_col = SHARE_COLUMN if schema.quantity is None else schema.quantity
+    cells: dict[tuple[str, str], list[float]] = {}
     with open(path, newline="") as fh:
-        header, records = _checked_rows(fh, path, (schema.market, schema.choice, value_col))
-        if not cov_names:
-            reserved = {schema.market, schema.choice, value_col}
-            cov_names = tuple(c for c in header if c not in reserved)
-        else:
-            missing = [c for c in cov_names if c not in header]
-            if missing:
-                raise ParseError(f"{path}: missing covariate columns {missing}")
+        header, records = _checked_rows(fh, path, (*ID_COLUMNS, value_col))
+        cov_names = tuple(c for c in header if c not in (*ID_COLUMNS, value_col))
         if not cov_names:
             raise ParseError(f"{path}: no covariate columns found")
-
+        mid_at, cid_at = (header.index(c) for c in ID_COLUMNS)
+        number_at = [header.index(c) for c in (*cov_names, value_col)]
         for line_num, row in records:
-            mid, cid = row[schema.market], row[schema.choice]
-            cov = [_parse_cell(row[c], c, line_num) for c in cov_names]
-            val = _parse_cell(row[value_col], value_col, line_num)
-            per_market = rows.setdefault(mid, {})
-            if cid in per_market:
+            numbers = [_parse_cell(row[j], header[j], line_num) for j in number_at]
+            key = (row[mid_at], row[cid_at])
+            if key in cells:
                 raise ValidationError(
-                    f"row {line_num}: duplicate entry for market {mid!r}, choice {cid!r}"
+                    f"row {line_num}: duplicate entry for market {key[0]!r}, choice {key[1]!r}"
                 )
-            per_market[cid] = (cov, val)
+            cells[key] = numbers
 
-    if len(rows) < 2:
-        raise ValidationError(f"{path}: found {len(rows)} market(s), need at least 2")
-
-    market_ids = _sort_ids(rows.keys())
-    universe: set[str] = set()
-    for per_market in rows.values():
-        universe |= per_market.keys()
-    choice_ids = _sort_ids(universe)
-
-    if not schema.fill_missing:
-        for mid in market_ids:
-            missing = universe - rows[mid].keys()
-            if missing:
-                raise DimensionError(
-                    f"market {mid!r} is missing choices {sorted(missing)}; "
-                    "pass fill_missing to zero-fill"
-                )
-
+    market_ids = _sort_ids({mid for mid, _ in cells})
+    if len(market_ids) < 2:
+        raise ValidationError(f"{path}: found {len(market_ids)} market(s), need at least 2")
+    choice_ids = _sort_ids({cid for _, cid in cells})
+    market_at = {mid: i for i, mid in enumerate(market_ids)}
+    choice_at = {cid: j for j, cid in enumerate(choice_ids)}
+    at = (np.array([market_at[mid] for mid, _ in cells]),
+          np.array([choice_at[cid] for _, cid in cells]))
     b = len(cov_names)
-    zero_row = ([0.0] * b, 0.0)
+    table = np.zeros((len(market_ids), len(choice_ids), b + 1))
+    table[at] = list(cells.values())
+    present = np.zeros(table.shape[:2], dtype=bool)
+    present[at] = True
+
+    incomplete = np.flatnonzero(~present.all(axis=1))
+    if incomplete.size and not schema.fill_missing:
+        first = incomplete[0]
+        missing = sorted(choice_ids[j] for j in np.flatnonzero(~present[first]))
+        raise DimensionError(
+            f"market {market_ids[first]!r} is missing choices {missing}; "
+            "pass fill_missing to zero-fill"
+        )
+
     quantity_mode = schema.quantity is not None
     custcounts = _load_custcounts(schema.custcount_path) if quantity_mode else {}
-
     markets = []
-    for mid in market_ids:
-        per_market = rows[mid]
-        cov = np.array(
-            [per_market.get(cid, zero_row)[0] for cid in choice_ids], dtype=np.float64
-        )
-        vals = np.array(
-            [per_market.get(cid, zero_row)[1] for cid in choice_ids], dtype=np.float64
-        )
-        if quantity_mode:
-            if mid not in custcounts:
-                raise ValidationError(f"market {mid!r} has no custcount entry")
-            try:
-                shares = build_outside_option(vals, custcounts[mid])
-            except InfeasibleError as exc:
-                raise InfeasibleError(f"market {mid!r}: {exc}") from None
-            cov = np.vstack([cov, np.zeros((1, b))])
-        else:
-            shares = vals
-            total = math.fsum(shares.tolist())
-            if not schema.has_outside and abs(total - 1.0) > SHARE_SUM_TOL:
-                raise ValidationError(
-                    f"market {mid!r}: shares sum to {total!r}, expected 1"
-                )
+    for mid, block in zip(market_ids, table):
+        cov, shares = block[:, :b], block[:, b]
+        if quantity_mode and mid not in custcounts:
+            raise ValidationError(f"market {mid!r} has no custcount entry")
         try:
+            if quantity_mode:
+                shares = build_outside_option(shares, custcounts[mid])
+                cov = np.vstack([cov, np.zeros((1, b))])
+            elif not schema.has_outside:
+                total = math.fsum(shares.tolist())
+                if abs(total - 1.0) > SHARE_SUM_TOL:
+                    raise ValidationError(f"shares sum to {total!r}, expected 1")
             markets.append(Market(cov, shares))
-        except (ValidationError, DimensionError) as exc:
+        except (ValidationError, DimensionError, InfeasibleError) as exc:
             raise type(exc)(f"market {mid!r}: {exc}") from None
 
-    out_choice_ids = list(choice_ids)
     if quantity_mode:
         outside_id = "outside"
-        while outside_id in universe:
+        while outside_id in choice_at:
             outside_id = "_" + outside_id
-        out_choice_ids.append(outside_id)
+        choice_ids.append(outside_id)
 
     return Dataset(
         markets=tuple(markets),
         covariate_names=cov_names,
         market_ids=tuple(market_ids),
-        choice_ids=tuple(out_choice_ids),
+        choice_ids=tuple(choice_ids),
     )
 
 
 def write_csv(data: Dataset, path: str) -> None:
-    """Write the long-format CSV. repr round-trips float64 exactly.
+    """Write the dataset in the CSV layout that load_csv reads.
 
-    What load_csv could not read back is refused before the file is opened:
-    a covariate named like the id or share columns would repeat a header
-    column, and a NUL character in an id or name is unreadable for the csv
-    module before Python 3.11.
+    repr round-trips float64 exactly. What load_csv could not read back is
+    refused before the file is opened: a covariate named like the id or
+    share columns would repeat a header column, and a NUL character in an
+    id or name is unreadable for the csv module before Python 3.11.
     """
-    clash = sorted({"market", "choice", "share"} & set(data.covariate_names))
+    clash = sorted({*ID_COLUMNS, SHARE_COLUMN} & set(data.covariate_names))
     if clash:
         raise ValidationError(f"covariate name(s) {clash} collide with the csv's own columns")
     labels = (*data.market_ids, *data.choice_ids, *data.covariate_names)
@@ -384,7 +368,7 @@ def write_csv(data: Dataset, path: str) -> None:
         raise ValidationError("ids and covariate names must not contain NUL characters")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["market", "choice", *data.covariate_names, "share"])
+        writer.writerow([*ID_COLUMNS, *data.covariate_names, SHARE_COLUMN])
         for mid, market in zip(data.market_ids, data.markets):
             for cid, cov, share in zip(data.choice_ids, market.covariates, market.shares):
                 writer.writerow([mid, cid, *(repr(float(x)) for x in cov), repr(float(share))])

@@ -154,9 +154,6 @@ class SparseProjection:
             )
         return self.matrix @ arr
 
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
 
 def generate(spec: ProjectionSpec) -> SparseProjection:
     """Draw the projection matrix for a spec.
@@ -253,7 +250,7 @@ def apply(projection: SparseProjection, data: Dataset) -> CompressedDataset:
 def predicted_distance_variance(w: np.ndarray, s: float, k: int) -> float:
     """Variance of ||R w||^2: (2 ||w||^4 + (s - 3) sum w^4) / k."""
     w = np.asarray(w, dtype=np.float64)
-    sq = float(w @ w)
+    sq = float(np.einsum("i,i->", w, w))  # not BLAS: see _dots_dense
     fourth = float(np.sum(w ** 4))
     return (2.0 * sq * sq + (s - 3.0) * fourth) / k
 
@@ -313,6 +310,8 @@ def _dots_dense(w: np.ndarray, s: float, n_rows: int, rng: np.random.Generator) 
     copy of `rng`, advanced to the half's first uniform (one 64-bit draw per
     uniform). The two streams together are exactly `rng`'s stream, so the
     result does not depend on the split; `rng` ends advanced past every draw.
+    Each row is summed by einsum rather than BLAS, whose reduction order
+    varies with its thread count, so neither count changes the result.
     """
     d = w.size
     per_chunk = min(n_rows, max(1, (1 << 22) // max(d, 1)))
@@ -332,7 +331,7 @@ def _dots_dense(w: np.ndarray, s: float, n_rows: int, rng: np.random.Generator) 
             count = min(per_chunk, stop - done)
             _sign_masks(stream.random(out=uniforms[:count]), s, plus[:count], minus[:count])
             np.subtract(plus[:count], minus[:count], out=signs[:count], dtype=np.float64)
-            out[done : done + count] = signs[:count] @ w
+            np.einsum("ij,j->i", signs[:count], w, out=out[done : done + count])
 
     halves = [(0, split), (split, n_rows)] if split < n_rows else [(0, n_rows)]
     with ThreadPoolExecutor(max_workers=len(halves)) as pool:
@@ -386,7 +385,7 @@ def jl_diagnostic(u, v, spec: ProjectionSpec, draws: int) -> JlDiagnostic:
     if u.shape != (spec.d,) or v.shape != (spec.d,):
         raise DimensionError(f"u and v must have shape ({spec.d},)")
     w = u - v
-    exact = float(w @ w)
+    exact = float(np.einsum("i,i->", w, w))
     predicted = predicted_distance_variance(w, spec.s, spec.k)
 
     if exact == 0.0:

@@ -188,7 +188,7 @@ class TestResiduals:
         data = logit_oracle_dataset(4, 30, 2, np.array([0.6, 0.8]), seed=14)
         proj = generate(ProjectionSpec(k=6, d=30, s=1.0, seed=2))
         compressed = apply(proj, data)
-        R = proj.dense()
+        R = proj.matrix.toarray()
         beta = np.array([-0.6, -0.8])
         cycles = enumerate_cycles(4, (2, 3))
         total = 0.0

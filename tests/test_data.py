@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -205,6 +206,37 @@ class TestLoadCsv:
         with pytest.raises(ValidationError, match="duplicate"):
             load_csv(_write(tmp_path / "d.csv", text))
 
+    @pytest.mark.parametrize("extra, error, message", [
+        ("1,a,0.0,0.0,0.2\n3,a,oops,0.0,0.2\n", ValidationError,
+         "row 8: duplicate entry for market '1', choice 'a'"),
+        ("3,a,oops,0.0,0.2\n1,a,0.0,0.0,0.2\n", ParseError,
+         "row 8: cannot parse 'oops' in column 'x1' as a number"),
+        ("3,a,0.0,0.2\n1,a,0.0,0.0,0.2\n", ParseError, "row 8: 4 cells, header has 5"),
+    ], ids=["duplicate_then_unparsable", "unparsable_then_duplicate", "short_row_then_duplicate"])
+    def test_first_fault_in_file_order_is_reported(self, tmp_path, extra, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            load_csv(_write(tmp_path / "d.csv", BASIC_CSV + extra))
+
+    @settings(max_examples=50, deadline=None)
+    @given(order=st.permutations(range(12)), blanks=st.lists(st.integers(0, 12), max_size=4))
+    def test_row_order_and_blank_lines_leave_the_result_unchanged(self, tmp_path_factory,
+                                                                  order, blanks):
+        data = logit_oracle_dataset(3, 4, 2, np.array([0.6, 0.8]), seed=2)
+        data = Dataset(data.markets, market_ids=("10", "2", "1.0"), choice_ids=("b", "a", "1", "c"))
+        folder = tmp_path_factory.mktemp("order")
+        written = str(folder / "written.csv")
+        write_csv(data, written)
+        header, *rows = Path(written).read_text().splitlines()
+        lines = [rows[i] for i in order]
+        for at in sorted(blanks, reverse=True):
+            lines.insert(at, "")
+        expected = load_csv(written)
+        got = load_csv(_write(folder / "shuffled.csv", "\n".join([header, *lines]) + "\n"))
+        assert (got.market_ids, got.choice_ids) == (expected.market_ids, expected.choice_ids)
+        assert got.covariate_names == expected.covariate_names
+        assert got.covariate_stack().tobytes() == expected.covariate_stack().tobytes()
+        assert got.share_stack().tobytes() == expected.share_stack().tobytes()
+
     def test_missing_rows_require_flag(self, tmp_path):
         text = BASIC_CSV.replace("2,c,-0.5,0.25,0.3\n", "")
         path = _write(tmp_path / "d.csv", text)
@@ -264,6 +296,18 @@ class TestLoadCsv:
         np.testing.assert_allclose(data.markets[0].shares, [0.30, 0.10, 0.60])
         np.testing.assert_allclose(data.markets[1].shares, [0.50, 0.25, 0.25])
         assert np.all(data.markets[0].covariates[-1] == 0.0)
+
+    @pytest.mark.parametrize("quantity, custcount, message", [
+        ("-20", "100", "market 'm1': quantities must be finite and nonnegative"),
+        ("20", "0", "market 'm1': custcount must be positive, got 0.0"),
+    ], ids=["negative_quantity", "zero_custcount"])
+    def test_quantity_mode_errors_name_the_market(self, tmp_path, quantity, custcount, message):
+        text = (f"market,choice,x1,quantity\nm1,a,0.5,10\nm1,b,1.0,{quantity}\n"
+                "m2,a,0.25,5\nm2,b,0.5,5\n")
+        side = _write(tmp_path / "c.csv", f"market,custcount\nm1,{custcount}\nm2,100\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            load_csv(_write(tmp_path / "q.csv", text),
+                     CsvSchema(quantity="quantity", custcount_path=side))
 
     @pytest.mark.parametrize("sidecar, error, match", [
         ("market,custcount\nm1,100\nm2,100\nm1,40\n", ValidationError,

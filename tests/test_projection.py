@@ -1,7 +1,11 @@
 """Projection generation, streaming application, and JL diagnostics."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+import rpchoice
 from rpchoice import (
     DimensionError,
     ParameterError,
@@ -175,7 +180,7 @@ class TestApply:
     def test_matches_dense_product(self, rng):
         data = logit_oracle_dataset(3, 9, 2, np.array([0.6, 0.8]), seed=5)
         proj = generate(ProjectionSpec(k=4, d=9, s=2.0, seed=6))
-        dense = proj.dense()
+        dense = proj.matrix.toarray()
         compressed = apply(proj, data)
         for i, market in enumerate(data.markets):
             np.testing.assert_allclose(
@@ -278,7 +283,7 @@ class TestJlDiagnostic:
         uniforms = stream.random((draws * k, d))
         half = 0.5 / spec.s
         signs = (uniforms < half).astype(float) - (uniforms >= 1.0 - half)
-        dots = signs @ w
+        dots = np.einsum("ij,j->i", signs, w)
         sq = (dots**2).reshape(draws, k).sum(axis=1) * (spec.s / spec.k)
         assert diag.mean_sq_dist == sq.mean()
         assert diag.var_sq_dist == sq.var(ddof=1)
@@ -301,9 +306,34 @@ class TestJlDiagnostic:
         for lo in range(0, n_rows, per_chunk):
             uniforms = stream.random((min(per_chunk, n_rows - lo), d))
             signs = (uniforms < half).astype(float) - (uniforms >= 1.0 - half)
-            expected[lo : lo + len(signs)] = signs @ w
+            expected[lo : lo + len(signs)] = np.einsum("ij,j->i", signs, w)
         assert dots.tobytes() == expected.tobytes()
         assert rng.bit_generator.state == stream.bit_generator.state
+
+    def test_result_independent_of_blas_threads(self):
+        """OpenBLAS splits a product by its thread count and rounds each split
+        differently; the diagnostic must read the same at one BLAS thread and
+        at two. Both designs differed in the last digits while BLAS formed
+        the dense route's row sums (d = 1000) and ||w||^2 (d = 100,000)."""
+        script = (
+            "import numpy as np; from rpchoice import ProjectionSpec, jl_diagnostic\n"
+            "for d, k, s, draws in ((1000, 50, 3.0, 10_000), (100_000, 5, 400.0, 1000)):\n"
+            "    rng = np.random.default_rng(2026)\n"
+            "    u, v = rng.standard_normal(d), rng.standard_normal(d)\n"
+            "    spec = ProjectionSpec(k=k, d=d, s=s, seed=99)\n"
+            "    print(repr(jl_diagnostic(u, v, spec, draws).to_dict()))"
+        )
+        src = str(Path(rpchoice.__file__).resolve().parents[1])
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                     "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert outputs[0] == outputs[1]
 
     def test_sparse_route_unbiased_and_variance(self):
         """Geometric skip-sampling route (1/s <= 0.05) against the formulas."""
