@@ -18,7 +18,7 @@ import os
 import time
 
 from rpchoice import SimConfig, run_replications, simulate_dataset
-from rpchoice.cli import PRESETS
+from rpchoice.cli import PRESETS, available_cpus
 from rpchoice.projection import resolve_sparsity
 
 DESK_PRESETS = ("d100k10", "d500k100")
@@ -65,7 +65,7 @@ def main(argv=None) -> int:
     parser.add_argument("--sparsity", default="1", help="1, 3, sqrt, or a number")
     parser.add_argument("--data-seed", type=int, default=1)
     parser.add_argument("--seed", type=int, default=7, help="replication master seed")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--threads", type=int, default=available_cpus())
     parser.add_argument("--out", default="results/replication")
     args = parser.parse_args(argv)
 

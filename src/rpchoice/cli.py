@@ -109,6 +109,14 @@ def _resolve_out(out: str | None, default_name: str) -> str:
     return path
 
 
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has
+    one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _flag_text(value) -> str:
     if isinstance(value, (list, tuple)):
         return ",".join(str(item) for item in value)
@@ -118,11 +126,13 @@ def _flag_text(value) -> str:
 def _run(body, parser: argparse.ArgumentParser, args) -> int:
     """Run one command and write its manifest.json.
 
-    `body(args, out_dir)` does the command's work and returns (resolved,
-    artifacts, report, code): `resolved` maps flags to the values the run
-    actually used, plus derived values such as s_resolved; `artifacts` maps a
-    key to (file name, writer). The output directory is created only once the
-    body has returned, so a run that fails early leaves nothing behind.
+    `body(args, out_dir, stages)` does the command's work and returns
+    (resolved, artifacts, report, code): `resolved` maps flags to the values
+    the run actually used, plus derived values such as s_resolved; `artifacts`
+    maps a key to (file name, writer). A body may record the wall seconds of
+    its stages in `stages`, written as the manifest's stage_seconds. The
+    output directory is created only once the body has returned, so a run
+    that fails early leaves nothing behind.
 
     The manifest's `params` and re-run `argv` come from the subcommand's own
     flags. `params` leaves out --seed (recorded on its own), --out and
@@ -132,7 +142,8 @@ def _run(body, parser: argparse.ArgumentParser, args) -> int:
     started_utc = datetime.now(timezone.utc).isoformat(timespec="seconds")
     t0 = time.monotonic()
     out_dir = _resolve_out(args.out, f"{args.command}-seed{args.seed}")
-    resolved, artifacts, report, code = body(args, out_dir)
+    stages: dict[str, float] = {}
+    resolved, artifacts, report, code = body(args, out_dir, stages)
     os.makedirs(out_dir, exist_ok=True)
     for name, write in artifacts.values():
         write(os.path.join(out_dir, name))
@@ -156,12 +167,14 @@ def _run(body, parser: argparse.ArgumentParser, args) -> int:
         "started_utc": started_utc,
         "elapsed_seconds": time.monotonic() - t0,
     }
+    if stages:
+        manifest["stage_seconds"] = stages
     _write_json(manifest, os.path.join(out_dir, "manifest.json"))
     print(report, file=sys.stderr if code else sys.stdout)
     return code
 
 
-def cmd_simulate(args, out_dir):
+def cmd_simulate(args, out_dir, stages):
     d = PRESETS[args.preset][0] if args.preset is not None else args.d
     config = SimConfig(
         d=d,
@@ -181,10 +194,12 @@ def cmd_simulate(args, out_dir):
     return resolved, artifacts, f"wrote dataset.csv (n={config.n}, d={config.d}) to {out_dir}", 0
 
 
-def cmd_estimate(args, out_dir):
+def cmd_estimate(args, out_dir, stages):
+    t0 = time.monotonic()
     data = load_csv(args.data)
+    stages["load"] = time.monotonic() - t0
     s_resolved = resolve_sparsity(args.s, data.d)
-    threads = args.threads if args.threads else (os.cpu_count() or 1)
+    threads = args.threads if args.threads else available_cpus()
     common = dict(
         k=args.k,
         s=s_resolved,
@@ -194,6 +209,7 @@ def cmd_estimate(args, out_dir):
         threads=threads,
     )
     artifacts = {}
+    t0 = time.monotonic()
     if data.b == 2:
         summary = run_replications(data, grid_size=args.grid, **common)
         artifacts["grid"] = ("grid.csv", partial(write_grid_csv, summary.unprojected_grid))
@@ -208,6 +224,7 @@ def cmd_estimate(args, out_dir):
             data, restarts=args.restarts, steps=args.steps, **common
         )
         report = f"{summary.successes} replications succeeded"
+    stages["estimate"] = time.monotonic() - t0
     payload = {"schema_version": SCHEMA_VERSION, **summary.to_dict()}
     artifacts["summary"] = ("summary.json", partial(_write_json, payload))
 
@@ -221,7 +238,7 @@ def cmd_estimate(args, out_dir):
     return resolved, artifacts, f"{report}; wrote summary.json to {out_dir}", 0
 
 
-def cmd_verify_jl(args, out_dir):
+def cmd_verify_jl(args, out_dir, stages):
     s_resolved = resolve_sparsity(args.s, args.d)
     spec = ProjectionSpec(k=args.k, d=args.d, s=s_resolved, seed=args.seed)
     rng = derive_rng(args.seed, STREAM_COVARIATES)
@@ -294,7 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=5000,
         help="cap on active-set iterations per restart (data with b != 2 covariates)",
     )
-    p_est.add_argument("--threads", type=_positive_int, default=None)
+    p_est.add_argument(
+        "--threads",
+        type=_positive_int,
+        default=None,
+        help="replication worker threads (default: the CPUs this process may run on)",
+    )
     p_est.add_argument("--seed", type=_nonnegative_int, default=0)
     p_est.add_argument("--out", default=None)
     p_est.set_defaults(func=partial(_run, cmd_estimate, p_est))

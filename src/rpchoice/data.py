@@ -11,8 +11,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -266,25 +268,25 @@ def _load_custcounts(path: str) -> dict[str, float]:
     return counts
 
 
-def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
-    """Read a CSV in the module's layout into a Dataset.
+def _covariate_names(header: list[str], value_col: str, path: str) -> tuple[str, ...]:
+    cov_names = tuple(c for c in header if c not in (*ID_COLUMNS, value_col))
+    if not cov_names:
+        raise ParseError(f"{path}: no covariate columns found")
+    return cov_names
 
-    The file needs the market, choice and share columns (the schema's
-    quantity column in place of share); every other column is a covariate,
-    in header order. Markets are ordered by market id and choices by choice
-    id (numeric order when the ids parse as numbers, lexicographic
-    otherwise), so the result does not depend on the order of the rows. The
-    first fault in file order is raised: a row whose cell count differs
-    from the header's, or a cell float() rejects, is a ParseError, and a
-    repeated (market, choice) pair a ValidationError.
+
+def _table_by_rows(path: str, value_col: str):
+    """The reference reader: one csv.reader pass, float() on every number.
+
+    Returns (covariate names, market ids, choice ids, table, present): the
+    ids sorted by _sort_ids, table the (n, d, b + 1) covariates and values
+    and present the (n, d) mask of the pairs the file holds. It defines what
+    load_csv accepts and every error it raises, first fault in file order.
     """
-    value_col = SHARE_COLUMN if schema.quantity is None else schema.quantity
     cells: dict[tuple[str, str], list[float]] = {}
     with open(path, newline="") as fh:
         header, records = _checked_rows(fh, path, (*ID_COLUMNS, value_col))
-        cov_names = tuple(c for c in header if c not in (*ID_COLUMNS, value_col))
-        if not cov_names:
-            raise ParseError(f"{path}: no covariate columns found")
+        cov_names = _covariate_names(header, value_col, path)
         mid_at, cid_at = (header.index(c) for c in ID_COLUMNS)
         number_at = [header.index(c) for c in (*cov_names, value_col)]
         for line_num, row in records:
@@ -304,11 +306,110 @@ def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
     choice_at = {cid: j for j, cid in enumerate(choice_ids)}
     at = (np.array([market_at[mid] for mid, _ in cells]),
           np.array([choice_at[cid] for _, cid in cells]))
-    b = len(cov_names)
-    table = np.zeros((len(market_ids), len(choice_ids), b + 1))
+    table = np.zeros((len(market_ids), len(choice_ids), len(cov_names) + 1))
     table[at] = list(cells.values())
     present = np.zeros(table.shape[:2], dtype=bool)
     present[at] = True
+    return cov_names, market_ids, choice_ids, table, present
+
+
+def _codes(ids: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct ids in _sort_ids order, and each entry's index into them."""
+    distinct = _sort_ids(dict.fromkeys(ids))
+    at = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(at.__getitem__, ids), dtype=np.intp, count=len(ids))
+
+
+# Characters that send a file to the row loop: the quote, whose csv quoting
+# loadtxt does not read; NUL, which csv refuses before Python 3.11; and the
+# ASCII separators \x1c-\x1f, which loadtxt strips from around a number and
+# float() does not.
+_ROW_LOOP_CHARS = '"\x00\x1c\x1d\x1e\x1f'
+
+
+def _plain_text(fh) -> bool:
+    """Whether the open file holds none of _ROW_LOOP_CHARS and no line long
+    enough for a cell over csv.field_size_limit(), which csv refuses."""
+    # when every aligned block of `half` characters holds a line end, every
+    # line is shorter than 2 * half; read(n) returns n characters until EOF
+    half = max(1, min(csv.field_size_limit(), 1 << 21) // 2)
+    for chunk in iter(partial(fh.read, half * max(1, (1 << 20) // half)), ""):
+        if any(c in chunk for c in _ROW_LOOP_CHARS):
+            return False
+        for at in range(0, len(chunk) - half + 1, half):
+            if chunk.find("\n", at, at + half) < 0 and chunk.find("\r", at, at + half) < 0:
+                return False
+    return True
+
+
+def _table_in_bulk(path: str, value_col: str):
+    """_table_by_rows's result from one np.loadtxt pass, or None where the
+    row loop must read the file (see load_csv).
+
+    loadtxt parses a number with the routine float() uses, so a file it
+    reads gives the row loop's values bit for bit; it rejects every cell
+    float() rejects, and the text check covers the cells it accepts and
+    float() does not.
+    """
+    with open(path, newline="") as fh:
+        # a fault of any kind, an undecodable byte included, is the row
+        # loop's to report
+        try:
+            if not _plain_text(fh):
+                return None
+            fh.seek(0)
+            header, _ = _checked_rows(fh, path, (*ID_COLUMNS, value_col))
+            cov_names = _covariate_names(header, value_col, path)
+            id_at = [header.index(c) for c in ID_COLUMNS]
+            dtype = np.dtype([(f"f{j}", object if j in id_at else np.float64)
+                              for j in range(len(header))])
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            return None
+
+    market_ids, mi = _codes(rows[f"f{id_at[0]}"])
+    choice_ids, ci = _codes(rows[f"f{id_at[1]}"])
+    if len(market_ids) < 2:
+        return None
+    n, d = len(market_ids), len(choice_ids)
+    flat = mi * d + ci
+    counts = np.bincount(flat, minlength=n * d)
+    if counts.max() > 1:
+        return None
+    table = np.zeros((n, d, len(cov_names) + 1))
+    cells = table.reshape(n * d, -1)
+    for j, name in enumerate((*cov_names, value_col)):
+        cells[flat, j] = rows[f"f{header.index(name)}"]
+    return cov_names, market_ids, choice_ids, table, counts.reshape(n, d) > 0
+
+
+def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
+    """Read a CSV in the module's layout into a Dataset.
+
+    The file needs the market, choice and share columns (the schema's
+    quantity column in place of share); every other column is a covariate,
+    in header order. Markets are ordered by market id and choices by choice
+    id (numeric order when the ids parse as numbers, lexicographic
+    otherwise), so the result does not depend on the order of the rows.
+
+    float() and a row loop over csv.reader define what is accepted and
+    every error: the first fault in file order is raised. A row whose cell
+    count differs from the header's, or a cell float() rejects, is a
+    ParseError, and a repeated (market, choice) pair a ValidationError.
+    The file is first read in one np.loadtxt pass, which gives the same
+    result. The row loop reads it instead when the file holds a quote, a
+    NUL, an ASCII separator (\\x1c-\\x1f) or a line near the length of
+    csv.field_size_limit(); a row loadtxt rejects (a fault, a
+    whitespace-only line, or a number float() reads but loadtxt does not,
+    such as 1_000 or non-ASCII digits); a repeated pair; or fewer than two
+    markets.
+    """
+    value_col = SHARE_COLUMN if schema.quantity is None else schema.quantity
+    cov_names, market_ids, choice_ids, table, present = (
+        _table_in_bulk(path, value_col) or _table_by_rows(path, value_col))
+    b = len(cov_names)
 
     incomplete = np.flatnonzero(~present.all(axis=1))
     if incomplete.size and not schema.fill_missing:
@@ -340,7 +441,7 @@ def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
 
     if quantity_mode:
         outside_id = "outside"
-        while outside_id in choice_at:
+        while outside_id in choice_ids:
             outside_id = "_" + outside_id
         choice_ids.append(outside_id)
 

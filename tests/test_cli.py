@@ -6,12 +6,15 @@ manifest.json byte for byte.
 """
 
 import filecmp
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from rpchoice import NumericalError, __version__, load_csv
+from rpchoice import cli
 from rpchoice.cli import PRESETS, SCHEMA_VERSION, TOOL_NAME, build_parser, main
 from rpchoice.estimate import run_replications
 
@@ -114,6 +117,40 @@ class TestEstimate:
         assert payload["schema_version"] == SCHEMA_VERSION
         assert (out / "grid.csv").exists()
 
+    @pytest.mark.parametrize("affinity", [True, False], ids=["affinity_set", "no_affinity"])
+    def test_default_threads_count_the_cpus_this_process_may_use(self, tmp_path, monkeypatch,
+                                                                 affinity):
+        csv_path = simulate_small(tmp_path / "sim")
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        seen = []
+
+        def recording(data, **kwargs):
+            seen.append(kwargs["threads"])
+            return run_replications(data, **kwargs)
+
+        monkeypatch.setattr(cli, "run_replications", recording)
+        code = run("estimate", "--data", csv_path, "--k", "4", "--replications", "1",
+                   "--grid", "64", "--out", str(tmp_path / "e"))
+        assert code == 0
+        assert seen == [3 if affinity else 8]
+
+    def test_manifest_records_stage_seconds(self, tmp_path):
+        csv_path = simulate_small(tmp_path / "sim")
+        out = tmp_path / "est"
+        code = run("estimate", "--data", csv_path, "--k", "4", "--replications", "1",
+                   "--grid", "64", "--threads", "1", "--out", str(out))
+        assert code == 0
+        with open(out / "manifest.json") as fh:
+            manifest = json.load(fh, parse_constant=_reject_constant)
+        stages = manifest["stage_seconds"]
+        assert sorted(stages) == ["estimate", "load"]
+        assert all(0.0 <= seconds for seconds in stages.values())
+        assert sum(stages.values()) <= manifest["elapsed_seconds"]
+
     def test_k_larger_than_dimension_fails_cleanly(self, tmp_path, capsys):
         csv_path = simulate_small(tmp_path / "sim")
         code = run("estimate", "--data", csv_path, "--k", "40",
@@ -183,6 +220,33 @@ class TestEstimate:
         assert [r["lb"] for r in payload["records"]] == [None, None]
         assert [r["error"] for r in payload["records"]] == ["NumericalError: injected"] * 2
         assert (out / "manifest.json").exists()
+
+
+def _reject_constant(token):
+    raise AssertionError(f"non-strict JSON token {token}")
+
+
+def test_replication_study_threads_default_to_the_affinity_set(tmp_path, monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "replication_study.py"
+    spec = importlib.util.spec_from_file_location("script_replication_study", path)
+    study = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(study)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def recording(data, **kwargs):
+        seen.append(kwargs["threads"])
+        raise Stop
+
+    monkeypatch.setattr(study, "simulate_dataset", lambda config: None)
+    monkeypatch.setattr(study, "run_replications", recording)
+    with pytest.raises(Stop):
+        study.main(["--presets", "d100k10", "--out", str(tmp_path)])
+    assert seen == [3]
 
 
 class TestVerifyJl:
