@@ -20,10 +20,8 @@ from .criterion import (
     enumerate_cycles,
 )
 from .data import (
-    CsvSchema,
     Dataset,
     Market,
-    build_outside_option,
     exact_unit_sum,
     load_csv,
     save_metadata,
@@ -31,7 +29,6 @@ from .data import (
 )
 from .errors import (
     DimensionError,
-    InfeasibleError,
     NumericalError,
     ParameterError,
     ParseError,
@@ -79,13 +76,11 @@ __all__ = [
     "CompressedDataset",
     "ConvergenceDiagnostic",
     "CriterionEvaluator",
-    "CsvSchema",
     "CycleSet",
     "Dataset",
     "DimensionError",
     "ErrorSpec",
     "IdentifiedSet",
-    "InfeasibleError",
     "JlDiagnostic",
     "Market",
     "NumericalError",
@@ -99,7 +94,6 @@ __all__ = [
     "SphereDescentResult",
     "ValidationError",
     "apply",
-    "build_outside_option",
     "compute_shares_mc",
     "convergence_diagnostic",
     "criterion",

@@ -1,9 +1,9 @@
 """Containers and CSV ingestion for market-level choice data.
 
 A dataset is a balanced panel: n markets, each with the same d choices and
-b covariates per choice, plus an observed share per choice. Shares within a
-market live on the probability simplex; markets whose file omits the
-outside alternative may sum to less than one when the schema says so.
+b covariates per choice, plus an observed share per choice. It is stored in
+one CSV layout, written by write_csv and read by load_csv, in which every
+market lists every choice and each market's shares sum to 1.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DimensionError, InfeasibleError, ParseError, ValidationError
+from .errors import DimensionError, ParseError, ValidationError
 
 SHARE_SUM_TOL = 1e-9
 
@@ -34,16 +34,15 @@ def _readonly(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
-def exact_unit_sum(shares: np.ndarray, adjust: int | None = None) -> np.ndarray:
+def exact_unit_sum(shares: np.ndarray) -> np.ndarray:
     """Nudge one entry so math.fsum(result) == 1.0 exactly.
 
-    The residual 1 - fsum(shares) is a few ulp at most; folding it into a
-    single entry (the largest by default, or the index given by `adjust`)
-    keeps every other entry untouched. Two rounds suffice because fsum is
-    correctly rounded.
+    The residual 1 - fsum(shares) is a few ulp at most; folding it into the
+    largest entry keeps every other entry untouched. Two rounds suffice
+    because fsum is correctly rounded.
     """
     out = np.array(shares, dtype=np.float64, copy=True)
-    slot = int(np.argmax(out)) if adjust is None else int(adjust)
+    slot = int(np.argmax(out))
     for _ in range(4):
         residual = 1.0 - math.fsum(out.tolist())
         if residual == 0.0:
@@ -57,9 +56,9 @@ class Market:
     """One market: a d x b covariate matrix and a length-d share vector.
 
     Shares must be finite, nonnegative, and sum to at most 1 (+1e-9 slack).
-    Whether the sum must equal 1 is a dataset-level question: a file that
-    omits the outside alternative legitimately leaves mass on the table,
-    so the strict check lives in the loader, not here.
+    That each market's shares sum to exactly 1 is a rule of the CSV layout,
+    which load_csv and write_csv both check (_require_unit_sum); a Market
+    built in code may leave mass unassigned.
     """
 
     covariates: np.ndarray
@@ -175,24 +174,11 @@ ID_COLUMNS = ("market", "choice")
 SHARE_COLUMN = "share"
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Options for reading the CSV layout; every one is off by default.
-
-    quantity: the name of a column of purchase counts that takes the share
-    column's place. custcount_path then names a sidecar CSV (columns
-    market,custcount) of per-market customer counts: shares are
-    quantity/custcount, and an outside alternative with zero covariates
-    absorbs the remaining mass.
-    fill_missing: absent (market, choice) rows become share 0, covariates 0.
-    has_outside: inside shares may sum to less than 1 (an outside option
-    exists but is not a row); without it each market must sum to 1.
-    """
-
-    quantity: str | None = None
-    custcount_path: str | None = None
-    fill_missing: bool = False
-    has_outside: bool = False
+def _require_unit_sum(market_id: str, shares: np.ndarray) -> None:
+    """The layout's share rule: math.fsum(shares) is 1 within SHARE_SUM_TOL."""
+    total = math.fsum(shares.tolist())
+    if abs(total - 1.0) > SHARE_SUM_TOL:
+        raise ValidationError(f"market {market_id!r}: shares sum to {total!r}, expected 1")
 
 
 def _sort_ids(ids) -> list[str]:
@@ -222,26 +208,41 @@ def _parse_cell(raw: str, column: str, line_num: int) -> float:
         ) from None
 
 
-def _checked_rows(fh, path: str, required: tuple[str, ...]):
-    """Header and (line number, cells) pairs of an open CSV file.
+def _csv_rows(reader):
+    """reader's rows; the csv module's own error (a cell over
+    csv.field_size_limit(), or a NUL before Python 3.11) becomes a
+    ParseError naming the line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"row {reader.line_num}: {exc}") from None
 
-    A missing header, a header that repeats a column name or lacks a
-    `required` column, and a row whose cell count differs from the
-    header's raise ParseError. Blank lines are skipped.
+
+def _checked_rows(fh, path: str):
+    """Header, covariate names and (line number, cells) pairs of an open CSV
+    file in the layout.
+
+    A missing header, a header that repeats a column name, lacks one of the
+    id and share columns or has no other column, and a row whose cell count
+    differs from the header's raise ParseError. Blank lines are skipped.
     """
     reader = csv.reader(fh)
-    header = next(reader, None)
+    rows = _csv_rows(reader)
+    header = next(rows, None)
     if header is None:
         raise ParseError(f"{path}: empty file, expected a header row")
     repeated = _repeats(header)
     if repeated:
         raise ParseError(f"{path}: header repeats column(s) {repeated}")
-    for column in required:
+    for column in (*ID_COLUMNS, SHARE_COLUMN):
         if column not in header:
             raise ParseError(f"{path}: missing required column {column!r}")
+    cov_names = tuple(c for c in header if c not in (*ID_COLUMNS, SHARE_COLUMN))
+    if not cov_names:
+        raise ParseError(f"{path}: no covariate columns found")
 
     def records():
-        for row in reader:
+        for row in rows:
             if not row:
                 continue
             if len(row) != len(header):
@@ -250,45 +251,22 @@ def _checked_rows(fh, path: str, required: tuple[str, ...]):
                 )
             yield reader.line_num, row
 
-    return header, records()
+    return header, cov_names, records()
 
 
-def _load_custcounts(path: str) -> dict[str, float]:
-    counts: dict[str, float] = {}
-    with open(path, newline="") as fh:
-        header, records = _checked_rows(fh, path, ("market", "custcount"))
-        mid_at, count_at = header.index("market"), header.index("custcount")
-        for line_num, row in records:
-            mid = row[mid_at]
-            if mid in counts:
-                raise ValidationError(
-                    f"{path}: row {line_num}: repeated custcount entry for market {mid!r}"
-                )
-            counts[mid] = _parse_cell(row[count_at], "custcount", line_num)
-    return counts
-
-
-def _covariate_names(header: list[str], value_col: str, path: str) -> tuple[str, ...]:
-    cov_names = tuple(c for c in header if c not in (*ID_COLUMNS, value_col))
-    if not cov_names:
-        raise ParseError(f"{path}: no covariate columns found")
-    return cov_names
-
-
-def _table_by_rows(path: str, value_col: str):
+def _table_by_rows(path: str):
     """The reference reader: one csv.reader pass, float() on every number.
 
     Returns (covariate names, market ids, choice ids, table, present): the
-    ids sorted by _sort_ids, table the (n, d, b + 1) covariates and values
+    ids sorted by _sort_ids, table the (n, d, b + 1) covariates and shares
     and present the (n, d) mask of the pairs the file holds. It defines what
     load_csv accepts and every error it raises, first fault in file order.
     """
     cells: dict[tuple[str, str], list[float]] = {}
     with open(path, newline="") as fh:
-        header, records = _checked_rows(fh, path, (*ID_COLUMNS, value_col))
-        cov_names = _covariate_names(header, value_col, path)
+        header, cov_names, records = _checked_rows(fh, path)
         mid_at, cid_at = (header.index(c) for c in ID_COLUMNS)
-        number_at = [header.index(c) for c in (*cov_names, value_col)]
+        number_at = [header.index(c) for c in (*cov_names, SHARE_COLUMN)]
         for line_num, row in records:
             numbers = [_parse_cell(row[j], header[j], line_num) for j in number_at]
             key = (row[mid_at], row[cid_at])
@@ -342,7 +320,7 @@ def _plain_text(fh) -> bool:
     return True
 
 
-def _table_in_bulk(path: str, value_col: str):
+def _table_in_bulk(path: str):
     """_table_by_rows's result from one np.loadtxt pass, or None where the
     row loop must read the file (see load_csv).
 
@@ -358,8 +336,7 @@ def _table_in_bulk(path: str, value_col: str):
             if not _plain_text(fh):
                 return None
             fh.seek(0)
-            header, _ = _checked_rows(fh, path, (*ID_COLUMNS, value_col))
-            cov_names = _covariate_names(header, value_col, path)
+            header, cov_names, _ = _checked_rows(fh, path)
             id_at = [header.index(c) for c in ID_COLUMNS]
             dtype = np.dtype([(f"f{j}", object if j in id_at else np.float64)
                               for j in range(len(header))])
@@ -380,70 +357,50 @@ def _table_in_bulk(path: str, value_col: str):
         return None
     table = np.zeros((n, d, len(cov_names) + 1))
     cells = table.reshape(n * d, -1)
-    for j, name in enumerate((*cov_names, value_col)):
+    for j, name in enumerate((*cov_names, SHARE_COLUMN)):
         cells[flat, j] = rows[f"f{header.index(name)}"]
     return cov_names, market_ids, choice_ids, table, counts.reshape(n, d) > 0
 
 
-def load_csv(path: str, schema: CsvSchema = CsvSchema()) -> Dataset:
+def load_csv(path: str) -> Dataset:
     """Read a CSV in the module's layout into a Dataset.
 
-    The file needs the market, choice and share columns (the schema's
-    quantity column in place of share); every other column is a covariate,
-    in header order. Markets are ordered by market id and choices by choice
-    id (numeric order when the ids parse as numbers, lexicographic
-    otherwise), so the result does not depend on the order of the rows.
+    The file needs the market, choice and share columns; every other column
+    is a covariate, in header order. Every market must list every choice,
+    and each market's shares must sum to 1 within SHARE_SUM_TOL. Markets are
+    ordered by market id and choices by choice id (numeric order when the
+    ids parse as numbers, lexicographic otherwise), so the result does not
+    depend on the order of the rows.
 
     float() and a row loop over csv.reader define what is accepted and
     every error: the first fault in file order is raised. A row whose cell
-    count differs from the header's, or a cell float() rejects, is a
-    ParseError, and a repeated (market, choice) pair a ValidationError.
-    The file is first read in one np.loadtxt pass, which gives the same
-    result. The row loop reads it instead when the file holds a quote, a
-    NUL, an ASCII separator (\\x1c-\\x1f) or a line near the length of
-    csv.field_size_limit(); a row loadtxt rejects (a fault, a
+    count differs from the header's, a cell float() rejects, or a line the
+    csv module refuses is a ParseError, and a repeated (market, choice) pair
+    a ValidationError. The file is first read in one np.loadtxt pass, which
+    gives the same result. The row loop reads it instead when the file holds
+    a quote, a NUL, an ASCII separator (\\x1c-\\x1f) or a line near the
+    length of csv.field_size_limit(); a row loadtxt rejects (a fault, a
     whitespace-only line, or a number float() reads but loadtxt does not,
     such as 1_000 or non-ASCII digits); a repeated pair; or fewer than two
     markets.
     """
-    value_col = SHARE_COLUMN if schema.quantity is None else schema.quantity
     cov_names, market_ids, choice_ids, table, present = (
-        _table_in_bulk(path, value_col) or _table_by_rows(path, value_col))
+        _table_in_bulk(path) or _table_by_rows(path))
     b = len(cov_names)
 
     incomplete = np.flatnonzero(~present.all(axis=1))
-    if incomplete.size and not schema.fill_missing:
+    if incomplete.size:
         first = incomplete[0]
         missing = sorted(choice_ids[j] for j in np.flatnonzero(~present[first]))
-        raise DimensionError(
-            f"market {market_ids[first]!r} is missing choices {missing}; "
-            "pass fill_missing to zero-fill"
-        )
+        raise DimensionError(f"market {market_ids[first]!r} is missing choices {missing}")
 
-    quantity_mode = schema.quantity is not None
-    custcounts = _load_custcounts(schema.custcount_path) if quantity_mode else {}
     markets = []
     for mid, block in zip(market_ids, table):
-        cov, shares = block[:, :b], block[:, b]
-        if quantity_mode and mid not in custcounts:
-            raise ValidationError(f"market {mid!r} has no custcount entry")
+        _require_unit_sum(mid, block[:, b])
         try:
-            if quantity_mode:
-                shares = build_outside_option(shares, custcounts[mid])
-                cov = np.vstack([cov, np.zeros((1, b))])
-            elif not schema.has_outside:
-                total = math.fsum(shares.tolist())
-                if abs(total - 1.0) > SHARE_SUM_TOL:
-                    raise ValidationError(f"shares sum to {total!r}, expected 1")
-            markets.append(Market(cov, shares))
-        except (ValidationError, DimensionError, InfeasibleError) as exc:
-            raise type(exc)(f"market {mid!r}: {exc}") from None
-
-    if quantity_mode:
-        outside_id = "outside"
-        while outside_id in choice_ids:
-            outside_id = "_" + outside_id
-        choice_ids.append(outside_id)
+            markets.append(Market(block[:, :b], block[:, b]))
+        except ValidationError as exc:
+            raise ValidationError(f"market {mid!r}: {exc}") from None
 
     return Dataset(
         markets=tuple(markets),
@@ -458,8 +415,9 @@ def write_csv(data: Dataset, path: str) -> None:
 
     repr round-trips float64 exactly. What load_csv could not read back is
     refused before the file is opened: a covariate named like the id or
-    share columns would repeat a header column, and a NUL character in an
-    id or name is unreadable for the csv module before Python 3.11.
+    share columns would repeat a header column, a NUL character in an id or
+    name is unreadable for the csv module before Python 3.11, and a market
+    whose shares do not sum to 1 breaks the layout's share rule.
     """
     clash = sorted({*ID_COLUMNS, SHARE_COLUMN} & set(data.covariate_names))
     if clash:
@@ -467,42 +425,14 @@ def write_csv(data: Dataset, path: str) -> None:
     labels = (*data.market_ids, *data.choice_ids, *data.covariate_names)
     if any("\x00" in label for label in labels):
         raise ValidationError("ids and covariate names must not contain NUL characters")
+    for mid, market in zip(data.market_ids, data.markets):
+        _require_unit_sum(mid, market.shares)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([*ID_COLUMNS, *data.covariate_names, SHARE_COLUMN])
         for mid, market in zip(data.market_ids, data.markets):
             for cid, cov, share in zip(data.choice_ids, market.covariates, market.shares):
                 writer.writerow([mid, cid, *(repr(float(x)) for x in cov), repr(float(share))])
-
-
-def build_outside_option(quantities, custcount: float) -> np.ndarray:
-    """Shares from raw counts, with the outside alternative appended.
-
-    Inside share j is quantities[j]/custcount; the last entry is the leftover
-    1 - sum of inside shares. Compensated summation plus a residual fold into
-    the outside entry keep the full vector summing to 1.0 exactly.
-    """
-    q = np.asarray(quantities, dtype=np.float64)
-    if q.ndim != 1 or q.size == 0:
-        raise DimensionError("quantities must be a nonempty vector")
-    if not np.isfinite(q).all() or (q < 0).any():
-        raise ValidationError("quantities must be finite and nonnegative")
-    if not np.isfinite(custcount) or custcount <= 0:
-        raise ValidationError(f"custcount must be positive, got {custcount!r}")
-    total_q = math.fsum(q.tolist())
-    if total_q > custcount * (1.0 + 1e-12):
-        raise InfeasibleError(
-            f"quantities sum to {total_q!r}, above custcount {custcount!r}"
-        )
-    inside = q / custcount
-    outside = max(0.0, 1.0 - math.fsum(inside.tolist()))
-    shares = exact_unit_sum(np.append(inside, outside), adjust=len(inside))
-    if shares[-1] < 0.0:
-        # the residual fold can only undershoot when quantities fill the
-        # market exactly; push the leftover into the largest inside share
-        shares[-1] = 0.0
-        shares = exact_unit_sum(shares, adjust=int(np.argmax(shares[:-1])))
-    return shares
 
 
 def save_metadata(data: Dataset, path: str) -> None:

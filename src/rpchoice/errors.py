@@ -21,10 +21,6 @@ class ParameterError(ValueError):
     """A configuration value is outside its admissible range."""
 
 
-class InfeasibleError(ValueError):
-    """Quantities are inconsistent with the reported market size."""
-
-
 class NumericalError(RuntimeError):
     """An iterative routine produced non-finite values; message carries diagnostics."""
 
@@ -34,6 +30,5 @@ PACKAGE_ERRORS = (
     ValidationError,
     DimensionError,
     ParameterError,
-    InfeasibleError,
     NumericalError,
 )

@@ -171,6 +171,25 @@ class TestEstimate:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("rows, message", [
+        (["1,a,0.5,1.0,0.3", "1,b,-0.5,2.0,0.4", "2,a,0.0,0.5,0.6", "2,b,1.0,1.0,0.4"],
+         "error: ValidationError: market '1': shares sum to 0.7"),
+        (["1,a,0.5,1.0,0.6", "1,b,-0.5,2.0,0.4", "2,a,0.0,0.5,1.0"],
+         "error: DimensionError: market '2' is missing choices ['b']"),
+        (["1,a,0." + "0" * 140_000 + "5,1.0,0.6", "1,b,-0.5,2.0,0.4",
+          "2,a,0.0,0.5,0.6", "2,b,1.0,1.0,0.4"],
+         "error: ParseError: row 2: field larger than field limit"),
+    ], ids=["share_sum", "missing_choice", "oversized_cell"])
+    def test_malformed_data_exits_1_and_writes_nothing(self, tmp_path, capsys, rows, message):
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(["market,choice,x1,x2,share", *rows, ""]))
+        out = tmp_path / "e"
+        code = run("estimate", "--data", str(data), "--k", "2", "--replications", "1",
+                   "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
     def test_sqrt_sparsity_accepted(self, tmp_path):
         csv_path = simulate_small(tmp_path / "sim")
         out = tmp_path / "est"

@@ -1,4 +1,4 @@
-"""Dataset construction, CSV round-trips and outside options."""
+"""Dataset construction, CSV loading and round-trips."""
 
 import csv
 import json
@@ -18,15 +18,12 @@ from hypothesis import strategies as st
 
 import rpchoice
 from rpchoice import (
-    CsvSchema,
     Dataset,
     DimensionError,
-    InfeasibleError,
     Market,
     ParseError,
     SimConfig,
     ValidationError,
-    build_outside_option,
     enumerate_cycles,
     estimate_polar_grid,
     exact_unit_sum,
@@ -175,7 +172,7 @@ class TestMarket:
         assert m.shares[1] == 0.0
 
     def test_allows_sum_below_one(self):
-        # outside option not represented as a row
+        # only the CSV layout requires a sum of exactly 1
         m = Market(np.zeros((2, 1)), np.array([0.2, 0.3]))
         assert math.fsum(m.shares.tolist()) == pytest.approx(0.5)
 
@@ -264,29 +261,37 @@ class TestLoadCsv:
         """A covariate or share cell loads exactly when float() accepts it, as
         float()'s value bit for bit (-0.0 included). A cell float() rejects is
         a ParseError naming the row and column; a non-finite value, or a share
-        outside [0, 1], is a ValidationError."""
-        rows = [["a", "1", "0.5", "0.0"], ["a", "2", "0.5", "0.0"],
+        outside [0, 1], is a ValidationError. The share cell's market holds
+        its complement, clipped to [0, 1], in the other row, so the market of
+        an in-range share sums to 1 within SHARE_SUM_TOL."""
+        rows = [["a", "1", "0.5", "1.0"], ["a", "2", "0.5", "0.0"],
                 ["b", "1", "0.5", "0.5"], ["b", "2", "0.5", "0.5"]]
-        rows[0][2 if column == "x1" else 3] = cell
+        if column == "x1":
+            rows[0][2] = cell
+        else:
+            rows[0][3] = cell
+            try:
+                rows[1][3] = repr(min(max(1.0 - float(cell), 0.0), 1.0))
+            except ValueError:
+                pass
         path = str(tmp_path_factory.mktemp("cell") / "d.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["market", "choice", "x1", "share"])
             writer.writerows(rows)
-        schema = CsvSchema(has_outside=True)
         try:
             expected = float(cell)
         except ValueError:
             line = 2 + cell.count("\n")  # the header, then the cell's own line breaks
             with pytest.raises(ParseError, match=f"row {line}: .* in column '{column}'"):
-                load_csv(path, schema)
+                load_csv(path)
             return
-        in_range = column == "x1" or 0.0 <= expected <= 1.0 + SHARE_SUM_TOL
+        in_range = column == "x1" or 0.0 <= expected and expected - 1.0 <= SHARE_SUM_TOL
         if not (math.isfinite(expected) and in_range):
             with pytest.raises(ValidationError):
-                load_csv(path, schema)
+                load_csv(path)
             return
-        market = load_csv(path, schema).markets[0]
+        market = load_csv(path).markets[0]
         got = market.covariates[0, 0] if column == "x1" else market.shares[0]
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
@@ -326,15 +331,10 @@ class TestLoadCsv:
         assert got.covariate_stack().tobytes() == expected.covariate_stack().tobytes()
         assert got.share_stack().tobytes() == expected.share_stack().tobytes()
 
-    def test_missing_rows_require_flag(self, tmp_path):
+    def test_missing_choice_names_the_market(self, tmp_path):
         text = BASIC_CSV.replace("2,c,-0.5,0.25,0.3\n", "")
-        path = _write(tmp_path / "d.csv", text)
-        with pytest.raises(DimensionError, match="missing choices"):
-            load_csv(path)
-        data = load_csv(path, CsvSchema(fill_missing=True, has_outside=True))
-        assert data.d == 3
-        assert data.markets[1].shares[2] == 0.0
-        assert np.all(data.markets[1].covariates[2] == 0.0)
+        with pytest.raises(DimensionError, match=r"^market '2' is missing choices \['c'\]$"):
+            load_csv(_write(tmp_path / "d.csv", text))
 
     def test_numeric_id_ordering(self, tmp_path):
         # market "10" must come after "2", not between "1" and "2"
@@ -369,68 +369,24 @@ class TestLoadCsv:
         }
         assert outputs == {"('1', '1.0') [[[0.5], [1.5]], [[0.0], [1.0]]]\n"}
 
-    def test_quantity_mode(self, tmp_path):
-        side = _write(tmp_path / "cust.csv", "market,custcount\nm1,100\nm2,100\n")
-        text = (
-            "market,choice,x1,quantity\n"
-            "m1,a,0.5,30\nm1,b,1.0,10\n"
-            "m2,a,0.25,50\nm2,b,0.5,25\n"
-        )
-        data = load_csv(
-            _write(tmp_path / "q.csv", text),
-            CsvSchema(quantity="quantity", custcount_path=side),
-        )
-        assert data.d == 3  # outside row appended
-        assert data.choice_ids[-1] == "outside"
-        np.testing.assert_allclose(data.markets[0].shares, [0.30, 0.10, 0.60])
-        np.testing.assert_allclose(data.markets[1].shares, [0.50, 0.25, 0.25])
-        assert np.all(data.markets[0].covariates[-1] == 0.0)
-
-    @pytest.mark.parametrize("quantity, custcount, message", [
-        ("-20", "100", "market 'm1': quantities must be finite and nonnegative"),
-        ("20", "0", "market 'm1': custcount must be positive, got 0.0"),
-    ], ids=["negative_quantity", "zero_custcount"])
-    def test_quantity_mode_errors_name_the_market(self, tmp_path, quantity, custcount, message):
-        text = (f"market,choice,x1,quantity\nm1,a,0.5,10\nm1,b,1.0,{quantity}\n"
-                "m2,a,0.25,5\nm2,b,0.5,5\n")
-        side = _write(tmp_path / "c.csv", f"market,custcount\nm1,{custcount}\nm2,100\n")
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            load_csv(_write(tmp_path / "q.csv", text),
-                     CsvSchema(quantity="quantity", custcount_path=side))
-
-    @pytest.mark.parametrize("sidecar, error, match", [
-        ("market,custcount\nm1,100\nm2,100\nm1,40\n", ValidationError,
-         "row 4: repeated custcount entry for market 'm1'"),
-        ("market,custcount\nm1,100,7\nm2,100\n", ParseError, "row 2: 3 cells, header has 2"),
-        ("market,custcount\nm1,100\nm2\n", ParseError, "row 3: 1 cells, header has 2"),
-        ("market,custcount,custcount\nm1,100,40\nm2,100,40\n", ParseError,
-         "repeats column.*'custcount'"),
-    ], ids=["repeated_market", "long_row", "short_row", "repeated_column"])
-    def test_custcount_sidecar_checked_like_main_file(self, tmp_path, sidecar, error, match):
-        text = "market,choice,x1,quantity\nm1,a,0.5,10\nm1,b,1.0,20\nm2,a,0.25,5\nm2,b,0.5,5\n"
-        schema = CsvSchema(quantity="quantity", custcount_path=_write(tmp_path / "c.csv", sidecar))
-        with pytest.raises(error, match=match):
-            load_csv(_write(tmp_path / "q.csv", text), schema)
-
 
 class TestBulkRoute:
     """load_csv reads a file in one np.loadtxt pass and leaves every file it
     cannot vouch for to the row loop, the reference."""
 
     @settings(max_examples=500, deadline=None)
-    @given(text=_csv_files(), schema=st.sampled_from(
-        [CsvSchema(), CsvSchema(fill_missing=True, has_outside=True)]))
-    def test_bulk_route_matches_the_row_loop(self, tmp_path_factory, text, schema):
+    @given(text=_csv_files())
+    def test_bulk_route_matches_the_row_loop(self, tmp_path_factory, text):
         path = str(tmp_path_factory.mktemp("bulk") / "d.csv")
         with open(path, "w", newline="") as fh:
             fh.write(text)
         with mock.patch.object(data_module, "_table_in_bulk", return_value=None):
-            expected = _outcome(lambda: load_csv(path, schema))
-        assert _outcome(lambda: load_csv(path, schema)) == expected
+            expected = _outcome(lambda: load_csv(path))
+        assert _outcome(lambda: load_csv(path)) == expected
 
-        bulk = _table_in_bulk(path, "share")
+        bulk = _table_in_bulk(path)
         if bulk is not None:
-            names, market_ids, choice_ids, table, present = _table_by_rows(path, "share")
+            names, market_ids, choice_ids, table, present = _table_by_rows(path)
             assert (bulk[0], bulk[1], bulk[2]) == (names, market_ids, choice_ids)
             assert bulk[3].tobytes() == table.tobytes()
             assert np.array_equal(bulk[4], present)
@@ -481,7 +437,7 @@ class TestBulkRoute:
             return _table_by_rows(*args)
 
         monkeypatch.setattr(data_module, "_table_by_rows", counting)
-        _outcome(lambda: load_csv(path, CsvSchema(has_outside=True)))
+        _outcome(lambda: load_csv(path))
         assert len(calls) == 1
 
     def test_undecodable_byte_is_reported_by_the_row_loop(self, tmp_path):
@@ -497,11 +453,12 @@ class TestBulkRoute:
         assert _outcome(lambda: load_csv(str(path))) == expected
 
     def test_line_near_the_csv_field_limit_takes_the_row_loop(self, tmp_path):
-        """csv refuses a cell over its field size limit; so does load_csv."""
+        """csv refuses a cell over its field size limit; load_csv reports it
+        as a ParseError naming the row."""
         path = _write(tmp_path / "d.csv", BASIC_CSV.replace("0.5,1.0", "0." + "0" * 60 + "5,1.0"))
         limit = csv.field_size_limit(40)
         try:
-            with pytest.raises(csv.Error, match="field larger than field limit"):
+            with pytest.raises(ParseError, match="^row 2: field larger than field limit"):
                 load_csv(path)
         finally:
             csv.field_size_limit(limit)
@@ -514,12 +471,12 @@ class TestBulkRoute:
         rng = np.random.default_rng(0)
         n, d = 30, 5000
         covariates = rng.standard_normal((n, d, 2))
-        shares = rng.dirichlet(np.ones(d), size=n) / 2
+        shares = rng.dirichlet(np.ones(d), size=n)
         path = str(tmp_path / "d.csv")
         write_csv(Dataset(tuple(map(Market, covariates, shares))), path)
         tracemalloc.start()
         try:
-            load_csv(path, CsvSchema(has_outside=True))
+            load_csv(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -564,6 +521,14 @@ class TestRoundTrip:
             write_csv(Dataset(_two_markets(), market_ids=("a\x00", "b")), str(path))
         assert not path.exists()
 
+    def test_write_refuses_shares_that_do_not_sum_to_one(self, tmp_path):
+        """load_csv requires each market to sum to 1, so write_csv does too."""
+        path = tmp_path / "d.csv"
+        half = Market(np.zeros((2, 1)), np.array([0.25, 0.25]))
+        with pytest.raises(ValidationError, match=r"^market 'b': shares sum to 0\.5, expected 1$"):
+            write_csv(Dataset((_two_markets()[0], half), market_ids=("a", "b")), str(path))
+        assert not path.exists()
+
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.integers(2, 3),
@@ -574,14 +539,18 @@ class TestRoundTrip:
             min_size=8, max_size=8,
         ),
         values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=18, max_size=18),
-        shares=st.lists(st.floats(0.0, 1.0 / 3.0), min_size=9, max_size=9),
+        shares=st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9),
     )
     def test_every_written_dataset_loads_back_bit_exact(self, tmp_path_factory, n, d, b, labels,
                                                         values, shares):
         """Whatever Dataset and write_csv accept, load_csv reads back: the same
-        ids and names, and bit-identical values for every (market, choice)."""
+        ids and names, and bit-identical values for every (market, choice).
+        Each market's shares are drawn to sum to 1 through exact_unit_sum."""
         cov = np.array(values[: n * d * b]).reshape(n, d, b)
         sh = np.array(shares[: n * d]).reshape(n, d)
+        if d:
+            sh[sh.sum(axis=1) == 0] = 1.0  # an all-zero market becomes uniform
+            sh = np.array([exact_unit_sum(row / row.sum()) for row in sh])
         try:
             data = Dataset(tuple(Market(cov[i], sh[i]) for i in range(n)),
                            covariate_names=labels[:b], market_ids=labels[2:2 + n],
@@ -593,7 +562,7 @@ class TestRoundTrip:
             write_csv(data, path)
         except ValidationError:
             return
-        back = load_csv(path, CsvSchema(has_outside=True))
+        back = load_csv(path)
         assert back.covariate_names == data.covariate_names
         assert sorted(back.market_ids) == sorted(data.market_ids)
         assert sorted(back.choice_ids) == sorted(data.choice_ids)
@@ -611,40 +580,6 @@ class TestRoundTrip:
         meta = json.loads(path.read_text())
         assert meta == {"schema_version": 1, "n": 3, "d": 4, "b": 2,
                         "covariate_names": ["x1", "x2"]}
-
-
-class TestOutsideOption:
-    def test_all_zero_quantities(self):
-        shares = build_outside_option(np.zeros(3), 100.0)
-        assert shares[-1] == 1.0
-        assert shares.sum() == 1.0
-
-    def test_exhausted_market(self):
-        shares = build_outside_option(np.array([60.0, 40.0]), 100.0)
-        assert shares[-1] == 0.0
-        assert math.fsum(shares.tolist()) == 1.0
-
-    def test_arithmetic(self):
-        np.testing.assert_allclose(
-            build_outside_option(np.array([50.0, 25.0]), 100.0), [0.5, 0.25, 0.25]
-        )
-
-    def test_infeasible(self):
-        with pytest.raises(InfeasibleError):
-            build_outside_option(np.array([80.0, 40.0]), 100.0)
-
-    @given(
-        st.lists(st.floats(0.0, 1e6), min_size=1, max_size=40),
-        st.floats(1.0, 1e7),
-    )
-    @settings(max_examples=200)
-    def test_exact_sum_property(self, quantities, custcount):
-        q = np.array(quantities)
-        if math.fsum(quantities) > custcount:
-            return
-        shares = build_outside_option(q, custcount)
-        assert math.fsum(shares.tolist()) == 1.0
-        assert (shares >= 0.0).all()
 
 
 class TestRescaling:
