@@ -175,7 +175,12 @@ SHARE_COLUMN = "share"
 
 
 def _require_unit_sum(market_id: str, shares: np.ndarray) -> None:
-    """The layout's share rule: math.fsum(shares) is 1 within SHARE_SUM_TOL."""
+    """The layout's share rule: math.fsum(shares) is 1 within SHARE_SUM_TOL.
+
+    Finiteness is checked first: fsum raises its own ValueError on inf and
+    -inf together, and a NaN total would pass the tolerance test."""
+    if not np.isfinite(shares).all():
+        raise ValidationError(f"market {market_id!r}: shares contain non-finite values")
     total = math.fsum(shares.tolist())
     if abs(total - 1.0) > SHARE_SUM_TOL:
         raise ValidationError(f"market {market_id!r}: shares sum to {total!r}, expected 1")

@@ -9,8 +9,9 @@ With more covariates, an active-set iteration does the minimizing over the
 sphere: it fixes the set of violated cycles, under which the criterion is a
 quadratic form, and jumps to that form's smallest eigenvector, repeating
 while the criterion strictly drops. One replication driver, `_replicate`,
-repeats seed -> projection -> compression -> estimation over independent
-draws for both the circle and the sphere summaries.
+repeats seed -> compression -> estimation over independent draws for both
+the circle and the sphere summaries, splitting the data once per run
+(`projection.ExactSplit`) and never building a projection matrix.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .criterion import (
 )
 from .data import Dataset
 from .errors import PACKAGE_ERRORS, DimensionError, NumericalError, ParameterError
-from .projection import ProjectionSpec, apply, generate, resolve_sparsity
+from .projection import ExactSplit, ProjectionSpec, compress, resolve_sparsity
 
 TWO_PI = 2.0 * math.pi
 
@@ -403,12 +404,12 @@ class ReplicationSummary:
         }
 
 
-def _compress(data, k: int, s: float, master_seed: int, *key: int):
-    """Compress `data` with the projection drawn from seed path (master_seed, key)."""
+def _compress(split: ExactSplit, k: int, s: float, master_seed: int, *key: int):
+    """Compress `split.data` with the projection drawn from seed path (master_seed, key)."""
     spec = ProjectionSpec(
-        k=k, d=data.d, s=s, seed=derive_seed(master_seed, STREAM_PROJECTION, *key)
+        k=k, d=split.data.d, s=s, seed=derive_seed(master_seed, STREAM_PROJECTION, *key)
     )
-    return apply(generate(spec), data)
+    return compress(spec, split)
 
 
 def _check_replications(data, k: int, s, replications: int, threads: int) -> float:
@@ -427,15 +428,18 @@ def _replicate(data, k: int, s: float, replications: int, master_seed: int, thre
                solve) -> list:
     """Run solve(r, compressed) for r = 0 .. R-1 on a pool of `threads` threads.
 
-    Replication r's projection is seeded from (master_seed, r) alone, so
-    results are identical whatever the thread count. Returns, in order,
+    Replication r's projection is seeded from (master_seed, r) alone, and
+    `compress` gives the same bits at any BLAS thread count, so results are
+    identical whatever either thread count. The data are split once, for
+    every replication. Returns, in order,
     (result, None), or (None, "Type: message") when the replication raised
     one of the package's errors or a LinAlgError; anything else propagates.
     """
+    split = ExactSplit(data)
 
     def one(r: int):
         try:
-            return solve(r, _compress(data, k, s, master_seed, r)), None
+            return solve(r, _compress(split, k, s, master_seed, r)), None
         except _REPLICATION_ERRORS as exc:
             return None, f"{type(exc).__name__}: {exc}"
 
@@ -628,10 +632,11 @@ def convergence_diagnostic(
     thetas = np.arange(_DIAGNOSTIC_GRID) * (TWO_PI / _DIAGNOSTIC_GRID)
     base = CircleProfile(CriterionEvaluator(data, cycles).D).values(thetas) / m
 
+    split = ExactSplit(data)
     gaps = np.empty((len(k_values), draws))
     for ki, k in enumerate(k_values):
         for draw in range(draws):
-            compressed = _compress(data, k, s_resolved, master_seed, ki, draw)
+            compressed = _compress(split, k, s_resolved, master_seed, ki, draw)
             projected = CircleProfile(CriterionEvaluator(compressed, cycles).D).values(thetas) / m
             gaps[ki, draw] = float(np.abs(projected - base).max())
 

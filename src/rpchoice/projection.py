@@ -10,6 +10,20 @@ so E[||R u - R v||^2] = ||u - v||^2 for any fixed u, v, with variance
 
 s = 1 gives dense +/-1 entries, s = 3 matches the variance a Gaussian matrix
 would give, and s = sqrt(d) touches only a ~1/sqrt(d) fraction of cells.
+
+`generate` realizes R as a CSC matrix and `apply` multiplies a dataset by it.
+The estimator only ever needs the product R T, where T is the (d, n (b+1))
+block of covariates and shares, so the replications go through `compress`
+instead. It draws the same uniforms from the same stream in row blocks of R,
+thresholds each block into a +/-1/0 float block and multiplies it by T, so no
+k x d matrix is ever built. T is taken once per run (`ExactSplit`) and split
+without error (Ozaki, Ogita, Oishi & Rump, "Error-free transformations of
+matrix multiplication", Numer. Algorithms 59, 2012) into a few slices whose
+products with a sign block are exact in float64. No BLAS thread count,
+blocking or kernel can then change a bit of the result, which is the slices'
+products added in a fixed order and scaled by sqrt(s/k) once. The CSC route
+stays where it wins or where the split does not fit: when 1/s <= 0.05, and
+when T needs more than _MAX_SLICES slices.
 """
 
 from __future__ import annotations
@@ -17,7 +31,7 @@ from __future__ import annotations
 import copy
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse as _sparse
@@ -37,7 +51,14 @@ _PRESET_NAMES = {
 }
 
 _JL_MIN_DRAWS = 1000
+# at or below this nonzero probability the sparse routes (CSC generation,
+# skip-sampling) beat drawing every cell
 _SPARSE_SAMPLER_MAX_PROB = 0.05
+# most slices of an error-free split; a block that needs more takes the CSC route
+_MAX_SLICES = 4
+# bytes of uniforms per row block of `compress`: a block holds
+# _BLOCK_BYTES / (8 d) rows, so its memory does not grow with k or d
+_BLOCK_BYTES = 1 << 22
 
 
 def resolve_sparsity(value, d: int) -> float:
@@ -221,6 +242,19 @@ class CompressedDataset:
         return self.shares
 
 
+def _tall_block(data: Dataset) -> np.ndarray:
+    """Covariates and shares of all markets as one (d, n (b+1)) block: column
+    i (b+1) + m holds market i's covariate m, column i (b+1) + b its shares."""
+    block = np.concatenate([data.covariate_stack(), data.share_stack()[:, :, None]], axis=2)
+    return block.transpose(1, 0, 2).reshape(data.d, -1)
+
+
+def _unstack(product: np.ndarray, data: Dataset, spec: ProjectionSpec) -> CompressedDataset:
+    """The (k, n (b+1)) product R T as a CompressedDataset."""
+    out = product.reshape(spec.k, data.n, data.b + 1).transpose(1, 0, 2)
+    return CompressedDataset(covariates=out[:, :, :data.b], shares=out[:, :, data.b], spec=spec)
+
+
 def apply(projection: SparseProjection, data: Dataset) -> CompressedDataset:
     """Compress every market with the same realized matrix.
 
@@ -234,17 +268,98 @@ def apply(projection: SparseProjection, data: Dataset) -> CompressedDataset:
         raise DimensionError(
             f"projection expects d={projection.spec.d}, dataset has d={data.d}"
         )
-    b = data.b
-    block = np.concatenate(
-        [data.covariate_stack(), data.share_stack()[:, :, None]], axis=2
-    )  # (n, d, b+1)
-    out = projection.apply_to(block.transpose(1, 0, 2).reshape(data.d, -1))
-    out = out.reshape(projection.spec.k, data.n, b + 1).transpose(1, 0, 2)
-    return CompressedDataset(
-        covariates=out[:, :, :b],
-        shares=out[:, :, b],
-        spec=projection.spec,
-    )
+    return _unstack(projection.apply_to(_tall_block(data)), data, projection.spec)
+
+
+def _error_free_slices(block: np.ndarray) -> np.ndarray | None:
+    """Slices T_0, T_1, ... with T_0 + T_1 + ... = T exactly, side by side as
+    one (d, count * c) array, or None when T needs more than _MAX_SLICES.
+
+    In column j, slice i holds integer multiples of u_ij = 2^(e_j - beta (i+1)),
+    where 2^e_j is the smallest power of two at or above max |T_j| and
+    beta = 52 - ceil(log2 d); each multiple is at most 2^beta u_ij in size.
+    A +/-1/0 row times a slice column then sums d such multiples, at most
+    2^52 u_ij in total, so every partial sum is exact in float64, in any
+    order. Each slice takes round(rest / u_ij) u_ij of what is left, which is
+    exact too (u_ij is a power of two); slices are added until the rest is 0.
+    """
+    d = block.shape[0]
+    beta = 52 - (d - 1).bit_length()
+    mantissa, exponent = np.frexp(np.abs(block).max(axis=0))
+    exponent -= mantissa == 0.5  # a power of two is its own bound
+    rest = block.copy()
+    slices = []
+    while len(slices) < _MAX_SLICES:
+        # below 2^-1074 no float is left to split off: that unit takes the rest
+        unit = np.ldexp(1.0, np.maximum(exponent - beta * (len(slices) + 1), -1074))
+        piece = np.round(rest / unit) * unit
+        rest -= piece
+        slices.append(piece)
+        if not rest.any():
+            return np.concatenate(slices, axis=1)
+    return None
+
+
+@dataclass(frozen=True)
+class ExactSplit:
+    """A dataset's (d, n (b+1)) block T and its error-free slices, taken once
+    per run and read, never written, by every replication's `compress`.
+
+    `slices` is None when T needs more than _MAX_SLICES slices.
+    """
+
+    data: Dataset
+    block: np.ndarray = field(init=False, repr=False)
+    slices: np.ndarray | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        block = _readonly(_tall_block(self.data))
+        slices = _error_free_slices(block)
+        if slices is not None:
+            slices.setflags(write=False)
+        object.__setattr__(self, "block", block)
+        object.__setattr__(self, "slices", slices)
+
+    @property
+    def count(self) -> int:
+        """Number of slices; 0 when the split does not fit."""
+        return 0 if self.slices is None else self.slices.shape[1] // self.block.shape[1]
+
+
+def compress(spec: ProjectionSpec, split: ExactSplit) -> CompressedDataset:
+    """apply(generate(spec), split.data) without building the matrix.
+
+    R is drawn in row blocks from the stream `generate` reads, so the cells
+    are the same. Each block of +/-1/0 signs is multiplied by all slices of
+    the split in one product, whose entries are exact; the slices' products
+    are added in slice order and the sum is scaled by sqrt(s/k) once. The
+    result therefore depends on the spec and the data alone, not on the BLAS
+    thread count or the block height; it differs from the CSC product by
+    rounding only (about 5e-15 relative at d = 5000). When 1/s <= 0.05, or
+    the split does not fit, the CSC route runs and its result is returned.
+    """
+    data = split.data
+    if spec.d != data.d:
+        raise DimensionError(f"projection expects d={spec.d}, dataset has d={data.d}")
+    if split.slices is None or spec.nonzero_prob <= _SPARSE_SAMPLER_MAX_PROB:
+        return _unstack(generate(spec).apply_to(split.block), data, spec)
+    c, count = split.block.shape[1], split.count
+    rows = max(1, min(spec.k, _BLOCK_BYTES // (8 * spec.d)))
+    rng = np.random.default_rng(np.random.SeedSequence(int(spec.seed)))
+    uniforms, signs = np.empty((2, rows, spec.d))
+    plus, minus = np.empty((2, rows, spec.d), dtype=bool)
+    out = np.empty((spec.k, c))
+    for first in range(0, spec.k, rows):
+        h = min(rows, spec.k - first)
+        _sign_masks(rng.random(out=uniforms[:h]), spec.s, plus[:h], minus[:h])
+        np.subtract(plus[:h], minus[:h], out=signs[:h], dtype=np.float64)
+        products = (signs[:h] @ split.slices).reshape(h, count, c)
+        total = out[first : first + h]
+        np.copyto(total, products[:, 0])
+        for i in range(1, count):
+            total += products[:, i]
+    out *= spec.scale
+    return _unstack(out, data, spec)
 
 
 def predicted_distance_variance(w: np.ndarray, s: float, k: int) -> float:

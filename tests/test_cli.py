@@ -179,7 +179,9 @@ class TestEstimate:
         (["1,a,0." + "0" * 140_000 + "5,1.0,0.6", "1,b,-0.5,2.0,0.4",
           "2,a,0.0,0.5,0.6", "2,b,1.0,1.0,0.4"],
          "error: ParseError: row 2: field larger than field limit"),
-    ], ids=["share_sum", "missing_choice", "oversized_cell"])
+        (["1,a,0.5,1.0,inf", "1,b,-0.5,2.0,-inf", "2,a,0.0,0.5,0.6", "2,b,1.0,1.0,0.4"],
+         "error: ValidationError: market '1': shares contain non-finite values"),
+    ], ids=["share_sum", "missing_choice", "oversized_cell", "opposite_infinities"])
     def test_malformed_data_exits_1_and_writes_nothing(self, tmp_path, capsys, rows, message):
         data = tmp_path / "d.csv"
         data.write_text("\n".join(["market,choice,x1,x2,share", *rows, ""]))
@@ -216,11 +218,11 @@ class TestEstimate:
 
     def test_all_failed_writes_strict_json_and_exits_1(self, tmp_path, monkeypatch,
                                                         capsys):
-        def broken_generate(spec):
+        def broken_compress(spec, split):
             raise NumericalError("injected")
 
         csv_path = simulate_small(tmp_path / "sim")
-        monkeypatch.setattr("rpchoice.estimate.generate", broken_generate)
+        monkeypatch.setattr("rpchoice.estimate.compress", broken_compress)
         out = tmp_path / "est"
         code = run("estimate", "--data", csv_path, "--k", "4", "--replications", "2",
                    "--grid", "128", "--refine", "1", "--threads", "1",

@@ -233,6 +233,14 @@ class TestLoadCsv:
         with pytest.raises(ValidationError, match="'2'"):
             load_csv(_write(tmp_path / "d.csv", text))
 
+    def test_opposite_infinite_shares_name_the_market(self, tmp_path):
+        # math.fsum raises its own ValueError on inf and -inf together
+        text = BASIC_CSV.replace("1,a,0.5,1.0,0.2", "1,a,0.5,1.0,inf").replace(
+            "1,b,-0.25,2.0,0.3", "1,b,-0.25,2.0,-inf")
+        with pytest.raises(ValidationError,
+                           match="^market '1': shares contain non-finite values$"):
+            load_csv(_write(tmp_path / "d.csv", text))
+
     def test_malformed_cell_reports_row(self, tmp_path):
         text = BASIC_CSV.replace("1,b,-0.25,2.0,0.3", "1,b,oops,2.0,0.3")
         with pytest.raises(Exception, match="row 3"):

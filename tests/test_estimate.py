@@ -36,6 +36,7 @@ from rpchoice import (
     write_grid_csv,
 )
 from rpchoice._seeds import STREAM_PROJECTION, STREAM_RESTARTS, derive_rng, derive_seed
+from rpchoice.projection import ExactSplit, compress
 from rpchoice.estimate import (
     TWO_PI,
     ReplicationRecord,
@@ -458,14 +459,14 @@ class TestReplications:
 
 class TestReplicationDriver:
     """The shared replication driver against an inline serial loop: seed from
-    (master_seed, STREAM_PROJECTION, r), generate, apply, then the circle
-    sweep or the sphere solver; results must be bit-equal."""
+    (master_seed, STREAM_PROJECTION, r), compress, then the circle sweep or
+    the sphere solver; results must be bit-equal."""
 
     @staticmethod
     def _serial_compress(data, master_seed, r, k=8):
         spec = ProjectionSpec(k=k, d=data.d, s=1.0,
                               seed=derive_seed(master_seed, STREAM_PROJECTION, r))
-        return apply(generate(spec), data)
+        return compress(spec, ExactSplit(data))
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_intervals_bit_equal_to_serial_loop(self, small_mc_dataset, threads):
@@ -512,7 +513,7 @@ class TestReplicationDriver:
         thetas = np.arange(1024) * (TWO_PI / 1024)
         spec = ProjectionSpec(k=8, d=40, s=1.0,
                               seed=derive_seed(3, STREAM_PROJECTION, 1, 1))
-        compressed = apply(generate(spec), small_mc_dataset)
+        compressed = compress(spec, ExactSplit(small_mc_dataset))
         base, projected = (
             CircleProfile(CriterionEvaluator(data, cycles).D).values(thetas) / len(cycles)
             for data in (small_mc_dataset, compressed)
@@ -533,15 +534,15 @@ class TestReplicationFailures:
     propagates, whatever the thread count."""
 
     @staticmethod
-    def _broken_generate(exc):
-        def generate(spec):
+    def _broken_compress(exc):
+        def compress(spec, split):
             raise exc
-        return generate
+        return compress
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_package_error_is_recorded(self, small_mc_dataset, monkeypatch, threads):
-        monkeypatch.setattr("rpchoice.estimate.generate",
-                            self._broken_generate(NumericalError("injected")))
+        monkeypatch.setattr("rpchoice.estimate.compress",
+                            self._broken_compress(NumericalError("injected")))
         summary = run_replications(small_mc_dataset, k=8, s=1.0, replications=2,
                                    master_seed=5, grid_size=64, threads=threads)
         assert summary.failures == 2
@@ -556,8 +557,8 @@ class TestReplicationFailures:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_programming_error_propagates(self, small_mc_dataset, monkeypatch, threads):
-        monkeypatch.setattr("rpchoice.estimate.generate",
-                            self._broken_generate(TypeError("injected")))
+        monkeypatch.setattr("rpchoice.estimate.compress",
+                            self._broken_compress(TypeError("injected")))
         with pytest.raises(TypeError, match="injected"):
             run_replications(small_mc_dataset, k=8, s=1.0, replications=2,
                              master_seed=5, grid_size=64, threads=threads)

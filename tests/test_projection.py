@@ -15,7 +15,9 @@ from scipy import sparse
 
 import rpchoice
 from rpchoice import (
+    Dataset,
     DimensionError,
+    Market,
     ParameterError,
     ProjectionSpec,
     SparseProjection,
@@ -28,7 +30,8 @@ from rpchoice import (
     resolve_sparsity,
 )
 from rpchoice._seeds import STREAM_DIAGNOSTIC, seed_sequence
-from rpchoice.projection import _dots_dense, _sign_masks
+from rpchoice import projection as projection_module
+from rpchoice.projection import ExactSplit, _dots_dense, _sign_masks, _tall_block, compress
 
 
 class TestSpec:
@@ -232,6 +235,145 @@ class TestApply:
         proj = generate(ProjectionSpec(k=10, d=50, s=1.0, seed=10))
         compressed = apply(proj, data)
         assert (compressed.shares < 0).any()
+
+
+def _panel(covariates, shares) -> Dataset:
+    return Dataset(tuple(Market(c, s) for c, s in zip(covariates, shares)))
+
+
+def _split_input(kind: str) -> Dataset:
+    """Three markets, d = 64, b = 2, built to need a known number of slices
+    (beta = 46 bits per slice at d = 64); normal covariates and Dirichlet
+    shares need two."""
+    rng = np.random.default_rng(21)
+    cov = rng.standard_normal((3, 64, 2))
+    shares = rng.dirichlet(np.ones(64), size=3)
+    if kind == "one_slice":  # small integers and multiples of 1/256
+        cov = rng.integers(-3, 4, size=(3, 64, 2)).astype(float)
+        shares = rng.integers(0, 4, size=(3, 64)) / 256.0
+    elif kind == "three_slices":  # a full mantissa 2^-60 below its column's peak
+        cov[1, 5, 0] = 1e-18
+    elif kind == "zero_column":
+        cov[0, :, 1] = 0.0
+    elif kind == "beyond_the_cap":  # 2^-330 below its column's peak
+        cov[2, 7, 1] = 1e-100
+    return _panel(cov, shares)
+
+
+class TestCompress:
+    """The fused route against `apply(generate(spec), data)`, its reference.
+
+    The reference rounds a sum of d terms, so it is within
+    d * 2^-53 * (|R| @ |T|) of R T; the fused route adds at most four exact
+    slice products and scales once. Their difference is therefore held to
+    2 (d + 8) 2^-53 times |R| @ |T|, entry by entry."""
+
+    @staticmethod
+    def _both(spec, data):
+        return compress(spec, ExactSplit(data)), apply(generate(spec), data)
+
+    @staticmethod
+    def _stacked(compressed):
+        return np.concatenate([compressed.covariates, compressed.shares[:, :, None]], axis=2)
+
+    @pytest.mark.parametrize("kind, count", [("one_slice", 1), ("two_slices", 2),
+                                             ("three_slices", 3), ("zero_column", 2)])
+    @pytest.mark.parametrize("s", [1.0, 3.0])
+    def test_matches_the_csc_product(self, kind, count, s):
+        data = _split_input(kind)
+        assert ExactSplit(data).count == count
+        spec = ProjectionSpec(k=16, d=64, s=s, seed=8)
+        fused, csc = self._both(spec, data)
+        assert fused.spec == spec
+        proj = generate(spec)
+        magnitude = (abs(proj.matrix) @ np.abs(_tall_block(data))).reshape(16, 3, 3)
+        bound = 2 * (spec.d + 8) * 2.0 ** -53 * magnitude.transpose(1, 0, 2)
+        diff = np.abs(self._stacked(fused) - self._stacked(csc))
+        assert (diff <= bound).all()
+        if kind == "zero_column":
+            assert not fused.covariates[0, :, 1].any()
+
+    def test_split_adds_up_exactly(self):
+        for kind in ("one_slice", "two_slices", "three_slices", "zero_column"):
+            split = ExactSplit(_split_input(kind))
+            c = split.block.shape[1]
+            total = np.zeros_like(split.block)
+            for i in range(split.count):
+                total += split.slices[:, i * c:(i + 1) * c]
+            assert total.tobytes() == split.block.tobytes()
+            assert not split.block.flags.writeable and not split.slices.flags.writeable
+
+    @pytest.mark.parametrize("s", [1.0, 3.0])
+    def test_beyond_the_cap_returns_the_csc_bits(self, s):
+        spec = ProjectionSpec(k=16, d=64, s=s, seed=8)
+        data = _split_input("beyond_the_cap")
+        assert ExactSplit(data).slices is None
+        fused, csc = self._both(spec, data)
+        assert self._stacked(fused).tobytes() == self._stacked(csc).tobytes()
+
+    def test_sqrt_d_returns_the_csc_bits(self):
+        data = logit_oracle_dataset(4, 900, 2, np.array([0.6, 0.8]), seed=3)
+        spec = ProjectionSpec(k=30, d=900, s=resolve_sparsity("sqrt", 900), seed=4)
+        assert spec.nonzero_prob <= projection_module._SPARSE_SAMPLER_MAX_PROB
+        fused, csc = self._both(spec, data)
+        assert self._stacked(fused).tobytes() == self._stacked(csc).tobytes()
+
+    def test_block_height_leaves_the_bits(self, monkeypatch):
+        data = logit_oracle_dataset(3, 200, 2, np.array([0.6, 0.8]), seed=5)
+        spec = ProjectionSpec(k=40, d=200, s=1.0, seed=6)
+        whole = compress(spec, ExactSplit(data))
+        monkeypatch.setattr(projection_module, "_BLOCK_BYTES", 3 * 8 * 200)  # 3 rows
+        blocked = compress(spec, ExactSplit(data))
+        assert self._stacked(whole).tobytes() == self._stacked(blocked).tobytes()
+
+    def test_dimension_mismatch(self):
+        split = ExactSplit(_split_input("two_slices"))
+        with pytest.raises(DimensionError):
+            compress(ProjectionSpec(k=4, d=65, s=1.0, seed=0), split)
+
+    def test_result_independent_of_blas_threads(self):
+        """On this design a plain `signs @ T` product rounds differently at
+        one and at two OpenBLAS threads; the split's products are exact, so
+        the output's hash must not change."""
+        script = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from rpchoice import ProjectionSpec, logit_oracle_dataset\n"
+            "from rpchoice.projection import ExactSplit, compress\n"
+            "data = logit_oracle_dataset(8, 1000, 2, np.array([0.6, 0.8]), seed=3)\n"
+            "out = compress(ProjectionSpec(k=50, d=1000, s=1.0, seed=7), ExactSplit(data))\n"
+            "print(hashlib.sha256(out.covariates.tobytes() + out.shares.tobytes()).hexdigest())"
+        )
+        src = str(Path(rpchoice.__file__).resolve().parents[1])
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                     "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert outputs[0] == outputs[1]
+
+    def test_peak_memory_is_one_row_block_plus_the_output(self):
+        """The CSC route's `generate` peaks at 52.6 MB on this shape; the fused
+        route holds one row block (uniforms, signs, two masks: 18 bytes a
+        cell) and a few copies of the (k, n (b+1)) output."""
+        data = logit_oracle_dataset(30, 5000, 2, np.array([0.6, 0.8]), seed=0)
+        split = ExactSplit(data)
+        spec = ProjectionSpec(k=500, d=5000, s=1.0, seed=1)
+        compress(spec, split)  # warm imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            compress(spec, split)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = projection_module._BLOCK_BYTES // (8 * spec.d)
+        output = 8 * spec.k * split.block.shape[1]
+        assert peak <= 18 * rows * spec.d + 4 * output
+        assert peak < 52.6e6 / 4
 
 
 class TestPredictedVariance:
