@@ -18,7 +18,8 @@ import os
 import time
 
 from rpchoice import SimConfig, run_replications, simulate_dataset
-from rpchoice.cli import PRESETS, available_cpus
+from rpchoice._seeds import available_cpus
+from rpchoice.cli import PRESETS
 from rpchoice.projection import resolve_sparsity
 
 DESK_PRESETS = ("d100k10", "d500k100")

@@ -2,10 +2,13 @@
 
 Every stochastic stage derives its generator from a master seed plus an
 integer path, via numpy's SeedSequence spawn keys. Replications therefore
-reproduce bit-identically regardless of execution order or worker count.
+reproduce bit-identically regardless of execution order or worker count,
+and the worker pools size themselves with available_cpus.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -32,3 +35,11 @@ def derive_seed(master_seed: int, *path: int) -> int:
     """Collapse a derived stream into a single 64-bit integer seed."""
     hi, lo = seed_sequence(master_seed, *path).generate_state(2, np.uint32)
     return (int(hi) << 32) | int(lo)
+
+
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has
+    one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1

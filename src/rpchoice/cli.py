@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from functools import partial
 
 from . import __version__
-from ._seeds import STREAM_COVARIATES, derive_rng
+from ._seeds import STREAM_COVARIATES, available_cpus, derive_rng
 from .data import load_csv, save_metadata, write_csv
 from .estimate import (
     run_coefficient_replications,
@@ -109,14 +109,6 @@ def _resolve_out(out: str | None, default_name: str) -> str:
     return path
 
 
-def available_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the OS has
-    one, else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _flag_text(value) -> str:
     if isinstance(value, (list, tuple)):
         return ",".join(str(item) for item in value)
@@ -130,9 +122,10 @@ def _run(body, parser: argparse.ArgumentParser, args) -> int:
     (resolved, artifacts, report, code): `resolved` maps flags to the values
     the run actually used, plus derived values such as s_resolved; `artifacts`
     maps a key to (file name, writer). A body may record the wall seconds of
-    its stages in `stages`, written as the manifest's stage_seconds. The
-    output directory is created only once the body has returned, so a run
-    that fails early leaves nothing behind.
+    its stages in `stages`; writing the artifacts is timed as `write`, and
+    all are written as the manifest's stage_seconds. The output directory is
+    created only once the body has returned, so a run that fails early
+    leaves nothing behind.
 
     The manifest's `params` and re-run `argv` come from the subcommand's own
     flags. `params` leaves out --seed (recorded on its own), --out and
@@ -145,8 +138,10 @@ def _run(body, parser: argparse.ArgumentParser, args) -> int:
     stages: dict[str, float] = {}
     resolved, artifacts, report, code = body(args, out_dir, stages)
     os.makedirs(out_dir, exist_ok=True)
+    t_write = time.monotonic()
     for name, write in artifacts.values():
         write(os.path.join(out_dir, name))
+    stages["write"] = time.monotonic() - t_write
 
     values = {**vars(args), **resolved}
     flags = [a for a in parser._actions if a.option_strings and a.dest != "help"]
@@ -166,9 +161,8 @@ def _run(body, parser: argparse.ArgumentParser, args) -> int:
         "artifacts": {key: name for key, (name, _) in artifacts.items()},
         "started_utc": started_utc,
         "elapsed_seconds": time.monotonic() - t0,
+        "stage_seconds": stages,
     }
-    if stages:
-        manifest["stage_seconds"] = stages
     _write_json(manifest, os.path.join(out_dir, "manifest.json"))
     print(report, file=sys.stderr if code else sys.stdout)
     return code
@@ -185,7 +179,9 @@ def cmd_simulate(args, out_dir, stages):
         mc_draws=args.mc_draws,
         seed=args.seed,
     )
+    t0 = time.monotonic()
     data = simulate_dataset(config)
+    stages["simulate"] = time.monotonic() - t0
     artifacts = {
         "dataset": ("dataset.csv", partial(write_csv, data)),
         "metadata": ("metadata.json", partial(save_metadata, data)),

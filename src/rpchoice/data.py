@@ -9,6 +9,7 @@ market lists every choice and each market's shares sum to 1.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -415,6 +416,23 @@ def load_csv(path: str) -> Dataset:
     )
 
 
+def _csv_cells(labels) -> list[str]:
+    """Each label as csv.writer writes it among the cells of a longer row:
+    quoted, by the writer's own rules, where it holds a comma, a quote or a
+    line break."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    tail = len(writer.dialect.delimiter + writer.dialect.lineterminator)
+    cells = []
+    for label in labels:
+        buf.seek(0)
+        buf.truncate()
+        # a second, empty cell: a row of one empty cell is written as "" alone
+        writer.writerow((label, ""))
+        cells.append(buf.getvalue()[:-tail])
+    return cells
+
+
 def write_csv(data: Dataset, path: str) -> None:
     """Write the dataset in the CSV layout that load_csv reads.
 
@@ -423,6 +441,9 @@ def write_csv(data: Dataset, path: str) -> None:
     share columns would repeat a header column, a NUL character in an id or
     name is unreadable for the csv module before Python 3.11, and a market
     whose shares do not sum to 1 breaks the layout's share rule.
+
+    The bytes are those of a csv.writer row per (market, choice): each id is
+    quoted once, and each market's rows are formatted and written together.
     """
     clash = sorted({*ID_COLUMNS, SHARE_COLUMN} & set(data.covariate_names))
     if clash:
@@ -432,12 +453,17 @@ def write_csv(data: Dataset, path: str) -> None:
         raise ValidationError("ids and covariate names must not contain NUL characters")
     for mid, market in zip(data.market_ids, data.markets):
         _require_unit_sum(mid, market.shares)
+    choice_cells = _csv_cells(data.choice_ids)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([*ID_COLUMNS, *data.covariate_names, SHARE_COLUMN])
-        for mid, market in zip(data.market_ids, data.markets):
-            for cid, cov, share in zip(data.choice_ids, market.covariates, market.shares):
-                writer.writerow([mid, cid, *(repr(float(x)) for x in cov), repr(float(share))])
+        end = writer.dialect.lineterminator
+        for market_cell, market in zip(_csv_cells(data.market_ids), data.markets):
+            rows = np.column_stack([market.covariates, market.shares]).tolist()
+            fh.write("".join(
+                f"{market_cell},{choice_cell},{','.join(map(repr, row))}{end}"
+                for choice_cell, row in zip(choice_cells, rows)
+            ))
 
 
 def save_metadata(data: Dataset, path: str) -> None:

@@ -435,7 +435,7 @@ def _replicate(data, k: int, s: float, replications: int, master_seed: int, thre
     (result, None), or (None, "Type: message") when the replication raised
     one of the package's errors or a LinAlgError; anything else propagates.
     """
-    split = ExactSplit(data)
+    split = ExactSplit(data, s)
 
     def one(r: int):
         try:
@@ -632,7 +632,7 @@ def convergence_diagnostic(
     thetas = np.arange(_DIAGNOSTIC_GRID) * (TWO_PI / _DIAGNOSTIC_GRID)
     base = CircleProfile(CriterionEvaluator(data, cycles).D).values(thetas) / m
 
-    split = ExactSplit(data)
+    split = ExactSplit(data, s_resolved)
     gaps = np.empty((len(k_values), draws))
     for ki, k in enumerate(k_values):
         for draw in range(draws):

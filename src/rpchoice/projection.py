@@ -103,6 +103,12 @@ class ProjectionSpec:
         return 1.0 / self.s
 
 
+def _sparse_route(s: float) -> bool:
+    """Whether sparsity s takes the sparse routes: CSC generation in
+    `compress`, skip-sampling in the JL diagnostic."""
+    return 1.0 / s <= _SPARSE_SAMPLER_MAX_PROB
+
+
 def _sign_masks(uniforms: np.ndarray, s: float, plus=None, minus=None):
     """Three-point thresholding shared by generation and the diagnostic sampler.
 
@@ -305,16 +311,19 @@ class ExactSplit:
     """A dataset's (d, n (b+1)) block T and its error-free slices, taken once
     per run and read, never written, by every replication's `compress`.
 
-    `slices` is None when T needs more than _MAX_SLICES slices.
+    `slices` is None when T needs more than _MAX_SLICES slices, and when the
+    run's sparsity `s` sends every `compress` down the CSC route, which never
+    reads them.
     """
 
     data: Dataset
+    s: float
     block: np.ndarray = field(init=False, repr=False)
     slices: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         block = _readonly(_tall_block(self.data))
-        slices = _error_free_slices(block)
+        slices = None if _sparse_route(self.s) else _error_free_slices(block)
         if slices is not None:
             slices.setflags(write=False)
         object.__setattr__(self, "block", block)
@@ -322,7 +331,7 @@ class ExactSplit:
 
     @property
     def count(self) -> int:
-        """Number of slices; 0 when the split does not fit."""
+        """Number of slices; 0 when there are none."""
         return 0 if self.slices is None else self.slices.shape[1] // self.block.shape[1]
 
 
@@ -341,7 +350,7 @@ def compress(spec: ProjectionSpec, split: ExactSplit) -> CompressedDataset:
     data = split.data
     if spec.d != data.d:
         raise DimensionError(f"projection expects d={spec.d}, dataset has d={data.d}")
-    if split.slices is None or spec.nonzero_prob <= _SPARSE_SAMPLER_MAX_PROB:
+    if split.slices is None or _sparse_route(spec.s):
         return _unstack(generate(spec).apply_to(split.block), data, spec)
     c, count = split.block.shape[1], split.count
     rows = max(1, min(spec.k, _BLOCK_BYTES // (8 * spec.d)))
@@ -510,7 +519,7 @@ def jl_diagnostic(u, v, spec: ProjectionSpec, draws: int) -> JlDiagnostic:
             seed_sequence(int(spec.seed), STREAM_DIAGNOSTIC)
         )
         n_rows = draws * spec.k
-        if spec.nonzero_prob <= _SPARSE_SAMPLER_MAX_PROB:
+        if _sparse_route(spec.s):
             dots = _dots_sparse(w, spec.s, n_rows, rng)
         else:
             dots = _dots_dense(w, spec.s, n_rows, rng)

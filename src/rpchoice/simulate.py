@@ -10,11 +10,12 @@ exactly, which pins the criterion's zero set for tests.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._seeds import STREAM_COVARIATES, STREAM_SHARES, derive_rng, derive_seed
+from ._seeds import STREAM_COVARIATES, STREAM_SHARES, available_cpus, derive_rng, derive_seed
 from .data import Dataset, Market, exact_unit_sum
 from .errors import ParameterError, ValidationError
 
@@ -35,9 +36,15 @@ _MEANS = np.array([1.0, -1.0])
 _EFFECT_SD = math.sqrt(0.5)
 
 _MIN_MC_DRAWS = 1000
-# cap on simultaneous scratch bytes inside the share simulator; two float
-# buffers of chunk x d live at once
+# cap on the scratch bytes of the share simulation, shared by every market
+# simulated at once: each holds two float buffers of chunk x (d + 3), so a
+# pool of w workers gives each market a w-th of it
 _CHUNK_BUDGET_BYTES = 1_500_000
+# smallest share of the budget a worker gets, which caps the pool at 4: each
+# chunk costs about ten numpy calls whose dispatch holds the GIL, and with two
+# threads on a two-core VM, chunks of 4 rows at d = 5000 (or 38 rows at
+# d = 100) cost 20% (or 2x) more per draw than chunks of 750 KB
+_MIN_CHUNK_BYTES = _CHUNK_BUDGET_BYTES // 4
 
 
 def default_mc_draws(d: int) -> int:
@@ -102,8 +109,9 @@ class SimConfig:
         return np.array([math.cos(self.theta0), math.sin(self.theta0)])
 
 
-def _market_covariate_blocks(config: SimConfig):
-    """Yield one d x 2 covariate matrix per market from a single stream.
+def draw_covariates(config: SimConfig) -> list[np.ndarray]:
+    """All markets' d x 2 covariate matrices, in market order, from a single
+    stream; a fixed seed gives identical output.
 
     iid: every entry independent, column means (1, -1), unit variance.
     brand-effects: one choice-level draw shared by all markets plus unit
@@ -111,32 +119,35 @@ def _market_covariate_blocks(config: SimConfig):
     unit noise. Effect variances are 0.5 in both modes.
     """
     rng = derive_rng(config.seed, STREAM_COVARIATES)
-    d = config.d
+    d, n = config.d, config.n
     if config.covariate_mode == "iid":
-        for _ in range(config.n):
-            yield rng.normal(_MEANS, 1.0, size=(d, 2))
-    elif config.covariate_mode == "brand-effects":
+        return [rng.normal(_MEANS, 1.0, size=(d, 2)) for _ in range(n)]
+    if config.covariate_mode == "brand-effects":
         base = rng.normal(_MEANS, _EFFECT_SD, size=(d, 2))
-        for _ in range(config.n):
-            yield base + rng.standard_normal((d, 2))
-    else:
-        for _ in range(config.n):
-            base = rng.normal(_MEANS, _EFFECT_SD, size=2)
-            yield base + rng.standard_normal((d, 2))
-
-
-def draw_covariates(config: SimConfig) -> list[np.ndarray]:
-    """All markets' covariate matrices; fixed seed gives identical output."""
-    return list(_market_covariate_blocks(config))
+        return [base + rng.standard_normal((d, 2)) for _ in range(n)]
+    return [rng.normal(_MEANS, _EFFECT_SD, size=2) + rng.standard_normal((d, 2))
+            for _ in range(n)]
 
 
 def compute_shares_mc(utilities, error: ErrorSpec, mc_draws: int, seed: int) -> np.ndarray:
     """Share vector: frequency each choice maximizes utility + noise.
 
-    Draws arrive in chunks sized to a fixed scratch budget, so the peak
-    footprint does not grow with mc_draws or d. Argmax ties break toward the
-    lowest index (a measure-zero event for continuous noise). The returned
-    shares are nonnegative and sum to exactly 1.
+    Draws arrive in chunks sized to the whole scratch budget,
+    _CHUNK_BUDGET_BYTES, so the peak footprint does not grow with mc_draws
+    or d; simulate_dataset splits the same budget across its pool. Argmax
+    ties break toward the lowest index (a measure-zero event for continuous
+    noise). The returned shares are nonnegative and sum to exactly 1.
+    """
+    return _shares_mc(utilities, error, mc_draws, seed, _CHUNK_BUDGET_BYTES)
+
+
+def _shares_mc(utilities, error: ErrorSpec, mc_draws: int, seed: int,
+               budget_bytes: int) -> np.ndarray:
+    """compute_shares_mc with `budget_bytes` of scratch.
+
+    The noise stream is consumed row by row, one row of d (+ 3) draws per MC
+    draw, so the chunk height, and with it the budget, changes no bit of the
+    result. Both buffers are allocated once and filled in place.
     """
     u = np.asarray(utilities, dtype=np.float64)
     if u.ndim != 1 or u.size < 2:
@@ -148,21 +159,25 @@ def compute_shares_mc(utilities, error: ErrorSpec, mc_draws: int, seed: int) -> 
 
     d = u.size
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    chunk = max(16, min(mc_draws, _CHUNK_BUDGET_BYTES // (16 * (d + MA_TAPS - 1))))
+    chunk = max(1, min(mc_draws, budget_bytes // (16 * (d + MA_TAPS - 1))))
+    moving = error.kind == "ma-window"
+    eta = np.empty((chunk, d + MA_TAPS - 1)) if moving else None
+    total = np.empty((chunk, d))
     counts = np.zeros(d, dtype=np.int64)
     done = 0
     while done < mc_draws:
         rows = min(chunk, mc_draws - done)
-        if error.kind == "ma-window":
-            eta = rng.standard_normal((rows, d + MA_TAPS - 1))
-            total = eta[:, 0:d].copy()
+        block = total[:rows]
+        if moving:
+            noise = rng.standard_normal(out=eta[:rows])
+            np.copyto(block, noise[:, 0:d])
             for tap in range(1, MA_TAPS):
-                total += eta[:, tap : tap + d]
-            total *= MA_WEIGHT
+                block += noise[:, tap : tap + d]
+            block *= MA_WEIGHT
         else:
-            total = rng.gumbel(0.0, 1.0, size=(rows, d))
-        total += u
-        counts += np.bincount(total.argmax(axis=1), minlength=d)
+            block[...] = rng.gumbel(0.0, 1.0, size=(rows, d))
+        block += u
+        counts += np.bincount(block.argmax(axis=1), minlength=d)
         done += rows
 
     return exact_unit_sum(counts / mc_draws)
@@ -171,23 +186,27 @@ def compute_shares_mc(utilities, error: ErrorSpec, mc_draws: int, seed: int) -> 
 def simulate_dataset(config: SimConfig) -> Dataset:
     """Draw covariates, compute shares at beta0, assemble the Dataset.
 
-    Market m's share simulation runs on its own seed derived from
-    (config.seed, m), so markets could be simulated in any order or in
-    parallel without changing the result. Markets are built one at a time
-    and covariate blocks handed over without copying, keeping peak memory
-    near the size of the finished dataset.
+    All covariate blocks are drawn first, in market order, from the one
+    covariate stream. Market m's share simulation then runs on its own seed
+    derived from (config.seed, m), on a pool of min(n, available_cpus(), 4)
+    threads whose results are collected in market order, so the dataset is
+    the same bit for bit at any CPU count. The pool's markets share one
+    scratch budget, _CHUNK_BUDGET_BYTES, of which each gets at least
+    _MIN_CHUNK_BYTES, and covariate blocks are handed over without copying,
+    keeping peak memory near the size of the finished dataset.
     """
     beta0 = config.beta0()
-    markets = []
-    for m, cov in enumerate(_market_covariate_blocks(config)):
-        shares = compute_shares_mc(
-            cov @ beta0,
-            config.error,
-            config.resolved_mc_draws,
-            derive_seed(config.seed, STREAM_SHARES, m),
-        )
-        markets.append(Market(covariates=cov, shares=shares))
-    return Dataset(markets=tuple(markets))
+    covariates = draw_covariates(config)
+    workers = min(config.n, available_cpus(), _CHUNK_BUDGET_BYTES // _MIN_CHUNK_BYTES)
+    budget = _CHUNK_BUDGET_BYTES // workers
+
+    def shares(m: int) -> np.ndarray:
+        return _shares_mc(covariates[m] @ beta0, config.error, config.resolved_mc_draws,
+                          derive_seed(config.seed, STREAM_SHARES, m), budget)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        markets = tuple(map(Market, covariates, pool.map(shares, range(config.n))))
+    return Dataset(markets=markets)
 
 
 def logit_oracle_dataset(n: int, d: int, b: int, beta_true, seed: int = 0) -> Dataset:

@@ -144,12 +144,14 @@ class TestEstimate:
         code = run("estimate", "--data", csv_path, "--k", "4", "--replications", "1",
                    "--grid", "64", "--threads", "1", "--out", str(out))
         assert code == 0
-        with open(out / "manifest.json") as fh:
-            manifest = json.load(fh, parse_constant=_reject_constant)
-        stages = manifest["stage_seconds"]
-        assert sorted(stages) == ["estimate", "load"]
-        assert all(0.0 <= seconds for seconds in stages.values())
-        assert sum(stages.values()) <= manifest["elapsed_seconds"]
+        for run_dir, names in ((tmp_path / "sim", ["simulate", "write"]),
+                               (out, ["estimate", "load", "write"])):
+            with open(run_dir / "manifest.json") as fh:
+                manifest = json.load(fh, parse_constant=_reject_constant)
+            stages = manifest["stage_seconds"]
+            assert sorted(stages) == names
+            assert all(0.0 <= seconds for seconds in stages.values())
+            assert sum(stages.values()) <= manifest["elapsed_seconds"]
 
     def test_k_larger_than_dimension_fails_cleanly(self, tmp_path, capsys):
         csv_path = simulate_small(tmp_path / "sim")

@@ -500,6 +500,28 @@ def _two_markets(b=1):
     return (m, m)
 
 
+def _row_loop_csv(data, path):
+    """The reference writer: a csv.writer row per (market, choice), each
+    number written as repr(float(x))."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["market", "choice", *data.covariate_names, "share"])
+        for mid, market in zip(data.market_ids, data.markets):
+            for cid, cov, share in zip(data.choice_ids, market.covariates, market.shares):
+                writer.writerow([mid, cid, *(repr(float(x)) for x in cov), repr(float(share))])
+
+
+# labels the csv module must quote (comma, quote, CR, LF), that it must not
+# (spaces, non-ASCII, the empty string), and any other text without a NUL
+_LABELS = st.sampled_from(["a,b", 'q"', '"', "a\nb", "a\rb", "\r\n", " a ", " ", "é",
+                           "日本", "", "1", "x1"]) | st.text(
+    alphabet=st.characters(blacklist_characters="\x00"), max_size=4)
+# negative zero, subnormals and values near the largest float64
+_EDGE_VALUES = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.1125369292536007e-308,
+                                2.2250738585072014e-308, 1.7e308, -1.7e308])
+_VALUES = st.floats(allow_nan=False, allow_infinity=False) | _EDGE_VALUES
+
+
 class TestRoundTrip:
     def test_write_then_load_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -580,6 +602,41 @@ class TestRoundTrip:
         got_sh = back.share_stack()[np.ix_(rows, cols)]
         assert got_cov.tobytes() == data.covariate_stack().tobytes()
         assert got_sh.tobytes() == data.share_stack().tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 3),
+        d=st.integers(1, 4),
+        b=st.integers(1, 2),
+        market_ids=st.lists(_LABELS, min_size=3, max_size=3, unique=True),
+        choice_ids=st.lists(_LABELS, min_size=4, max_size=4, unique=True),
+        names=st.lists(_LABELS.filter(lambda t: t not in ("market", "choice", "share")),
+                       min_size=2, max_size=2, unique=True),
+        values=st.lists(_VALUES, min_size=24, max_size=24),
+        weights=st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12),
+        tiny=st.lists(st.sampled_from([-0.0, 0.0, 5e-324, 1.1125369292536007e-308]),
+                      min_size=12, max_size=12),
+        tiny_at=st.lists(st.booleans(), min_size=12, max_size=12),
+    )
+    def test_bytes_equal_the_row_loop(self, tmp_path_factory, n, d, b, market_ids, choice_ids,
+                                      names, values, weights, tiny, tiny_at):
+        """write_csv's one pass writes the reference row loop's bytes: ids
+        quoted by the csv module's rules, every number as repr(float(x)),
+        negative zero, subnormals and values near 1.7e308 included."""
+        cov = np.array(values[: n * d * b]).reshape(n, d, b)
+        sh = np.array(weights[: n * d]).reshape(n, d)
+        sh[sh.sum(axis=1) == 0] = 1.0
+        sh /= sh.sum(axis=1, keepdims=True)
+        at = np.array(tiny_at[: n * d]).reshape(n, d)
+        sh[at] = np.array(tiny[: n * d]).reshape(n, d)[at]
+        sh = np.array([exact_unit_sum(row) for row in sh])
+        data = Dataset(tuple(Market(cov[i], sh[i]) for i in range(n)),
+                       covariate_names=names[:b], market_ids=market_ids[:n],
+                       choice_ids=choice_ids[:d])
+        folder = tmp_path_factory.mktemp("bytes")
+        write_csv(data, str(folder / "one_pass.csv"))
+        _row_loop_csv(data, str(folder / "row_loop.csv"))
+        assert (folder / "one_pass.csv").read_bytes() == (folder / "row_loop.csv").read_bytes()
 
     def test_metadata_export(self, tmp_path):
         data = logit_oracle_dataset(3, 4, 2, np.array([0.6, 0.8]), seed=1)

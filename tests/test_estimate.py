@@ -36,6 +36,7 @@ from rpchoice import (
     write_grid_csv,
 )
 from rpchoice._seeds import STREAM_PROJECTION, STREAM_RESTARTS, derive_rng, derive_seed
+from rpchoice import projection as projection_module
 from rpchoice.projection import ExactSplit, compress
 from rpchoice.estimate import (
     TWO_PI,
@@ -466,7 +467,7 @@ class TestReplicationDriver:
     def _serial_compress(data, master_seed, r, k=8):
         spec = ProjectionSpec(k=k, d=data.d, s=1.0,
                               seed=derive_seed(master_seed, STREAM_PROJECTION, r))
-        return compress(spec, ExactSplit(data))
+        return compress(spec, ExactSplit(data, spec.s))
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_intervals_bit_equal_to_serial_loop(self, small_mc_dataset, threads):
@@ -513,12 +514,28 @@ class TestReplicationDriver:
         thetas = np.arange(1024) * (TWO_PI / 1024)
         spec = ProjectionSpec(k=8, d=40, s=1.0,
                               seed=derive_seed(3, STREAM_PROJECTION, 1, 1))
-        compressed = compress(spec, ExactSplit(small_mc_dataset))
+        compressed = compress(spec, ExactSplit(small_mc_dataset, spec.s))
         base, projected = (
             CircleProfile(CriterionEvaluator(data, cycles).D).values(thetas) / len(cycles)
             for data in (small_mc_dataset, compressed)
         )
         assert diag.gaps[1, 1] == float(np.abs(projected - base).max())
+
+    def test_sqrt_sparsity_splits_no_data(self, monkeypatch):
+        """At s = sqrt(d) >= 20 every `compress` takes the CSC route, which
+        never reads the split's slices, so neither `_replicate` nor
+        `convergence_diagnostic` builds them."""
+        data = logit_oracle_dataset(6, 400, 2, np.array([0.6, 0.8]), seed=47)
+
+        def refuse(block):
+            raise AssertionError("error-free slices built for a CSC-only run")
+
+        monkeypatch.setattr(projection_module, "_error_free_slices", refuse)
+        summary = run_replications(data, k=8, s="sqrt", replications=2, master_seed=12,
+                                   grid_size=64, threads=1)
+        assert summary.successes == 2
+        diag = convergence_diagnostic(data, k_values=(4,), s="sqrt", draws=1, master_seed=3)
+        assert diag.gaps.shape == (1, 1)
 
     def test_thread_count_below_one_rejected(self, small_mc_dataset):
         with pytest.raises(ParameterError, match="threads"):

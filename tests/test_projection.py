@@ -270,7 +270,7 @@ class TestCompress:
 
     @staticmethod
     def _both(spec, data):
-        return compress(spec, ExactSplit(data)), apply(generate(spec), data)
+        return compress(spec, ExactSplit(data, spec.s)), apply(generate(spec), data)
 
     @staticmethod
     def _stacked(compressed):
@@ -281,7 +281,7 @@ class TestCompress:
     @pytest.mark.parametrize("s", [1.0, 3.0])
     def test_matches_the_csc_product(self, kind, count, s):
         data = _split_input(kind)
-        assert ExactSplit(data).count == count
+        assert ExactSplit(data, s).count == count
         spec = ProjectionSpec(k=16, d=64, s=s, seed=8)
         fused, csc = self._both(spec, data)
         assert fused.spec == spec
@@ -295,7 +295,7 @@ class TestCompress:
 
     def test_split_adds_up_exactly(self):
         for kind in ("one_slice", "two_slices", "three_slices", "zero_column"):
-            split = ExactSplit(_split_input(kind))
+            split = ExactSplit(_split_input(kind), 1.0)
             c = split.block.shape[1]
             total = np.zeros_like(split.block)
             for i in range(split.count):
@@ -307,7 +307,7 @@ class TestCompress:
     def test_beyond_the_cap_returns_the_csc_bits(self, s):
         spec = ProjectionSpec(k=16, d=64, s=s, seed=8)
         data = _split_input("beyond_the_cap")
-        assert ExactSplit(data).slices is None
+        assert ExactSplit(data, s).slices is None
         fused, csc = self._both(spec, data)
         assert self._stacked(fused).tobytes() == self._stacked(csc).tobytes()
 
@@ -321,13 +321,13 @@ class TestCompress:
     def test_block_height_leaves_the_bits(self, monkeypatch):
         data = logit_oracle_dataset(3, 200, 2, np.array([0.6, 0.8]), seed=5)
         spec = ProjectionSpec(k=40, d=200, s=1.0, seed=6)
-        whole = compress(spec, ExactSplit(data))
+        whole = compress(spec, ExactSplit(data, spec.s))
         monkeypatch.setattr(projection_module, "_BLOCK_BYTES", 3 * 8 * 200)  # 3 rows
-        blocked = compress(spec, ExactSplit(data))
+        blocked = compress(spec, ExactSplit(data, spec.s))
         assert self._stacked(whole).tobytes() == self._stacked(blocked).tobytes()
 
     def test_dimension_mismatch(self):
-        split = ExactSplit(_split_input("two_slices"))
+        split = ExactSplit(_split_input("two_slices"), 1.0)
         with pytest.raises(DimensionError):
             compress(ProjectionSpec(k=4, d=65, s=1.0, seed=0), split)
 
@@ -341,7 +341,7 @@ class TestCompress:
             "from rpchoice import ProjectionSpec, logit_oracle_dataset\n"
             "from rpchoice.projection import ExactSplit, compress\n"
             "data = logit_oracle_dataset(8, 1000, 2, np.array([0.6, 0.8]), seed=3)\n"
-            "out = compress(ProjectionSpec(k=50, d=1000, s=1.0, seed=7), ExactSplit(data))\n"
+            "out = compress(ProjectionSpec(k=50, d=1000, s=1.0, seed=7), ExactSplit(data, 1.0))\n"
             "print(hashlib.sha256(out.covariates.tobytes() + out.shares.tobytes()).hexdigest())"
         )
         src = str(Path(rpchoice.__file__).resolve().parents[1])
@@ -361,8 +361,8 @@ class TestCompress:
         route holds one row block (uniforms, signs, two masks: 18 bytes a
         cell) and a few copies of the (k, n (b+1)) output."""
         data = logit_oracle_dataset(30, 5000, 2, np.array([0.6, 0.8]), seed=0)
-        split = ExactSplit(data)
         spec = ProjectionSpec(k=500, d=5000, s=1.0, seed=1)
+        split = ExactSplit(data, spec.s)
         compress(spec, split)  # warm imports and caches outside the trace
         tracemalloc.start()
         try:

@@ -12,12 +12,17 @@ peeking at internals:
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import rpchoice
 from rpchoice import (
     ErrorSpec,
     ParameterError,
@@ -31,7 +36,9 @@ from rpchoice import (
     logit_oracle_dataset,
     simulate_dataset,
 )
-from rpchoice.simulate import MA_TAPS, MA_WEIGHT
+from rpchoice import simulate as simulate_module
+from rpchoice._seeds import STREAM_SHARES, derive_seed
+from rpchoice.simulate import MA_TAPS, MA_WEIGHT, _shares_mc
 
 MA = ErrorSpec("ma-window")
 GUMBEL = ErrorSpec("iid-gumbel")
@@ -201,6 +208,15 @@ class TestSharesMc:
         with pytest.raises(ParameterError):
             compute_shares_mc(np.zeros(2), MA, 999, seed=0)
 
+    @pytest.mark.parametrize("error", [MA, GUMBEL], ids=["ma-window", "iid-gumbel"])
+    def test_chunk_height_changes_no_bit(self, error):
+        """The stream is read one draw's row at a time, so chunks of 1 and 7
+        rows give the full budget's shares bit for bit."""
+        u = np.random.default_rng(8).standard_normal(50)
+        full = compute_shares_mc(u, error, 3000, seed=9)
+        assert np.array_equal(_shares_mc(u, error, 3000, 9, budget_bytes=1), full)
+        assert np.array_equal(_shares_mc(u, error, 3000, 9, budget_bytes=16 * (50 + MA_TAPS - 1) * 7), full)
+
 
 class TestSimulateDataset:
     def test_shapes_and_reproducibility(self):
@@ -217,8 +233,53 @@ class TestSimulateDataset:
         assert idset.q_min == 0.0
         assert idset.contains(0.75 * math.pi)
 
-    def test_memory_stays_below_twice_raw_size(self):
-        """d=5000 build: peak traced allocation under 2x the raw data bytes."""
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    @pytest.mark.parametrize("mode", ["iid", "brand-effects", "market-effects"])
+    @pytest.mark.parametrize("error", [MA, GUMBEL], ids=["ma-window", "iid-gumbel"])
+    def test_bit_identical_at_any_worker_count(self, monkeypatch, cpus, mode, error):
+        """The pool's dataset equals a serial loop of compute_shares_mc, one
+        market after another, whatever the CPU count sizing the pool."""
+        cfg = SimConfig(d=300, n=6, seed=22, covariate_mode=mode, error=error, mc_draws=2000)
+        covariates = draw_covariates(cfg)
+        shares = [
+            compute_shares_mc(cov @ cfg.beta0(), error, 2000, derive_seed(22, STREAM_SHARES, m))
+            for m, cov in enumerate(covariates)
+        ]
+        monkeypatch.setattr(simulate_module, "available_cpus", lambda: cpus)
+        data = simulate_dataset(cfg)
+        assert data.covariate_stack().tobytes() == np.stack(covariates).tobytes()
+        assert data.share_stack().tobytes() == np.stack(shares).tobytes()
+
+    @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (8, 4), (30, 4)])
+    def test_pool_gives_each_market_a_quarter_of_the_budget_or_more(self, monkeypatch, cpus,
+                                                                    workers):
+        """At most 4 markets run at once, so no chunk falls below
+        _MIN_CHUNK_BYTES however many CPUs the process may use."""
+        pools, budgets = [], []
+        pool_class, shares_mc = simulate_module.ThreadPoolExecutor, simulate_module._shares_mc
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            return pool_class(max_workers=max_workers)
+
+        def shares(u, error, mc_draws, seed, budget_bytes):
+            budgets.append(budget_bytes)
+            return shares_mc(u, error, mc_draws, seed, budget_bytes)
+
+        monkeypatch.setattr(simulate_module, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(simulate_module, "ThreadPoolExecutor", pool)
+        monkeypatch.setattr(simulate_module, "_shares_mc", shares)
+        simulate_dataset(SimConfig(d=50, n=6, seed=3, mc_draws=1000))
+        assert pools == [workers]
+        assert budgets == [simulate_module._CHUNK_BUDGET_BYTES // workers] * 6
+        assert min(budgets) >= simulate_module._MIN_CHUNK_BYTES
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_memory_stays_below_twice_raw_size(self, monkeypatch, cpus):
+        """d=5000 build: peak traced allocation under 2x the raw data bytes,
+        with the scratch budget shared by the pool that 1, 2 or 8 CPUs size
+        (1, 2 or 4 workers)."""
+        monkeypatch.setattr(simulate_module, "available_cpus", lambda: cpus)
         cfg = SimConfig(d=5000, n=30, seed=21, mc_draws=1500)
         raw_bytes = 30 * 5000 * 3 * 8  # covariates (2 cols) + shares
         tracemalloc.start()
@@ -229,6 +290,30 @@ class TestSimulateDataset:
             tracemalloc.stop()
         assert data.d == 5000
         assert peak < 2 * raw_bytes
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs to compare")
+    def test_simulate_writes_the_same_file_on_one_cpu_and_on_all(self, tmp_path):
+        """`simulate` sizes its pool by the CPUs it may use; the dataset it
+        writes must not depend on how many that is."""
+        script = ("import os, sys; from rpchoice import cli; from rpchoice._seeds import "
+                  "available_cpus\n"
+                  "if sys.argv[1] == 'one': os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                  "print(available_cpus())\n"
+                  "sys.exit(cli.main(['simulate', '--d', '300', '--n', '8', '--mc-draws', '1000', "
+                  "'--out', sys.argv[2]]))")
+        src = str(Path(rpchoice.__file__).resolve().parents[1])
+        cpus = {}
+        for affinity in ("one", "all"):
+            cpus[affinity] = int(subprocess.run(
+                [sys.executable, "-c", script, affinity, str(tmp_path / affinity)],
+                env={**os.environ,
+                     "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+                capture_output=True, text=True, check=True,
+            ).stdout.split()[0])
+        assert cpus == {"one": 1, "all": len(os.sched_getaffinity(0))}
+        assert ((tmp_path / "one" / "dataset.csv").read_bytes()
+                == (tmp_path / "all" / "dataset.csv").read_bytes())
 
 
 class TestLogitOracle:
