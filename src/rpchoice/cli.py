@@ -21,6 +21,11 @@ import time
 from datetime import datetime, timezone
 from functools import partial
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from . import __version__
 from ._seeds import STREAM_COVARIATES, available_cpus, derive_rng
 from .data import load_csv, save_metadata, write_csv
@@ -115,6 +120,16 @@ def _flag_text(value) -> str:
     return str(value)
 
 
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set size in MB (10^6 bytes), or None where
+    the resource module is missing. ru_maxrss counts KiB on Linux and bytes
+    on macOS."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 1e6 if sys.platform == "darwin" else peak * 1024 / 1e6
+
+
 def _run(body, parser: argparse.ArgumentParser, args) -> int:
     """Run one command and write its manifest.json.
 
@@ -123,7 +138,8 @@ def _run(body, parser: argparse.ArgumentParser, args) -> int:
     the run actually used, plus derived values such as s_resolved; `artifacts`
     maps a key to (file name, writer). A body may record the wall seconds of
     its stages in `stages`; writing the artifacts is timed as `write`, and
-    all are written as the manifest's stage_seconds. The output directory is
+    all are written as the manifest's stage_seconds, beside the process's
+    peak_rss_mb at the end of the run. The output directory is
     created only once the body has returned, so a run that fails early
     leaves nothing behind.
 
@@ -162,6 +178,7 @@ def _run(body, parser: argparse.ArgumentParser, args) -> int:
         "started_utc": started_utc,
         "elapsed_seconds": time.monotonic() - t0,
         "stage_seconds": stages,
+        "peak_rss_mb": _peak_rss_mb(),
     }
     _write_json(manifest, os.path.join(out_dir, "manifest.json"))
     print(report, file=sys.stderr if code else sys.stdout)

@@ -282,10 +282,11 @@ def _table_by_rows(path: str):
                 )
             cells[key] = numbers
 
-    market_ids = _sort_ids({mid for mid, _ in cells})
+    # copies made while every parsed string lives, so none lands in the parse's arenas
+    market_ids = _sort_ids(_fresh({mid for mid, _ in cells}))
     if len(market_ids) < 2:
         raise ValidationError(f"{path}: found {len(market_ids)} market(s), need at least 2")
-    choice_ids = _sort_ids({cid for _, cid in cells})
+    choice_ids = _sort_ids(_fresh({cid for _, cid in cells}))
     market_at = {mid: i for i, mid in enumerate(market_ids)}
     choice_at = {cid: j for j, cid in enumerate(choice_ids)}
     at = (np.array([market_at[mid] for mid, _ in cells]),
@@ -297,9 +298,20 @@ def _table_by_rows(path: str):
     return cov_names, market_ids, choice_ids, table, present
 
 
+def _fresh(labels) -> tuple[str, ...]:
+    """New str objects equal to `labels` (any str, lone surrogates too).
+
+    A parsed id kept in a Dataset would keep the whole pymalloc arena it
+    was allocated in, among the parser's other strings, from being freed:
+    about 12 MB at d = 5000."""
+    return tuple(label.encode("utf-8", "surrogatepass").decode("utf-8", "surrogatepass")
+                 for label in labels)
+
+
 def _codes(ids: np.ndarray) -> tuple[list[str], np.ndarray]:
     """The distinct ids in _sort_ids order, and each entry's index into them."""
-    distinct = _sort_ids(dict.fromkeys(ids))
+    # copies made while every parsed string lives, so none lands in the parse's arenas
+    distinct = _sort_ids(_fresh(dict.fromkeys(ids)))
     at = dict(zip(distinct, range(len(distinct))))
     return distinct, np.fromiter(map(at.__getitem__, ids), dtype=np.intp, count=len(ids))
 
@@ -444,6 +456,8 @@ def write_csv(data: Dataset, path: str) -> None:
 
     The bytes are those of a csv.writer row per (market, choice): each id is
     quoted once, and each market's rows are formatted and written together.
+    csv.writer.writerows over the same rows writes the same bytes, but took
+    0.81 s against 0.54 s at d = 5000, so the ids are quoted by _csv_cells.
     """
     clash = sorted({*ID_COLUMNS, SHARE_COLUMN} & set(data.covariate_names))
     if clash:

@@ -57,8 +57,10 @@ _SPARSE_SAMPLER_MAX_PROB = 0.05
 # most slices of an error-free split; a block that needs more takes the CSC route
 _MAX_SLICES = 4
 # bytes of uniforms per row block of `compress`: a block holds
-# _BLOCK_BYTES / (8 d) rows, so its memory does not grow with k or d
-_BLOCK_BYTES = 1 << 22
+# _BLOCK_BYTES / (8 d) rows, so its memory does not grow with k or d. The
+# signs overwrite the uniforms, so a thread's scratch is this buffer plus two
+# boolean masks of a quarter its size: about 2.5 MiB
+_BLOCK_BYTES = 1 << 21
 
 
 def resolve_sparsity(value, d: int) -> float:
@@ -250,9 +252,15 @@ class CompressedDataset:
 
 def _tall_block(data: Dataset) -> np.ndarray:
     """Covariates and shares of all markets as one (d, n (b+1)) block: column
-    i (b+1) + m holds market i's covariate m, column i (b+1) + b its shares."""
-    block = np.concatenate([data.covariate_stack(), data.share_stack()[:, :, None]], axis=2)
-    return block.transpose(1, 0, 2).reshape(data.d, -1)
+    i (b+1) + m holds market i's covariate m, column i (b+1) + b its shares.
+
+    The block is filled market by market, so no stacked copy of the data
+    exists beside it."""
+    block = np.empty((data.d, data.n, data.b + 1))
+    for i, market in enumerate(data.markets):
+        block[:, i, :data.b] = market.covariates
+        block[:, i, data.b] = market.shares
+    return block.reshape(data.d, -1)
 
 
 def _unstack(product: np.ndarray, data: Dataset, spec: ProjectionSpec) -> CompressedDataset:
@@ -288,21 +296,31 @@ def _error_free_slices(block: np.ndarray) -> np.ndarray | None:
     2^52 u_ij in total, so every partial sum is exact in float64, in any
     order. Each slice takes round(rest / u_ij) u_ij of what is left, which is
     exact too (u_ij is a power of two); slices are added until the rest is 0.
+
+    The slices are written in place into one output with room for two, the
+    usual count, which grows to _MAX_SLICES only when a third is needed; the
+    rest is the one other block-sized array.
     """
-    d = block.shape[0]
+    d, c = block.shape
     beta = 52 - (d - 1).bit_length()
-    mantissa, exponent = np.frexp(np.abs(block).max(axis=0))
+    mantissa, exponent = np.frexp(np.maximum(block.max(axis=0), -block.min(axis=0)))
     exponent -= mantissa == 0.5  # a power of two is its own bound
     rest = block.copy()
-    slices = []
-    while len(slices) < _MAX_SLICES:
+    out = np.empty((d, 2 * c))
+    for i in range(_MAX_SLICES):
+        if out.shape[1] == i * c:  # a third slice: make room for the cap
+            grown = np.empty((d, _MAX_SLICES * c))
+            grown[:, :2 * c] = out
+            out = grown
         # below 2^-1074 no float is left to split off: that unit takes the rest
-        unit = np.ldexp(1.0, np.maximum(exponent - beta * (len(slices) + 1), -1074))
-        piece = np.round(rest / unit) * unit
+        unit = np.ldexp(1.0, np.maximum(exponent - beta * (i + 1), -1074))
+        piece = out[:, i * c:(i + 1) * c]
+        np.divide(rest, unit, out=piece)
+        np.round(piece, out=piece)
+        piece *= unit
         rest -= piece
-        slices.append(piece)
         if not rest.any():
-            return np.concatenate(slices, axis=1)
+            return out if out.shape[1] == (i + 1) * c else out[:, :(i + 1) * c].copy()
     return None
 
 
@@ -313,7 +331,9 @@ class ExactSplit:
 
     `slices` is None when T needs more than _MAX_SLICES slices, and when the
     run's sparsity `s` sends every `compress` down the CSC route, which never
-    reads them.
+    reads them. Both are built in place: the block holds T and the slices
+    two copies of it on the usual two-slice split, and the build's only other
+    array is one more copy, the rest still to be split.
     """
 
     data: Dataset
@@ -346,6 +366,10 @@ def compress(spec: ProjectionSpec, split: ExactSplit) -> CompressedDataset:
     thread count or the block height; it differs from the CSC product by
     rounding only (about 5e-15 relative at d = 5000). When 1/s <= 0.05, or
     the split does not fit, the CSC route runs and its result is returned.
+
+    A block's signs overwrite its uniforms once the masks are read, so a
+    call holds one _BLOCK_BYTES buffer, two boolean masks of a quarter its
+    size and the (k, n (b+1)) output; the split is shared, read-only.
     """
     data = split.data
     if spec.d != data.d:
@@ -355,14 +379,14 @@ def compress(spec: ProjectionSpec, split: ExactSplit) -> CompressedDataset:
     c, count = split.block.shape[1], split.count
     rows = max(1, min(spec.k, _BLOCK_BYTES // (8 * spec.d)))
     rng = np.random.default_rng(np.random.SeedSequence(int(spec.seed)))
-    uniforms, signs = np.empty((2, rows, spec.d))
+    block = np.empty((rows, spec.d))  # uniforms, then the signs drawn from them
     plus, minus = np.empty((2, rows, spec.d), dtype=bool)
     out = np.empty((spec.k, c))
     for first in range(0, spec.k, rows):
         h = min(rows, spec.k - first)
-        _sign_masks(rng.random(out=uniforms[:h]), spec.s, plus[:h], minus[:h])
-        np.subtract(plus[:h], minus[:h], out=signs[:h], dtype=np.float64)
-        products = (signs[:h] @ split.slices).reshape(h, count, c)
+        _sign_masks(rng.random(out=block[:h]), spec.s, plus[:h], minus[:h])
+        signs = np.subtract(plus[:h], minus[:h], out=block[:h], dtype=np.float64)
+        products = (signs @ split.slices).reshape(h, count, c)
         total = out[first : first + h]
         np.copyto(total, products[:, 0])
         for i in range(1, count):

@@ -9,6 +9,7 @@ import filecmp
 import importlib.util
 import json
 import os
+import types
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,24 @@ class TestEstimate:
             assert sorted(stages) == names
             assert all(0.0 <= seconds for seconds in stages.values())
             assert sum(stages.values()) <= manifest["elapsed_seconds"]
+            # the peak includes the interpreter and numpy, tens of MB
+            assert manifest["peak_rss_mb"] is None or 10.0 < manifest["peak_rss_mb"] < 1e4
+
+    @pytest.mark.parametrize("platform, ru_maxrss, expected", [
+        ("linux", 2048, 2.097152),  # KiB
+        ("darwin", 2048, 0.002048),  # bytes
+        ("linux", None, None),  # no resource module
+    ])
+    def test_manifest_records_peak_rss_mb(self, tmp_path, monkeypatch, platform, ru_maxrss,
+                                          expected):
+        fake = None if ru_maxrss is None else types.SimpleNamespace(
+            RUSAGE_SELF=0, getrusage=lambda who: types.SimpleNamespace(ru_maxrss=ru_maxrss))
+        monkeypatch.setattr(cli, "resource", fake)
+        monkeypatch.setattr(cli.sys, "platform", platform)
+        out = tmp_path / "jl"
+        assert run("verify-jl", "--d", "20", "--k", "4", "--draws", "1000",
+                   "--out", str(out)) == 0
+        assert load_manifest(str(out / "manifest.json"))["peak_rss_mb"] == expected
 
     def test_k_larger_than_dimension_fails_cleanly(self, tmp_path, capsys):
         csv_path = simulate_small(tmp_path / "sim")

@@ -9,6 +9,7 @@ import csv
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from rpchoice.projection import ExactSplit, compress
 from rpchoice.estimate import (
     TWO_PI,
     ReplicationRecord,
+    _replicate,
     interval_contains_interval,
     interval_contains_point,
     interval_midpoint,
@@ -536,6 +538,24 @@ class TestReplicationDriver:
         assert summary.successes == 2
         diag = convergence_diagnostic(data, k_values=(4,), s="sqrt", draws=1, master_seed=3)
         assert diag.gaps.shape == (1, 1)
+
+    def test_threads_add_only_their_row_blocks(self):
+        """Each extra replication thread adds one `compress` call's scratch,
+        one row block and a few copies of the (k, n (b+1)) output; the split
+        is shared, read-only, so it is held once at any thread count."""
+        data = logit_oracle_dataset(30, 5000, 2, np.array([0.6, 0.8]), seed=0)
+        k = 500
+        peaks = {}
+        for threads in (1, 4, 1):  # the first call warms imports and caches
+            tracemalloc.start()
+            try:
+                _replicate(data, k, 1.0, 4, 5, threads, lambda r, compressed: r)
+                _, peaks[threads] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        rows = projection_module._BLOCK_BYTES // (8 * data.d)
+        per_call = 10 * rows * data.d + 4 * 8 * k * data.n * (data.b + 1)
+        assert peaks[4] - peaks[1] <= 3 * per_call
 
     def test_thread_count_below_one_rejected(self, small_mc_dataset):
         with pytest.raises(ParameterError, match="threads"):

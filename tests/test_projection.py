@@ -255,6 +255,8 @@ def _split_input(kind: str) -> Dataset:
         cov[1, 5, 0] = 1e-18
     elif kind == "zero_column":
         cov[0, :, 1] = 0.0
+    elif kind == "four_slices":  # about 2^-100 below its column's peak
+        cov[1, 5, 0] = 1e-30
     elif kind == "beyond_the_cap":  # 2^-330 below its column's peak
         cov[2, 7, 1] = 1e-100
     return _panel(cov, shares)
@@ -277,7 +279,8 @@ class TestCompress:
         return np.concatenate([compressed.covariates, compressed.shares[:, :, None]], axis=2)
 
     @pytest.mark.parametrize("kind, count", [("one_slice", 1), ("two_slices", 2),
-                                             ("three_slices", 3), ("zero_column", 2)])
+                                             ("three_slices", 3), ("four_slices", 4),
+                                             ("zero_column", 2)])
     @pytest.mark.parametrize("s", [1.0, 3.0])
     def test_matches_the_csc_product(self, kind, count, s):
         data = _split_input(kind)
@@ -294,7 +297,7 @@ class TestCompress:
             assert not fused.covariates[0, :, 1].any()
 
     def test_split_adds_up_exactly(self):
-        for kind in ("one_slice", "two_slices", "three_slices", "zero_column"):
+        for kind in ("one_slice", "two_slices", "three_slices", "four_slices", "zero_column"):
             split = ExactSplit(_split_input(kind), 1.0)
             c = split.block.shape[1]
             total = np.zeros_like(split.block)
@@ -358,8 +361,8 @@ class TestCompress:
 
     def test_peak_memory_is_one_row_block_plus_the_output(self):
         """The CSC route's `generate` peaks at 52.6 MB on this shape; the fused
-        route holds one row block (uniforms, signs, two masks: 18 bytes a
-        cell) and a few copies of the (k, n (b+1)) output."""
+        route holds one row block (uniforms overwritten by the signs, and two
+        masks: 10 bytes a cell) and a few copies of the (k, n (b+1)) output."""
         data = logit_oracle_dataset(30, 5000, 2, np.array([0.6, 0.8]), seed=0)
         spec = ProjectionSpec(k=500, d=5000, s=1.0, seed=1)
         split = ExactSplit(data, spec.s)
@@ -372,7 +375,7 @@ class TestCompress:
             tracemalloc.stop()
         rows = projection_module._BLOCK_BYTES // (8 * spec.d)
         output = 8 * spec.k * split.block.shape[1]
-        assert peak <= 18 * rows * spec.d + 4 * output
+        assert peak <= 10 * rows * spec.d + 4 * output
         assert peak < 52.6e6 / 4
 
 
