@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import locale
 import math
 import warnings
 from collections import Counter
@@ -451,8 +452,10 @@ def write_csv(data: Dataset, path: str) -> None:
     repr round-trips float64 exactly. What load_csv could not read back is
     refused before the file is opened: a covariate named like the id or
     share columns would repeat a header column, a NUL character in an id or
-    name is unreadable for the csv module before Python 3.11, and a market
-    whose shares do not sum to 1 breaks the layout's share rule.
+    name is unreadable for the csv module before Python 3.11, an id or name
+    the file's text encoding cannot hold (a lone surrogate, say) would stop
+    the write halfway, and a market whose shares do not sum to 1 breaks the
+    layout's share rule.
 
     The bytes are those of a csv.writer row per (market, choice): each id is
     quoted once, and each market's rows are formatted and written together.
@@ -465,6 +468,13 @@ def write_csv(data: Dataset, path: str) -> None:
     labels = (*data.market_ids, *data.choice_ids, *data.covariate_names)
     if any("\x00" in label for label in labels):
         raise ValidationError("ids and covariate names must not contain NUL characters")
+    encoding = locale.getpreferredencoding(False)  # what open() writes text in
+    for label in labels:
+        try:
+            label.encode(encoding)
+        except UnicodeEncodeError as exc:
+            raise ValidationError(f"id or covariate name {label!r} cannot be written "
+                                  f"in the {encoding} encoding: {exc.reason}") from None
     for mid, market in zip(data.market_ids, data.markets):
         _require_unit_sum(mid, market.shares)
     choice_cells = _csv_cells(data.choice_ids)

@@ -579,6 +579,14 @@ class TestRoundTrip:
             write_csv(Dataset(_two_markets(), market_ids=("a\x00", "b")), str(path))
         assert not path.exists()
 
+    def test_write_refuses_an_id_the_encoding_cannot_hold(self, tmp_path):
+        """A lone surrogate has no UTF-8 bytes: refused before the file is
+        opened, not halfway through the write."""
+        path = tmp_path / "d.csv"
+        with pytest.raises(ValidationError, match="cannot be written"):
+            write_csv(Dataset(_two_markets(), market_ids=("a", "\ud800")), str(path))
+        assert not path.exists()
+
     def test_write_refuses_shares_that_do_not_sum_to_one(self, tmp_path):
         """load_csv requires each market to sum to 1, so write_csv does too."""
         path = tmp_path / "d.csv"
@@ -650,7 +658,8 @@ class TestRoundTrip:
                                       names, values, weights, tiny, tiny_at):
         """write_csv's one pass writes the reference row loop's bytes: ids
         quoted by the csv module's rules, every number as repr(float(x)),
-        negative zero, subnormals and values near 1.7e308 included."""
+        negative zero, subnormals and values near 1.7e308 included. Ids and
+        names with no UTF-8 bytes are refused, with no file left behind."""
         cov = np.array(values[: n * d * b]).reshape(n, d, b)
         sh = np.array(weights[: n * d]).reshape(n, d)
         sh[sh.sum(axis=1) == 0] = 1.0
@@ -662,6 +671,14 @@ class TestRoundTrip:
                        covariate_names=names[:b], market_ids=market_ids[:n],
                        choice_ids=choice_ids[:d])
         folder = tmp_path_factory.mktemp("bytes")
+        try:
+            "".join((*data.market_ids, *data.choice_ids, *data.covariate_names)).encode("utf-8")
+        except UnicodeEncodeError:
+            # a lone surrogate: the row loop cannot write it, write_csv refuses it
+            with pytest.raises(ValidationError, match="cannot be written"):
+                write_csv(data, str(folder / "one_pass.csv"))
+            assert not (folder / "one_pass.csv").exists()
+            return
         write_csv(data, str(folder / "one_pass.csv"))
         _row_loop_csv(data, str(folder / "row_loop.csv"))
         assert (folder / "one_pass.csv").read_bytes() == (folder / "row_loop.csv").read_bytes()
