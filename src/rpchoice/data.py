@@ -458,9 +458,10 @@ def write_csv(data: Dataset, path: str) -> None:
     layout's share rule.
 
     The bytes are those of a csv.writer row per (market, choice): each id is
-    quoted once, and each market's rows are formatted and written together.
-    csv.writer.writerows over the same rows writes the same bytes, but took
-    0.81 s against 0.54 s at d = 5000, so the ids are quoted by _csv_cells.
+    quoted once, by _csv_cells. Each market is one list of string slots, its
+    numbers filled a column at a time by slice assignment and joined once.
+    At d = 5000, n = 30 that takes 0.36 s against 0.53 s for a formatted
+    line per row, and csv.writer.writerows over the same rows took 0.81 s.
     """
     clash = sorted({*ID_COLUMNS, SHARE_COLUMN} & set(data.covariate_names))
     if clash:
@@ -477,17 +478,21 @@ def write_csv(data: Dataset, path: str) -> None:
                                   f"in the {encoding} encoding: {exc.reason}") from None
     for mid, market in zip(data.market_ids, data.markets):
         _require_unit_sum(mid, market.shares)
-    choice_cells = _csv_cells(data.choice_ids)
+    width = 2 * data.b + 4  # slots a row takes
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([*ID_COLUMNS, *data.covariate_names, SHARE_COLUMN])
         end = writer.dialect.lineterminator
+        # per row: market, ",choice,", then x1, ",", ..., xb, ",", share, end
+        slots: list = []
+        for choice_cell in _csv_cells(data.choice_ids):
+            slots += [None, f",{choice_cell},", *[None, ","] * data.b, None, end]
         for market_cell, market in zip(_csv_cells(data.market_ids), data.markets):
-            rows = np.column_stack([market.covariates, market.shares]).tolist()
-            fh.write("".join(
-                f"{market_cell},{choice_cell},{','.join(map(repr, row))}{end}"
-                for choice_cell, row in zip(choice_cells, rows)
-            ))
+            slots[::width] = [market_cell] * data.d
+            for j, column in enumerate(market.covariates.T):
+                slots[2 + 2 * j::width] = map(repr, column.tolist())
+            slots[width - 2::width] = map(repr, market.shares.tolist())
+            fh.write("".join(slots))
 
 
 def save_metadata(data: Dataset, path: str) -> None:

@@ -13,6 +13,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rpchoice import (
     CircleProfile,
@@ -348,6 +350,145 @@ class TestActiveSetSolver:
         assert stop >= 1
         assert all(q[t] < q[t - 1] for t in range(1, stop + 1))
         assert all(value == q[stop] for value in q[stop:])
+
+
+def reference_subgradient(data, cycles, restarts=20, steps=5000, seed=0, initial=None):
+    """The sphere solver's loop as it was before its steps were made copy-light
+    and its restarts merged: (value, restart_values, beta)."""
+    evaluator = CriterionEvaluator(data, cycles)
+    b = evaluator.b
+    D = evaluator.D
+    rng = derive_rng(seed, STREAM_RESTARTS)
+
+    def random_start() -> np.ndarray:
+        while True:
+            v = rng.standard_normal(b)
+            norm = float(np.linalg.norm(v))
+            if norm > 1e-12:
+                return v / norm
+
+    def violation(residuals: np.ndarray, restart: int, step: int) -> float:
+        viol = np.maximum(residuals, 0.0)
+        value = float(viol @ viol)
+        if not math.isfinite(value):
+            raise NumericalError(f"non-finite criterion at restart {restart}, step {step}")
+        return value
+
+    best_value = math.inf
+    best_beta = None
+    restart_values = []
+
+    for restart in range(restarts):
+        if initial is not None and restart == 0:
+            beta = np.asarray(initial, dtype=np.float64)
+            norm = float(np.linalg.norm(beta))
+            if beta.shape != (b,) or norm == 0.0:
+                raise ParameterError(f"initial point must be a nonzero vector of length {b}")
+            beta = beta / norm
+        else:
+            beta = random_start()
+
+        residuals = D @ beta
+        value = violation(residuals, restart, 0)
+        for step in range(1, steps + 1):
+            if value == 0.0:
+                break
+            active = D[residuals > 0.0]
+            _, vectors = np.linalg.eigh(active.T @ active)
+            v = vectors[:, 0] / np.linalg.norm(vectors[:, 0])
+            r_v = D @ v
+            q_plus = violation(r_v, restart, step)
+            q_minus = violation(-r_v, restart, step)
+            if q_minus < q_plus:
+                v, r_v, q_plus = -v, -r_v, q_minus
+            if not q_plus < value:
+                break
+            beta, residuals, value = v, r_v, q_plus
+        restart_values.append(value)
+        if value < best_value:
+            best_value, best_beta = value, beta
+        if best_value == 0.0:
+            break
+
+    return best_value, tuple(restart_values), best_beta
+
+
+def assert_matches_reference(data, cycles, **kwargs):
+    res = estimate_subgradient(data, cycles, **kwargs)
+    value, restart_values, beta = reference_subgradient(data, cycles, **kwargs)
+    assert res.value.hex() == value.hex()
+    assert [q.hex() for q in res.restart_values] == [q.hex() for q in restart_values]
+    np.testing.assert_array_equal(res.beta, beta, strict=True)
+    return res
+
+
+class TestSolverMatchesReference:
+    """The solver returns the reference loop's value, restart values and beta
+    bit for bit."""
+
+    def test_default_budget(self, comp_b3, cycles20):
+        res = assert_matches_reference(comp_b3, cycles20, restarts=20, seed=4)
+        assert len(res.restart_values) == 20
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 9, 10, 12])
+    def test_step_cap(self, comp_b3, cycles20, steps):
+        """No restart stops before a cap of 1 to 3 steps. At 9, 10 and 12 a
+        later restart meets a stopped restart's path too late to finish it
+        within the cap, so it must take its own steps to the cap."""
+        assert_matches_reference(comp_b3, cycles20, restarts=20, steps=steps, seed=4)
+
+    def test_zero_minimum_stops_early(self):
+        """From the far pole the first 12 restarts stop above 0 and the 13th
+        reaches Q = 0, which ends the call."""
+        beta = np.array([0.6, -0.48, 0.64])
+        data = logit_oracle_dataset(12, 60, 3, beta, seed=40)
+        res = assert_matches_reference(data, enumerate_cycles(12, (2, 3)), restarts=20,
+                                       seed=40, initial=-beta)
+        assert len(res.restart_values) == 13
+        assert res.value == 0.0
+
+    def test_four_covariates(self):
+        data = logit_oracle_dataset(12, 40, 4, np.array([0.5, -0.5, 0.5, 0.5]), seed=47)
+        comp = apply(generate(ProjectionSpec(k=5, d=40, s=1.0, seed=4)), data)
+        res = assert_matches_reference(comp, enumerate_cycles(12, (2, 3)), restarts=20, seed=2)
+        assert res.value > 0
+
+    @given(
+        n=st.integers(4, 8),
+        b=st.integers(3, 4),
+        d=st.integers(4, 12),
+        k=st.integers(2, 6),
+        steps=st.integers(1, 12),
+        restarts=st.integers(1, 8),
+        seeds=st.tuples(st.integers(0, 999), st.integers(0, 999), st.integers(0, 999)),
+    )
+    @settings(max_examples=80)
+    def test_small_designs(self, n, b, d, k, steps, restarts, seeds):
+        """Random designs, compressed when k < d so the minimum is usually
+        positive, under short step caps."""
+        beta = derive_rng(seeds[0], 0).standard_normal(b)
+        data = logit_oracle_dataset(n, d, b, beta / np.linalg.norm(beta), seed=seeds[0])
+        if k < d:
+            data = apply(generate(ProjectionSpec(k=k, d=d, s=1.0, seed=seeds[1])), data)
+        assert_matches_reference(data, enumerate_cycles(n, (2, 3)), restarts=restarts,
+                                 steps=steps, seed=seeds[2])
+
+    def test_restart_merging_saves_eigen_steps(self, comp_b3, cycles20, monkeypatch):
+        """Most restarts reach an earlier restart's path and stop there, so
+        the solver takes fewer eigen steps than the reference loop."""
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(1)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        estimate_subgradient(comp_b3, cycles20, restarts=20, seed=4)
+        merged = len(calls)
+        calls.clear()
+        reference_subgradient(comp_b3, cycles20, restarts=20, seed=4)
+        assert merged < len(calls)
 
 
 class TestIrrelevantCoefficientRecovery:
