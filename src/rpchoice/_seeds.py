@@ -8,9 +8,12 @@ and the worker pools size themselves with available_cpus.
 
 from __future__ import annotations
 
+import operator
 import os
 
 import numpy as np
+
+from .errors import ParameterError
 
 # Stream tags, one per independent random stage. Fixed constants: changing
 # them changes every derived stream, which silently breaks reproducibility
@@ -20,6 +23,17 @@ STREAM_SHARES = 2
 STREAM_PROJECTION = 3
 STREAM_DIAGNOSTIC = 4
 STREAM_RESTARTS = 5
+
+
+def check_seed(seed) -> None:
+    """Reject a seed that is not an integer in [0, 2**64); numpy integers
+    pass, floats do not (int() would truncate them to another seed)."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if not 0 <= value < 2 ** 64:
+        raise ParameterError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
 
 def seed_sequence(master_seed: int, *path: int) -> np.random.SeedSequence:

@@ -296,7 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--data", required=True, help="dataset CSV")
     p_est.add_argument("--k", type=_positive_int, required=True, help="projected dimension")
     p_est.add_argument("--s", default="1", help="sparsity: 1, 3, sqrt, or a number")
-    p_est.add_argument("--cycles", type=_cycles_list, default=(2, 3))
+    p_est.add_argument(
+        "--cycles",
+        type=_cycles_list,
+        default=(2, 3),
+        help="comma-separated cycle lengths, from 2 and 3 (default 2,3)",
+    )
     p_est.add_argument("--replications", type=_positive_int, default=100)
     p_est.add_argument(
         "--grid",

@@ -22,8 +22,8 @@ floating-point paths so each can check the other.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,92 +35,53 @@ UNIT_NORM_TOL = 1e-12
 _TWO_PI = 2.0 * math.pi
 # level-set pieces whose ends lie this close in angle belong to one arc
 _MERGE_GAP = 1e-12
+# the cycle lengths a CycleSet may hold
+_LENGTHS = (2, 3)
 
 
+@dataclass(frozen=True)
 class CycleSet:
-    """Cycles grouped by length into (m, L) index arrays for vector evaluation.
+    """Every cycle of the given lengths over markets 0, ..., n - 1.
 
-    A cycle is an ordered sequence of at least 2 distinct, nonnegative market
-    indices; closure back to the start is implicit. This is the only place
-    cycles are validated.
+    Lengths 2 and 3 are supported. A cycle is anchored at its smallest
+    market, which de-duplicates rotations; a 2-cycle's two orientations
+    coincide, so one is kept, and each triangle comes in both orientations.
+    Rows follow one fixed order: the pairs (i, j), i < j, in row-major
+    order, then the triples a < j < k in lexicographic order, each as
+    (a, j, k) followed by (a, k, j). Nothing per cycle is stored.
     """
 
-    def __init__(self, groups: dict[int, np.ndarray]):
-        cleaned: dict[int, np.ndarray] = {}
-        for length in sorted(groups):
-            if length < 2:
-                raise ValidationError("a cycle needs at least 2 markets")
-            arr = np.asarray(groups[length], dtype=np.int64)
-            if arr.size == 0:
-                continue
-            if arr.ndim != 2 or arr.shape[1] != length:
-                raise DimensionError(
-                    f"group for length {length} must have shape (m, {length})"
+    n: int
+    lengths: tuple[int, ...]
+
+    def __post_init__(self):
+        n = operator.index(self.n)
+        if n < 2:
+            raise ParameterError(f"need at least 2 markets, got n={n}")
+        lengths = tuple(sorted(set(int(L) for L in self.lengths)))
+        if not lengths:
+            raise ParameterError("no cycle lengths requested")
+        for L in lengths:
+            if L not in _LENGTHS:
+                raise ParameterError(
+                    f"cycle length {L} is not supported; supported lengths are 2 and 3"
                 )
-            if arr.min() < 0:
-                raise ValidationError("market indices must be nonnegative")
-            repeats = (np.diff(np.sort(arr, axis=1), axis=1) == 0).any(axis=1)
-            if repeats.any():
-                first = tuple(arr[int(repeats.argmax())].tolist())
-                raise ValidationError(f"cycle {first} repeats a market")
-            cleaned[length] = arr
-        if not cleaned:
-            raise ParameterError("cycle set is empty")
-        self._groups = cleaned
-
-    @classmethod
-    def from_cycles(cls, cycles) -> "CycleSet":
-        """A cycle set from sequences of market indices."""
-        groups: dict[int, list] = {}
-        for cycle in cycles:
-            indices = tuple(int(i) for i in cycle)
-            groups.setdefault(len(indices), []).append(indices)
-        return cls({length: np.array(rows) for length, rows in groups.items()})
-
-    @property
-    def max_index(self) -> int:
-        return max(int(arr.max()) for arr in self._groups.values())
-
-    def index_arrays(self):
-        return [self._groups[length] for length in self._groups]
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        return [tuple(row) for arr in self.index_arrays() for row in arr.tolist()]
+            if L > n:
+                raise ParameterError(f"cycle length {L} outside [2, {n}]")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "lengths", lengths)
 
     def __len__(self) -> int:
-        return sum(arr.shape[0] for arr in self._groups.values())
+        return sum(math.factorial(L - 1) * math.comb(self.n, L) for L in self.lengths)
 
 
-def enumerate_cycles(n: int, lengths=(2, 3)) -> CycleSet:
-    """All distinct cycles over n markets for the requested lengths.
+def enumerate_cycles(n: int, lengths=_LENGTHS) -> CycleSet:
+    """All distinct cycles over n markets for the requested lengths (2, 3).
 
-    Each cycle is anchored at its smallest market index, and the remaining
-    members are permuted, which de-duplicates rotations. For length 2 the two
-    orientations coincide so one copy is kept; longer cycles keep both.
-
-    The count grows as (L-1)! * C(n, L) per length, so long cycles on many
-    markets get expensive quickly.
+    There are C(n, 2) 2-cycles and 2 C(n, 3) 3-cycles; the rows are built
+    from an n x n edge table when a criterion is evaluated.
     """
-    if n < 2:
-        raise ParameterError(f"need at least 2 markets, got n={n}")
-    lengths = sorted(set(int(L) for L in lengths))
-    if not lengths:
-        raise ParameterError("no cycle lengths requested")
-    for L in lengths:
-        if not 2 <= L <= n:
-            raise ParameterError(f"cycle length {L} outside [2, {n}]")
-    groups: dict[int, np.ndarray] = {}
-    for L in lengths:
-        combos = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(n), L)),
-            dtype=np.int64,
-            count=math.comb(n, L) * L,
-        ).reshape(-1, L)
-        # positions into each sorted combination: the anchor, then each
-        # permutation of the rest
-        orders = [(0, *perm) for perm in itertools.permutations(range(1, L))]
-        groups[L] = combos[:, np.array(orders)].reshape(-1, L)
-    return CycleSet(groups)
+    return CycleSet(n, lengths)
 
 
 @dataclass(frozen=True)
@@ -151,10 +112,8 @@ def _as_beta(beta, b: int) -> np.ndarray:
 
 
 def _check_cycles(cycles: CycleSet, n: int) -> None:
-    if cycles.max_index >= n:
-        raise DimensionError(
-            f"cycle index {cycles.max_index} out of range for n={n} markets"
-        )
+    if cycles.n > n:
+        raise DimensionError(f"cycle index {cycles.n - 1} out of range for n={n} markets")
 
 
 def cross_moments(data) -> np.ndarray:
@@ -166,14 +125,28 @@ def cross_moments(data) -> np.ndarray:
     return np.matmul(P[None, :, :], X)
 
 
-def _difference_rows(C: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Per-cycle gradient rows: sum_l C[a_{l+1}, a_l] - C[a_l, a_l]."""
-    m, L = idx.shape
-    out = np.zeros((m, C.shape[2]))
-    for l in range(L):
-        cur = idx[:, l]
-        nxt = idx[:, (l + 1) % L]
-        out += C[nxt, cur] - C[cur, cur]
+def _cycle_rows(edge: np.ndarray, cycles: CycleSet) -> np.ndarray:
+    """Per-cycle sums of an (n, n, ...) edge table: the row of a cycle
+    (a_0, ..., a_{L-1}) is sum_l edge[a_l, a_{l+1}], in the set's row order.
+
+    Terms are added left to right as from a zero start; `+ 0.0` turns a -0.0
+    entry into the +0.0 that such a start leaves.
+    """
+    edge = edge + 0.0
+    out = np.empty((len(cycles), *edge.shape[2:]))
+    i, j = np.triu_indices(cycles.n, 1)
+    start = 0
+    if 2 in cycles.lengths:
+        out[: i.size] = edge[i, j] + edge[j, i]
+        start = i.size
+    if 3 in cycles.lengths:
+        # each pair a < j once per k above j: the triples in lexicographic order
+        per_pair = cycles.n - 1 - j
+        a, j = np.repeat(i, per_pair), np.repeat(j, per_pair)
+        k = np.arange(a.size) - np.repeat(np.cumsum(per_pair) - per_pair, per_pair) + j + 1
+        both = out[start:].reshape(a.size, 2, *edge.shape[2:])
+        both[:, 0] = edge[a, j] + edge[j, k] + edge[k, a]
+        both[:, 1] = edge[a, k] + edge[k, j] + edge[j, a]
     return out
 
 
@@ -189,7 +162,8 @@ class CriterionEvaluator:
         _check_cycles(cycles, data.n)
         C = cross_moments(data)
         self.b = int(C.shape[2])
-        self.D = np.vstack([_difference_rows(C, idx) for idx in cycles.index_arrays()])
+        # E[i, j] = C[j, i] - C[i, i]: the term of the step from market i to j
+        self.D = _cycle_rows(C.transpose(1, 0, 2) - C.diagonal().T[:, None, :], cycles)
         self.n_cycles = self.D.shape[0]
 
     def residuals(self, beta) -> np.ndarray:
@@ -421,9 +395,15 @@ def _sublevel_segments(M: np.ndarray, threshold: float, lo: float, hi: float):
 
 def _literal_cycle(cycle, beta, data):
     """One cycle's validated indices, with each member's utilities and shares."""
-    cycles = CycleSet.from_cycles([cycle])
-    _check_cycles(cycles, data.n)
-    (idx,) = cycles.cycles()
+    idx = tuple(int(i) for i in cycle)
+    if len(idx) < 2:
+        raise ValidationError("a cycle needs at least 2 markets")
+    if min(idx) < 0:
+        raise ValidationError("market indices must be nonnegative")
+    if len(set(idx)) < len(idx):
+        raise ValidationError(f"cycle {idx} repeats a market")
+    if max(idx) >= data.n:
+        raise DimensionError(f"cycle index {max(idx)} out of range for n={data.n} markets")
     vec = _as_beta(beta, data.b)
     X, P = data.covariate_stack(), data.share_stack()
     return idx, {i: X[i] @ vec for i in idx}, {i: P[i] for i in idx}
@@ -467,15 +447,8 @@ def criterion(beta, data, cycles: CycleSet, form: str = "dot") -> float:
         vec = _as_beta(beta, data.b)
         # pairwise squared distances between utility and share vectors
         U = data.covariate_stack() @ vec
-        E = ((U[:, None, :] - data.share_stack()[None, :, :]) ** 2).sum(axis=2)
-        total = 0.0
-        for idx in cycles.index_arrays():
-            m, L = idx.shape
-            r = np.zeros(m)
-            for l in range(L):
-                cur, nxt = idx[:, l], idx[:, (l + 1) % L]
-                r += E[nxt, nxt] - E[nxt, cur]
-            viol = np.maximum(r, 0.0)
-            total += float(viol @ viol)
-        return total
+        G = ((U[:, None, :] - data.share_stack()[None, :, :]) ** 2).sum(axis=2)
+        # F[i, j] = G[j, j] - G[j, i]: the term of the step from market i to j
+        viol = np.maximum(_cycle_rows(np.diag(G)[None, :] - G.T, cycles), 0.0)
+        return float(viol @ viol)
     raise ParameterError(f"unknown criterion form {form!r}")

@@ -254,8 +254,10 @@ def estimate_subgradient(
         if initial is not None and restart == 0:
             beta = np.asarray(initial, dtype=np.float64)
             norm = float(np.linalg.norm(beta))
-            if beta.shape != (b,) or norm == 0.0:
-                raise ParameterError(f"initial point must be a nonzero vector of length {b}")
+            if beta.shape != (b,) or norm == 0.0 or not math.isfinite(norm):
+                raise ParameterError(
+                    f"initial point must be a nonzero finite vector of length {b}"
+                )
             beta = beta / norm
         else:
             beta = random_start()

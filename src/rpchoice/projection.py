@@ -36,19 +36,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse as _sparse
 
-from ._seeds import STREAM_DIAGNOSTIC, seed_sequence
+from ._seeds import STREAM_DIAGNOSTIC, check_seed, seed_sequence
 from .data import Dataset, _readonly
 from .errors import DimensionError, ParameterError, ValidationError
 
-# named sparsity presets; "sqrt" resolves against the data dimension
-_PRESET_NAMES = {
-    "1": 1.0,
-    "optimal": 1.0,
-    "3": 3.0,
-    "gaussian-equivalent": 3.0,
-    "sqrt": None,
-    "sparse": None,
-}
 
 _JL_MIN_DRAWS = 1000
 # at or below this nonzero probability the sparse routes (CSC generation,
@@ -64,12 +55,11 @@ _BLOCK_BYTES = 1 << 21
 
 
 def resolve_sparsity(value, d: int) -> float:
-    """Turn a preset name or a number into the sparsity parameter s."""
+    """Turn "sqrt" (s = sqrt(d)) or a number into the sparsity parameter s."""
     if isinstance(value, str):
         key = value.strip().lower()
-        if key in _PRESET_NAMES:
-            preset = _PRESET_NAMES[key]
-            return math.sqrt(d) if preset is None else preset
+        if key == "sqrt":
+            return math.sqrt(d)
         try:
             return float(key)
         except ValueError:
@@ -93,8 +83,7 @@ class ProjectionSpec:
             raise DimensionError(f"k={self.k} exceeds d={self.d}")
         if not (math.isfinite(self.s) and 1.0 <= self.s <= self.d):
             raise ParameterError(f"s must lie in [1, d]={self.d}, got {self.s!r}")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        check_seed(self.seed)
 
     @property
     def scale(self) -> float:

@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._seeds import STREAM_COVARIATES, STREAM_SHARES, available_cpus, derive_rng, derive_seed
+from ._seeds import (
+    STREAM_COVARIATES,
+    STREAM_SHARES,
+    available_cpus,
+    check_seed,
+    derive_rng,
+    derive_seed,
+)
 from .data import Dataset, Market, exact_unit_sum
 from .errors import ParameterError, ValidationError
 
@@ -94,8 +101,7 @@ class SimConfig:
             raise ParameterError(
                 f"mc_draws must be at least {_MIN_MC_DRAWS}, got {self.mc_draws}"
             )
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ParameterError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        check_seed(self.seed)
 
     @property
     def b(self) -> int:

@@ -213,6 +213,18 @@ class TestEstimate:
         assert capsys.readouterr().err.startswith(message)
         assert not out.exists()
 
+    def test_unsupported_cycle_length_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        csv_path = simulate_small(tmp_path / "sim")
+        out = tmp_path / "e"
+        code = run("estimate", "--data", csv_path, "--k", "4", "--cycles", "2,4",
+                   "--replications", "1", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: ParameterError: cycle length 4 is not supported; "
+            "supported lengths are 2 and 3"
+        )
+        assert not out.exists()
+
     def test_sqrt_sparsity_accepted(self, tmp_path):
         csv_path = simulate_small(tmp_path / "sim")
         out = tmp_path / "est"

@@ -9,7 +9,6 @@ and the summed criterion picks up a factor 4.
 
 import itertools
 import math
-from itertools import permutations
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +19,6 @@ from hypothesis import strategies as st
 from rpchoice import (
     CircleProfile,
     CriterionEvaluator,
-    CycleSet,
     Dataset,
     Market,
     DimensionError,
@@ -37,6 +35,7 @@ from rpchoice import (
     generate,
     logit_oracle_dataset,
 )
+from rpchoice.criterion import _cycle_rows
 from rpchoice.estimate import interval_width
 
 
@@ -55,38 +54,65 @@ BETA1 = np.array([1.0])
 TWO_CYCLE = (0, 1)
 
 
-class TestCycleSet:
-    @pytest.mark.parametrize(
-        "cycles, error, message",
-        [
-            ([(0, 1), (3,)], ValidationError, "a cycle needs at least 2 markets"),
-            ([(0, 1, 0)], ValidationError, "cycle (0, 1, 0) repeats a market"),
-            ([(0, -1)], ValidationError, "market indices must be nonnegative"),
-            ([], ParameterError, "cycle set is empty"),
-        ],
-        ids=["length_one", "repeated_market", "negative_index", "empty_set"],
-    )
-    def test_from_cycles_rejects(self, cycles, error, message):
-        """One validator: from_cycles and the grouped constructor it builds
-        on reject the same cycles with the same message."""
-        groups = {len(cycle): np.array([cycle]) for cycle in cycles}
-        for build, arg in ((CycleSet.from_cycles, cycles), (CycleSet, groups)):
-            with pytest.raises(error) as info:
-                build(arg)
-            assert str(info.value) == message
+def literal_cycles(n, lengths):
+    """Every cycle as a tuple, from the nested combinations/permutations
+    loop: per length, each combination anchored at its smallest market,
+    then each order of the rest. The criterion's rows follow this listing."""
+    return [
+        (combo[0], *perm)
+        for length in sorted(lengths)
+        for combo in itertools.combinations(range(n), length)
+        for perm in itertools.permutations(combo[1:])
+    ]
 
-    @given(st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=3),
-                    min_size=1, max_size=12))
-    @settings(max_examples=200)
-    def test_repeat_check_matches_row_loop(self, rows):
-        """Reference: the per-row set() test; the first repeating row is named."""
-        bad = [row for row in rows if len(set(row)) != len(row)]
-        if not bad:
-            assert len(CycleSet({3: np.array(rows)})) == len(rows)
-            return
-        with pytest.raises(ValidationError, match="repeats a market") as info:
-            CycleSet({3: np.array(rows)})
-        assert str(info.value) == f"cycle {tuple(bad[0])} repeats a market"
+
+def difference_rows(C, idx):
+    """Reference rows over an (m, L) index array, summed from a zero start:
+    sum_l C[a_{l+1}, a_l] - C[a_l, a_l]."""
+    m, L = idx.shape
+    out = np.zeros((m, C.shape[2]))
+    for l in range(L):
+        cur = idx[:, l]
+        nxt = idx[:, (l + 1) % L]
+        out += C[nxt, cur] - C[cur, cur]
+    return out
+
+
+def reference_rows(C, n, lengths):
+    """The rows the criterion builds, from literal index arrays per length."""
+    return np.vstack([
+        difference_rows(C, np.array(literal_cycles(n, (length,)), dtype=np.int64))
+        for length in sorted(lengths)
+    ])
+
+
+def assert_same_bits(got, expected):
+    assert got.shape == expected.shape
+    assert got.dtype == expected.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
+
+
+LENGTH_SETS = [(2,), (3,), (2, 3)]
+
+
+class TestLiteralCycleChecks:
+    @pytest.mark.parametrize(
+        "cycle, error, message",
+        [
+            ((3,), ValidationError, "a cycle needs at least 2 markets"),
+            ((0, 1, 0), ValidationError, "cycle (0, 1, 0) repeats a market"),
+            ((0, -1), ValidationError, "market indices must be nonnegative"),
+            ((0, 5), DimensionError, "cycle index 5 out of range for n=2 markets"),
+        ],
+        ids=["length_one", "repeated_market", "negative_index", "out_of_range"],
+    )
+    def test_literal_cycle_rejects(self, cycle, error, message):
+        """Both literal residual forms validate a cycle the same way."""
+        data = _utility_markets()
+        for residual in (cycle_residual_dot, cycle_residual_euclid):
+            with pytest.raises(error) as info:
+                residual(cycle, BETA1, data)
+            assert str(info.value) == message
 
 
 class TestEnumerateCycles:
@@ -107,7 +133,7 @@ class TestEnumerateCycles:
         n = 5
         seen = set()
         for length in (2, 3):
-            for perm in permutations(range(n), length):
+            for perm in itertools.permutations(range(n), length):
                 rotations = [
                     tuple(perm[i:] + perm[:i]) for i in range(length)
                 ]
@@ -119,41 +145,94 @@ class TestEnumerateCycles:
         assert len(ours) == len(seen) == 10 + 20
 
     def test_length_two_single_orientation(self):
-        pairs = enumerate_cycles(4, (2,)).cycles()
-        assert len(pairs) == 6
+        pairs = literal_cycles(4, (2,))
+        assert len(pairs) == len(enumerate_cycles(4, (2,))) == 6
         assert all(a < b for a, b in pairs)
 
     def test_length_three_both_orientations(self):
-        triples = set(enumerate_cycles(3, (3,)).cycles())
-        assert triples == {(0, 1, 2), (0, 2, 1)}
+        assert literal_cycles(3, (3,)) == [(0, 1, 2), (0, 2, 1)]
 
     def test_smallest_index_anchored(self):
-        for cycle in enumerate_cycles(5, (3,)).cycles():
+        for cycle in literal_cycles(5, (3,)):
             assert cycle[0] == min(cycle)
 
     def test_length_above_n_rejected(self):
         with pytest.raises(ParameterError):
             enumerate_cycles(3, (2, 4))
 
-    def test_matches_itertools_loop_order(self):
-        """Same rows in the same order as the nested combinations/permutations
-        loop the vectorised enumeration replaced."""
-        for n in range(2, 9):
-            for length in range(2, min(n, 5) + 1):
-                rows = []
-                for combo in itertools.combinations(range(n), length):
-                    anchor, rest = combo[0], combo[1:]
-                    for perm in itertools.permutations(rest):
-                        rows.append((anchor, *perm))
-                expected = np.array(rows, dtype=np.int64)
-                (got,) = enumerate_cycles(n, (length,)).index_arrays()
-                assert got.dtype == expected.dtype
-                np.testing.assert_array_equal(got, expected)
+    def test_only_lengths_two_and_three(self):
+        with pytest.raises(ParameterError, match="supported lengths are 2 and 3"):
+            enumerate_cycles(5, (4,))
 
-    def test_from_cycles_round_trip(self):
-        original = enumerate_cycles(4, (2, 3))
-        rebuilt = CycleSet.from_cycles(original.cycles())
-        assert set(rebuilt.cycles()) == set(original.cycles())
+    def test_count_matches_listing(self):
+        for n in range(2, 9):
+            for lengths in LENGTH_SETS:
+                if max(lengths) <= n:
+                    assert len(enumerate_cycles(n, lengths)) == len(literal_cycles(n, lengths))
+
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_rows_match_literal_reference(self, b):
+        """D is bit for bit the reference rows over literal index arrays."""
+        beta = np.array([0.6, -0.48, 0.64][:b])
+        for n in [*range(2, 12), 30]:
+            data = logit_oracle_dataset(n, 12, b, beta / np.linalg.norm(beta), seed=n)
+            compressed = apply(generate(ProjectionSpec(k=5, d=12, s=3.0, seed=n)), data)
+            for d in (data, compressed):
+                C = cross_moments(d)
+                for lengths in LENGTH_SETS:
+                    if max(lengths) <= n:
+                        D = CriterionEvaluator(d, enumerate_cycles(n, lengths)).D
+                        assert_same_bits(D, reference_rows(C, n, lengths))
+
+    @pytest.mark.parametrize("b", [1, 2, 3])
+    def test_edge_sums_keep_signed_zeros(self, b):
+        """An edge table with -0.0 and +0.0 entries sums as the reference does
+        from its zero start: a row of -0.0 terms comes out +0.0."""
+        rng = np.random.default_rng(b)
+        for n in (2, 3, 4, 7):
+            edge = rng.standard_normal((n, n, b))
+            edge[rng.random((n, n, b)) < 0.3] = -0.0
+            edge[rng.random((n, n, b)) < 0.1] = 0.0
+            edge[0, 1] = edge[1, 0] = -0.0
+            # C[j, i] - C[i, i] = edge[i, j] with a +0.0 diagonal
+            C = edge.transpose(1, 0, 2).copy()
+            C[np.arange(n), np.arange(n)] = 0.0
+            for lengths in LENGTH_SETS:
+                if max(lengths) <= n:
+                    cycles = enumerate_cycles(n, lengths)
+                    expected = reference_rows(C, n, lengths)
+                    assert_same_bits(_cycle_rows(edge, cycles), expected)
+                    assert_same_bits(_cycle_rows(edge[:, :, 0], cycles), expected[:, 0].copy())
+            assert not np.signbit(_cycle_rows(edge, enumerate_cycles(n, (2,)))[0]).any()
+
+    def test_rows_follow_literal_listing(self):
+        """Row c of D is the residual of the c-th cycle of the listing."""
+        data = logit_oracle_dataset(5, 8, 2, np.array([0.6, 0.8]), seed=21)
+        beta = np.array([math.cos(2.3), math.sin(2.3)])
+        for lengths in LENGTH_SETS:
+            residuals = CriterionEvaluator(data, enumerate_cycles(5, lengths)).residuals(beta)
+            literal = [cycle_residual_dot(c, beta, data) for c in literal_cycles(5, lengths)]
+            np.testing.assert_allclose(residuals, literal, rtol=1e-12, atol=1e-14)
+
+    def test_fewer_cycle_markets_use_the_first(self):
+        """A cycle set over n markets uses markets 0..n-1 of larger data."""
+        data = logit_oracle_dataset(8, 12, 2, np.array([0.6, 0.8]), seed=22)
+        D = CriterionEvaluator(data, enumerate_cycles(5, (2, 3))).D
+        assert_same_bits(D, reference_rows(cross_moments(data), 5, (2, 3)))
+        head = Dataset(data.markets[:5])
+        np.testing.assert_allclose(
+            D, CriterionEvaluator(head, enumerate_cycles(5, (2, 3))).D, rtol=1e-12, atol=1e-15
+        )
+
+    def test_more_cycle_markets_than_data_rejected(self):
+        data = logit_oracle_dataset(4, 6, 2, np.array([0.6, 0.8]), seed=22)
+        cycles = enumerate_cycles(5, (2, 3))
+        for build in (
+            lambda: CriterionEvaluator(data, cycles),
+            lambda: criterion(np.array([0.6, 0.8]), data, cycles, form="euclid"),
+        ):
+            with pytest.raises(DimensionError, match=r"^cycle index 4 out of range for n=4 markets$"):
+                build()
 
 
 class TestResiduals:
@@ -179,7 +258,7 @@ class TestResiduals:
     def test_euclid_dot_ratio_random_instance(self, rng):
         data = logit_oracle_dataset(3, 4, 2, np.array([0.6, 0.8]), seed=3)
         beta = np.array([math.cos(1.1), math.sin(1.1)])
-        for cycle in enumerate_cycles(3, (2, 3)).cycles():
+        for cycle in literal_cycles(3, (2, 3)):
             r_dot = cycle_residual_dot(cycle, beta, data)
             r_euc = cycle_residual_euclid(cycle, beta, data)
             assert r_euc == pytest.approx(2.0 * r_dot, rel=1e-12, abs=1e-12)
@@ -192,7 +271,7 @@ class TestResiduals:
         beta = np.array([-0.6, -0.8])
         cycles = enumerate_cycles(4, (2, 3))
         total = 0.0
-        for idx in cycles.cycles():
+        for idx in literal_cycles(4, (2, 3)):
             u = [R @ data.markets[i].covariates @ beta for i in idx]
             p = [R @ data.markets[i].shares for i in idx]
             expected = sum((u[(l + 1) % len(idx)] - u[l]) @ p[l] for l in range(len(idx)))
@@ -215,19 +294,18 @@ class TestResiduals:
 class TestCriterion:
     def test_all_satisfied_gives_zero(self):
         data = _utility_markets()
-        cs = CycleSet.from_cycles([TWO_CYCLE])
+        cs = enumerate_cycles(2, (2,))
         assert criterion(BETA1, data, cs) == 0.0
 
     def test_single_violation_squares(self):
         data = _utility_markets(swap=True)
-        cs = CycleSet.from_cycles([TWO_CYCLE])
+        cs = enumerate_cycles(2, (2,))
         assert criterion(BETA1, data, cs) == pytest.approx(4.0)  # (+2)^2
         assert criterion(BETA1, data, cs, form="euclid") == pytest.approx(16.0)
 
     def test_empty_cycles_rejected(self):
-        data = _utility_markets()
-        with pytest.raises(ParameterError):
-            CycleSet.from_cycles([])
+        with pytest.raises(ParameterError, match="no cycle lengths requested"):
+            enumerate_cycles(2, ())
 
     def test_logit_oracle_zero_at_truth(self):
         beta = np.array([math.cos(0.75 * math.pi), math.sin(0.75 * math.pi)])
@@ -267,7 +345,7 @@ class TestCriterion:
         )
         cycles = enumerate_cycles(4, (2, 3))
         beta = np.array([math.cos(0.4), math.sin(0.4)])
-        for cycle in cycles.cycles():
+        for cycle in literal_cycles(4, (2, 3)):
             assert cycle_residual_dot(cycle, beta, shifted) == pytest.approx(
                 cycle_residual_dot(cycle, beta, data), rel=1e-9, abs=1e-12
             )
@@ -275,12 +353,13 @@ class TestCriterion:
     def test_reversed_two_cycles_leave_q_unchanged(self):
         data = logit_oracle_dataset(5, 8, 2, np.array([0.6, 0.8]), seed=14)
         fwd = enumerate_cycles(5, (2,))
-        rev = CycleSet.from_cycles([tuple(reversed(c)) for c in fwd.cycles()])
         for theta in np.linspace(0.0, 2 * math.pi, 17):
             beta = np.array([math.cos(theta), math.sin(theta)])
-            assert criterion(beta, data, rev) == pytest.approx(
-                criterion(beta, data, fwd), rel=1e-12, abs=1e-15
+            rev = sum(
+                max(cycle_residual_dot((j, i), beta, data), 0.0) ** 2
+                for i, j in literal_cycles(5, (2,))
             )
+            assert rev == pytest.approx(criterion(beta, data, fwd), rel=1e-12, abs=1e-15)
 
     @given(
         beta=st.tuples(
@@ -317,7 +396,7 @@ class TestSubgradient:
 
     def test_zero_vector_where_q_zero(self):
         data = _utility_markets()
-        cs = CycleSet.from_cycles([TWO_CYCLE])
+        cs = enumerate_cycles(2, (2,))
         value, grad = CriterionEvaluator(data, cs).value_and_subgradient(BETA1)
         assert value == 0.0
         np.testing.assert_array_equal(grad, np.zeros(1))
@@ -326,7 +405,7 @@ class TestSubgradient:
         # with swapped shares r(beta) = 2*beta, so Q = 4 beta^2 and the
         # subgradient at beta=1 is 8
         data = _utility_markets(swap=True)
-        cs = CycleSet.from_cycles([TWO_CYCLE])
+        cs = enumerate_cycles(2, (2,))
         value, grad = CriterionEvaluator(data, cs).value_and_subgradient(BETA1)
         assert value == pytest.approx(4.0)
         np.testing.assert_allclose(grad, [8.0])

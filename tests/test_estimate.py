@@ -10,6 +10,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +302,16 @@ class TestDescent:
         cycles = enumerate_cycles(8, (2, 3))
         res = estimate_subgradient(data, cycles, restarts=5, steps=50, initial=beta)
         assert res.restart_values == (0.0,)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_initial_rejected(self, bad):
+        """Refused up front, not reported later as a non-finite criterion."""
+        data = logit_oracle_dataset(8, 20, 3, np.array([0.6, -0.48, 0.64]), seed=42)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="nonzero finite vector of length 3"):
+                estimate_subgradient(data, enumerate_cycles(8, (2, 3)), restarts=1,
+                                     initial=[bad, 1.0, 0.0])
 
     def test_deterministic_in_seed(self, comp10, cycles30):
         a = estimate_subgradient(comp10, cycles30, restarts=2, steps=100, seed=9)

@@ -36,17 +36,28 @@ from rpchoice.projection import ExactSplit, _dots_dense, _sign_masks, _tall_bloc
 
 class TestSpec:
     def test_presets(self):
-        assert resolve_sparsity("optimal", 100) == 1.0
         assert resolve_sparsity("1", 100) == 1.0
-        assert resolve_sparsity("gaussian-equivalent", 100) == 3.0
         assert resolve_sparsity("3", 100) == 3.0
+        assert resolve_sparsity(" 2.5 ", 100) == 2.5
         assert resolve_sparsity("sqrt", 100) == pytest.approx(10.0)
-        assert resolve_sparsity("sparse", 400) == pytest.approx(20.0)
+        assert resolve_sparsity("SQRT", 400) == pytest.approx(20.0)
         assert resolve_sparsity(2.5, 100) == 2.5
 
-    def test_unknown_preset(self):
-        with pytest.raises(ParameterError):
-            resolve_sparsity("dense", 100)
+    @pytest.mark.parametrize("name", ["dense", "optimal", "gaussian-equivalent", "sparse"])
+    def test_unknown_preset(self, name):
+        with pytest.raises(ParameterError, match="unknown sparsity preset"):
+            resolve_sparsity(name, 100)
+
+    @pytest.mark.parametrize("seed", [1.7, -0.5, 1.0, "1", -1, 2 ** 64])
+    def test_seed_must_be_a_64_bit_integer(self, seed):
+        """A float is refused rather than truncated to another seed's matrix."""
+        with pytest.raises(ParameterError, match="seed must be a 64-bit unsigned integer"):
+            ProjectionSpec(k=10, d=100, s=1.0, seed=seed)
+
+    def test_numpy_integer_seed_draws_the_same_matrix(self):
+        plain = generate(ProjectionSpec(k=10, d=100, s=3.0, seed=7))
+        numpy_int = generate(ProjectionSpec(k=10, d=100, s=3.0, seed=np.uint64(7)))
+        assert (plain.matrix != numpy_int.matrix).nnz == 0
 
     def test_k_bounds(self):
         with pytest.raises(DimensionError):

@@ -11,6 +11,7 @@ peeking at internals:
         cov [[2/9, 2/9], [2/9, 4/9]]
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -29,6 +30,7 @@ from rpchoice import (
     SimConfig,
     compute_shares_mc,
     criterion,
+    cycle_residual_dot,
     default_mc_draws,
     draw_covariates,
     enumerate_cycles,
@@ -63,6 +65,15 @@ class TestConfig:
     def test_mc_floor(self):
         with pytest.raises(ParameterError):
             SimConfig(d=10, mc_draws=999)
+
+    @pytest.mark.parametrize("seed", [1.7, -0.5, 2.0, -1, 2 ** 64])
+    def test_seed_must_be_a_64_bit_integer(self, seed):
+        with pytest.raises(ParameterError, match="seed must be a 64-bit unsigned integer"):
+            SimConfig(d=10, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert SimConfig(d=10, seed=np.int64(5)).seed == 5
+        assert SimConfig(d=10, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
     def test_bad_mode(self):
         with pytest.raises(ParameterError):
@@ -321,9 +332,14 @@ class TestLogitOracle:
     def test_zero_criterion_at_truth_every_length(self):
         beta = np.array([math.cos(1.9), math.sin(1.9)])
         data = logit_oracle_dataset(6, 15, 2, beta, seed=30)
-        for lengths in ((2,), (3,), (4,), (2, 3)):
+        for lengths in ((2,), (3,), (2, 3)):
             cycles = enumerate_cycles(6, lengths)
             assert criterion(beta, data, cycles) <= 1e-18
+        # the criterion holds lengths 2 and 3 only; 4-cycles term by term
+        four_cycles = [(c[0], *p) for c in itertools.combinations(range(6), 4)
+                       for p in itertools.permutations(c[1:])]
+        assert len(four_cycles) == 90
+        assert sum(max(cycle_residual_dot(c, beta, data), 0.0) ** 2 for c in four_cycles) <= 1e-18
 
     def test_shares_match_softmax_recomputation(self):
         beta = np.array([0.6, 0.8])
