@@ -37,6 +37,9 @@ _TWO_PI = 2.0 * math.pi
 _MERGE_GAP = 1e-12
 # the cycle lengths a CycleSet may hold
 _LENGTHS = (2, 3)
+# most triangles per block of 3-cycle rows: bounds the block's index arrays
+# and edge gathers, whatever n
+_TRIPLE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,9 @@ def _cycle_rows(edge: np.ndarray, cycles: CycleSet) -> np.ndarray:
     (a_0, ..., a_{L-1}) is sum_l edge[a_l, a_{l+1}], in the set's row order.
 
     Terms are added left to right as from a zero start; `+ 0.0` turns a -0.0
-    entry into the +0.0 that such a start leaves.
+    entry into the +0.0 that such a start leaves. The 3-cycles are built a
+    block of whole pairs (a, j) at a time, at most _TRIPLE_BLOCK triangles,
+    so the temporaries beside the output do not grow with their count.
     """
     edge = edge + 0.0
     out = np.empty((len(cycles), *edge.shape[2:]))
@@ -141,12 +146,18 @@ def _cycle_rows(edge: np.ndarray, cycles: CycleSet) -> np.ndarray:
         start = i.size
     if 3 in cycles.lengths:
         # each pair a < j once per k above j: the triples in lexicographic order
-        per_pair = cycles.n - 1 - j
-        a, j = np.repeat(i, per_pair), np.repeat(j, per_pair)
-        k = np.arange(a.size) - np.repeat(np.cumsum(per_pair) - per_pair, per_pair) + j + 1
-        both = out[start:].reshape(a.size, 2, *edge.shape[2:])
-        both[:, 0] = edge[a, j] + edge[j, k] + edge[k, a]
-        both[:, 1] = edge[a, k] + edge[k, j] + edge[j, a]
+        both = out[start:].reshape(-1, 2, *edge.shape[2:])
+        row = 0
+        pairs = max(1, _TRIPLE_BLOCK // (cycles.n - 2))  # a pair has at most n - 2 triangles
+        for first in range(0, i.size, pairs):
+            per_pair = cycles.n - 1 - j[first : first + pairs]
+            a = np.repeat(i[first : first + pairs], per_pair)
+            m = np.repeat(j[first : first + pairs], per_pair)
+            k = np.arange(a.size) - np.repeat(np.cumsum(per_pair) - per_pair, per_pair) + m + 1
+            rows = both[row : row + a.size]
+            rows[:, 0] = edge[a, m] + edge[m, k] + edge[k, a]
+            rows[:, 1] = edge[a, k] + edge[k, m] + edge[m, a]
+            row += a.size
     return out
 
 

@@ -23,7 +23,8 @@ products with a sign block are exact in float64. No BLAS thread count,
 blocking or kernel can then change a bit of the result, which is the slices'
 products added in a fixed order and scaled by sqrt(s/k) once. The CSC route
 stays where it wins or where the split does not fit: when 1/s <= 0.05, and
-when T needs more than _MAX_SLICES slices.
+when T needs more than _MAX_SLICES slices. scipy is imported by `generate`
+alone, so a run that never takes the CSC route never loads it.
 """
 
 from __future__ import annotations
@@ -32,13 +33,16 @@ import copy
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse as _sparse
 
 from ._seeds import STREAM_DIAGNOSTIC, check_seed, seed_sequence
 from .data import Dataset, _readonly
 from .errors import DimensionError, ParameterError, ValidationError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 _JL_MIN_DRAWS = 1000
@@ -121,7 +125,7 @@ class SparseProjection:
     """
 
     spec: ProjectionSpec
-    matrix: _sparse.csc_matrix
+    matrix: "sparse.csc_matrix"
 
     def __post_init__(self):
         m = self.matrix
@@ -179,8 +183,11 @@ def generate(spec: ProjectionSpec) -> SparseProjection:
     Per-entry decisions are made from one uniform draw per cell, consumed in
     row-major order, so a seed pins down the exact matrix. The sign masks are
     written transposed, (d, k), so their row-major nonzeros list the cells by
-    column, then row: exactly the csc order.
+    column, then row: exactly the csc order. scipy.sparse is imported here,
+    the one place a csc matrix is built.
     """
+    from scipy import sparse
+
     rng = np.random.default_rng(np.random.SeedSequence(int(spec.seed)))
     uniforms = rng.random((spec.k, spec.d)).T
     plus, hits = _sign_masks(uniforms, spec.s, *np.empty((2, spec.d, spec.k), dtype=bool))
@@ -192,7 +199,7 @@ def generate(spec: ProjectionSpec) -> SparseProjection:
     data = np.where(plus.ravel()[indices], spec.scale, -spec.scale)
     del plus, hits
     np.remainder(indices, spec.k, out=indices)
-    matrix = _sparse.csc_matrix((data, indices, indptr), shape=(spec.k, spec.d))
+    matrix = sparse.csc_matrix((data, indices, indptr), shape=(spec.k, spec.d))
     del indices  # the matrix keeps an int32 copy where the indices fit
     return SparseProjection(spec, matrix)
 
@@ -274,9 +281,10 @@ def apply(projection: SparseProjection, data: Dataset) -> CompressedDataset:
     return _unstack(projection.apply_to(_tall_block(data)), data, projection.spec)
 
 
-def _error_free_slices(block: np.ndarray) -> np.ndarray | None:
+def _error_free_slices(rest: np.ndarray) -> np.ndarray | None:
     """Slices T_0, T_1, ... with T_0 + T_1 + ... = T exactly, side by side as
     one (d, count * c) array, or None when T needs more than _MAX_SLICES.
+    `rest` holds T and is split in place: it ends as what no slice took.
 
     In column j, slice i holds integer multiples of u_ij = 2^(e_j - beta (i+1)),
     where 2^e_j is the smallest power of two at or above max |T_j| and
@@ -287,14 +295,12 @@ def _error_free_slices(block: np.ndarray) -> np.ndarray | None:
     exact too (u_ij is a power of two); slices are added until the rest is 0.
 
     The slices are written in place into one output with room for two, the
-    usual count, which grows to _MAX_SLICES only when a third is needed; the
-    rest is the one other block-sized array.
+    usual count, which grows to _MAX_SLICES only when a third is needed.
     """
-    d, c = block.shape
+    d, c = rest.shape
     beta = 52 - (d - 1).bit_length()
-    mantissa, exponent = np.frexp(np.maximum(block.max(axis=0), -block.min(axis=0)))
+    mantissa, exponent = np.frexp(np.maximum(rest.max(axis=0), -rest.min(axis=0)))
     exponent -= mantissa == 0.5  # a power of two is its own bound
-    rest = block.copy()
     out = np.empty((d, 2 * c))
     for i in range(_MAX_SLICES):
         if out.shape[1] == i * c:  # a third slice: make room for the cap
@@ -315,33 +321,38 @@ def _error_free_slices(block: np.ndarray) -> np.ndarray | None:
 
 @dataclass(frozen=True)
 class ExactSplit:
-    """A dataset's (d, n (b+1)) block T and its error-free slices, taken once
-    per run and read, never written, by every replication's `compress`.
+    """The error-free slices of a dataset's (d, n (b+1)) block T, or T itself
+    for the CSC route, taken once per run and read, never written, by every
+    replication's `compress`.
 
     `slices` is None when T needs more than _MAX_SLICES slices, and when the
     run's sparsity `s` sends every `compress` down the CSC route, which never
-    reads them. Both are built in place: the block holds T and the slices
-    two copies of it on the usual two-slice split, and the build's only other
-    array is one more copy, the rest still to be split.
+    reads them; only then is `block` kept, holding T, and otherwise it is
+    None. The slices are split in place from a fresh T, which ends as the
+    all-zero rest: they hold two copies of T on the usual two-slice split,
+    and the build's only other array is that rest. A T that passes the cap
+    is built again from the data.
     """
 
     data: Dataset
     s: float
-    block: np.ndarray = field(init=False, repr=False)
+    block: np.ndarray | None = field(init=False, repr=False)
     slices: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        block = _readonly(_tall_block(self.data))
-        slices = None if _sparse_route(self.s) else _error_free_slices(block)
-        if slices is not None:
+        slices = None if _sparse_route(self.s) else _error_free_slices(_tall_block(self.data))
+        if slices is None:
+            object.__setattr__(self, "block", _readonly(_tall_block(self.data)))
+        else:
             slices.setflags(write=False)
-        object.__setattr__(self, "block", block)
+            object.__setattr__(self, "block", None)
         object.__setattr__(self, "slices", slices)
 
     @property
     def count(self) -> int:
         """Number of slices; 0 when there are none."""
-        return 0 if self.slices is None else self.slices.shape[1] // self.block.shape[1]
+        c = self.data.n * (self.data.b + 1)
+        return 0 if self.slices is None else self.slices.shape[1] // c
 
 
 def compress(spec: ProjectionSpec, split: ExactSplit) -> CompressedDataset:
@@ -363,9 +374,11 @@ def compress(spec: ProjectionSpec, split: ExactSplit) -> CompressedDataset:
     data = split.data
     if spec.d != data.d:
         raise DimensionError(f"projection expects d={spec.d}, dataset has d={data.d}")
-    if split.slices is None or _sparse_route(spec.s):
+    if split.slices is None:
         return _unstack(generate(spec).apply_to(split.block), data, spec)
-    c, count = split.block.shape[1], split.count
+    if _sparse_route(spec.s):  # a split taken for a denser s
+        return apply(generate(spec), data)
+    c, count = data.n * (data.b + 1), split.count
     rows = max(1, min(spec.k, _BLOCK_BYTES // (8 * spec.d)))
     rng = np.random.default_rng(np.random.SeedSequence(int(spec.seed)))
     block = np.empty((rows, spec.d))  # uniforms, then the signs drawn from them

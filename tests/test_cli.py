@@ -9,12 +9,16 @@ import filecmp
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rpchoice import NumericalError, __version__, load_csv
+import rpchoice
+from rpchoice import NumericalError, __version__, load_csv, logit_oracle_dataset, write_csv
 from rpchoice import cli
 from rpchoice.cli import PRESETS, SCHEMA_VERSION, TOOL_NAME, build_parser, main
 from rpchoice.estimate import run_replications
@@ -27,6 +31,22 @@ def run(*argv) -> int:
 def load_manifest(path) -> dict:
     with open(path) as fh:
         return json.load(fh)
+
+
+def run_fresh(*argv) -> bool:
+    """main(argv) in a fresh interpreter, which must exit 0; whether it
+    imported scipy.sparse."""
+    script = ("import sys\n"
+              "from rpchoice.cli import main\n"
+              "assert main(sys.argv[1:]) == 0\n"
+              "print('scipy.sparse' in sys.modules)")
+    src = str(Path(rpchoice.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+        capture_output=True, text=True, check=True,
+    )
+    return {"True": True, "False": False}[done.stdout.splitlines()[-1]]
 
 
 def simulate_small(out_dir, seed="3"):
@@ -234,6 +254,27 @@ class TestEstimate:
         assert code == 0
         manifest = load_manifest(str(out / "manifest.json"))
         assert manifest["params"]["s_resolved"] == pytest.approx(12 ** 0.5)
+
+    def test_dense_run_never_imports_scipy_sparse(self, tmp_path):
+        """At s = 1 every replication compresses through the exact split, so
+        the CSC route, the one user of scipy.sparse, never runs."""
+        csv_path = simulate_small(tmp_path / "sim")
+        assert not run_fresh("estimate", "--data", csv_path, "--k", "4", "--s", "1",
+                             "--replications", "2", "--grid", "128", "--refine", "1",
+                             "--out", str(tmp_path / "est"))
+
+    def test_csc_route_same_summary_at_one_and_two_threads(self, tmp_path):
+        """s = sqrt(400) = 20 sends every replication down the CSC route, so a
+        fresh process first imports scipy.sparse inside its worker threads;
+        the summary must not depend on how many there are."""
+        csv_path = tmp_path / "d400.csv"
+        write_csv(logit_oracle_dataset(6, 400, 2, np.array([0.6, 0.8]), seed=4), str(csv_path))
+        for threads in ("1", "2"):
+            assert run_fresh("estimate", "--data", str(csv_path), "--k", "20", "--s", "sqrt",
+                             "--replications", "4", "--grid", "128", "--refine", "1",
+                             "--threads", threads, "--out", str(tmp_path / f"t{threads}"))
+        assert filecmp.cmp(tmp_path / "t1" / "summary.json", tmp_path / "t2" / "summary.json",
+                           shallow=False)
 
     def test_rerun_from_manifest_binary_identical(self, tmp_path):
         csv_path = simulate_small(tmp_path / "sim")

@@ -308,20 +308,28 @@ class TestCompress:
             assert not fused.covariates[0, :, 1].any()
 
     def test_split_adds_up_exactly(self):
+        """The slices add up to T; T itself is not kept beside them."""
         for kind in ("one_slice", "two_slices", "three_slices", "four_slices", "zero_column"):
-            split = ExactSplit(_split_input(kind), 1.0)
-            c = split.block.shape[1]
-            total = np.zeros_like(split.block)
+            data = _split_input(kind)
+            split = ExactSplit(data, 1.0)
+            block = _tall_block(data)
+            c = block.shape[1]
+            total = np.zeros_like(block)
             for i in range(split.count):
                 total += split.slices[:, i * c:(i + 1) * c]
-            assert total.tobytes() == split.block.tobytes()
-            assert not split.block.flags.writeable and not split.slices.flags.writeable
+            assert total.tobytes() == block.tobytes()
+            assert split.block is None
+            assert not split.slices.flags.writeable
 
     @pytest.mark.parametrize("s", [1.0, 3.0])
     def test_beyond_the_cap_returns_the_csc_bits(self, s):
         spec = ProjectionSpec(k=16, d=64, s=s, seed=8)
         data = _split_input("beyond_the_cap")
-        assert ExactSplit(data, s).slices is None
+        split = ExactSplit(data, s)
+        assert split.slices is None and split.count == 0
+        # the split runs in place on a T of its own; the CSC route gets a fresh one
+        assert split.block.tobytes() == _tall_block(data).tobytes()
+        assert not split.block.flags.writeable
         fused, csc = self._both(spec, data)
         assert self._stacked(fused).tobytes() == self._stacked(csc).tobytes()
 
@@ -331,6 +339,10 @@ class TestCompress:
         assert spec.nonzero_prob <= projection_module._SPARSE_SAMPLER_MAX_PROB
         fused, csc = self._both(spec, data)
         assert self._stacked(fused).tobytes() == self._stacked(csc).tobytes()
+        assert ExactSplit(data, spec.s).slices is None
+        # a split taken for s = 1 holds slices and no T: compress builds T anew
+        dense = compress(spec, ExactSplit(data, 1.0))
+        assert self._stacked(dense).tobytes() == self._stacked(csc).tobytes()
 
     def test_block_height_leaves_the_bits(self, monkeypatch):
         data = logit_oracle_dataset(3, 200, 2, np.array([0.6, 0.8]), seed=5)
@@ -370,6 +382,23 @@ class TestCompress:
         ]
         assert outputs[0] == outputs[1]
 
+    def test_split_runs_in_place_and_keeps_only_the_slices(self):
+        """On the usual two-slice split the build holds T, split in place, and
+        the two slices beside it, and keeps only the slices: a traced peak of
+        3 T and 2 T kept, where a copy of T kept beside them would be 4 T and 3 T."""
+        data = logit_oracle_dataset(30, 5000, 2, np.array([0.6, 0.8]), seed=0)
+        ExactSplit(data, 1.0)  # warm imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            split = ExactSplit(data, 1.0)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tall = 8 * data.d * data.n * (data.b + 1)
+        assert split.count == 2
+        assert peak < 3.2 * tall
+        assert kept < 2.1 * tall
+
     def test_peak_memory_is_one_row_block_plus_the_output(self):
         """The CSC route's `generate` peaks at 52.6 MB on this shape; the fused
         route holds one row block (uniforms overwritten by the signs, and two
@@ -385,7 +414,7 @@ class TestCompress:
         finally:
             tracemalloc.stop()
         rows = projection_module._BLOCK_BYTES // (8 * spec.d)
-        output = 8 * spec.k * split.block.shape[1]
+        output = 8 * spec.k * data.n * (data.b + 1)
         assert peak <= 10 * rows * spec.d + 4 * output
         assert peak < 52.6e6 / 4
 
