@@ -11,7 +11,8 @@ quadratic form, and jumps to that form's smallest eigenvector, repeating
 while the criterion strictly drops. One replication driver, `_replicate`,
 repeats seed -> compression -> estimation over independent draws for both
 the circle and the sphere summaries, splitting the data once per run
-(`projection.ExactSplit`) and never building a projection matrix.
+(`projection.ExactSplit`) into exact slices that every replication's
+projection multiplies.
 """
 
 from __future__ import annotations
@@ -464,7 +465,7 @@ def _replicate(data, k: int, s: float, replications: int, master_seed: int, thre
     (result, None), or (None, "Type: message") when the replication raised
     one of the package's errors or a LinAlgError; anything else propagates.
     """
-    split = ExactSplit(data, s)
+    split = ExactSplit(data)
 
     def one(r: int):
         try:
@@ -661,7 +662,7 @@ def convergence_diagnostic(
     thetas = np.arange(_DIAGNOSTIC_GRID) * (TWO_PI / _DIAGNOSTIC_GRID)
     base = CircleProfile(CriterionEvaluator(data, cycles).D).values(thetas) / m
 
-    split = ExactSplit(data, s_resolved)
+    split = ExactSplit(data)
     gaps = np.empty((len(k_values), draws))
     for ki, k in enumerate(k_values):
         for draw in range(draws):

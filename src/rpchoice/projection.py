@@ -14,17 +14,16 @@ would give, and s = sqrt(d) touches only a ~1/sqrt(d) fraction of cells.
 `generate` realizes R as a CSC matrix and `apply` multiplies a dataset by it.
 The estimator only ever needs the product R T, where T is the (d, n (b+1))
 block of covariates and shares, so the replications go through `compress`
-instead. It draws the same uniforms from the same stream in row blocks of R,
-thresholds each block into a +/-1/0 float block and multiplies it by T, so no
-k x d matrix is ever built. T is taken once per run (`ExactSplit`) and split
-without error (Ozaki, Ogita, Oishi & Rump, "Error-free transformations of
-matrix multiplication", Numer. Algorithms 59, 2012) into a few slices whose
-products with a sign block are exact in float64. No BLAS thread count,
-blocking or kernel can then change a bit of the result, which is the slices'
-products added in a fixed order and scaled by sqrt(s/k) once. The CSC route
-stays where it wins or where the split does not fit: when 1/s <= 0.05, and
-when T needs more than _MAX_SLICES slices. scipy is imported by `generate`
-alone, so a run that never takes the CSC route never loads it.
+instead. T is taken once per run (`ExactSplit`) and split without error
+(Ozaki, Ogita, Oishi & Rump, "Error-free transformations of matrix
+multiplication", Numer. Algorithms 59, 2012) into slices whose products with
++/-1/0 signs are exact in float64. `compress` multiplies the signs of the
+cells `generate` draws by the slices: in row blocks of dense signs when
+1/s > 0.05, as a CSC sign pattern when 1/s <= 0.05, where sparse generation
+is faster. The slices' products are added in one fixed order and scaled by
+sqrt(s/k) once, so neither that choice nor BLAS threads or blocking change a
+bit of the result. scipy is imported by `_sign_pattern` alone, so a run that
+never builds a CSC matrix never loads it.
 """
 
 from __future__ import annotations
@@ -49,8 +48,6 @@ _JL_MIN_DRAWS = 1000
 # at or below this nonzero probability the sparse routes (CSC generation,
 # skip-sampling) beat drawing every cell
 _SPARSE_SAMPLER_MAX_PROB = 0.05
-# most slices of an error-free split; a block that needs more takes the CSC route
-_MAX_SLICES = 4
 # bytes of uniforms per row block of `compress`: a block holds
 # _BLOCK_BYTES / (8 d) rows, so its memory does not grow with k or d. The
 # signs overwrite the uniforms, so a thread's scratch is this buffer plus two
@@ -99,7 +96,7 @@ class ProjectionSpec:
 
 
 def _sparse_route(s: float) -> bool:
-    """Whether sparsity s takes the sparse routes: CSC generation in
+    """Whether sparsity s takes the sparse routes: the CSC kernel of
     `compress`, skip-sampling in the JL diagnostic."""
     return 1.0 / s <= _SPARSE_SAMPLER_MAX_PROB
 
@@ -177,14 +174,14 @@ class SparseProjection:
         return self.matrix @ arr
 
 
-def generate(spec: ProjectionSpec) -> SparseProjection:
-    """Draw the projection matrix for a spec.
+def _sign_pattern(spec: ProjectionSpec) -> "sparse.csc_matrix":
+    """The spec's cells as a k x d CSC matrix of +/-1 entries.
 
     Per-entry decisions are made from one uniform draw per cell, consumed in
-    row-major order, so a seed pins down the exact matrix. The sign masks are
-    written transposed, (d, k), so their row-major nonzeros list the cells by
-    column, then row: exactly the csc order. scipy.sparse is imported here,
-    the one place a csc matrix is built.
+    row-major order, so a seed pins down the exact pattern. The sign masks
+    are written transposed, (d, k), so their row-major nonzeros list the
+    cells by column, then row: exactly the csc order. scipy.sparse is
+    imported here, the one place a csc matrix is built.
     """
     from scipy import sparse
 
@@ -196,11 +193,16 @@ def generate(spec: ProjectionSpec) -> SparseProjection:
     indptr = np.zeros(spec.d + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(hits, axis=1), out=indptr[1:])
     indices = np.flatnonzero(hits)
-    data = np.where(plus.ravel()[indices], spec.scale, -spec.scale)
+    data = np.where(plus.ravel()[indices], 1.0, -1.0)
     del plus, hits
     np.remainder(indices, spec.k, out=indices)
-    matrix = sparse.csc_matrix((data, indices, indptr), shape=(spec.k, spec.d))
-    del indices  # the matrix keeps an int32 copy where the indices fit
+    return sparse.csc_matrix((data, indices, indptr), shape=(spec.k, spec.d))
+
+
+def generate(spec: ProjectionSpec) -> SparseProjection:
+    """Draw the projection matrix for a spec: its sign pattern times sqrt(s/k)."""
+    matrix = _sign_pattern(spec)
+    matrix.data *= spec.scale
     return SparseProjection(spec, matrix)
 
 
@@ -281,118 +283,113 @@ def apply(projection: SparseProjection, data: Dataset) -> CompressedDataset:
     return _unstack(projection.apply_to(_tall_block(data)), data, projection.spec)
 
 
-def _error_free_slices(rest: np.ndarray) -> np.ndarray | None:
+def _error_free_slices(rest: np.ndarray) -> np.ndarray:
     """Slices T_0, T_1, ... with T_0 + T_1 + ... = T exactly, side by side as
-    one (d, count * c) array, or None when T needs more than _MAX_SLICES.
-    `rest` holds T and is split in place: it ends as what no slice took.
+    one (d, count * c) array. `rest` holds T and is split in place: it ends
+    all zero.
 
     In column j, slice i holds integer multiples of u_ij = 2^(e_j - beta (i+1)),
     where 2^e_j is the smallest power of two at or above max |T_j| and
     beta = 52 - ceil(log2 d); each multiple is at most 2^beta u_ij in size.
     A +/-1/0 row times a slice column then sums d such multiples, at most
     2^52 u_ij in total, so every partial sum is exact in float64, in any
-    order. Each slice takes round(rest / u_ij) u_ij of what is left, which is
-    exact too (u_ij is a power of two); slices are added until the rest is 0.
+    order. Each slice takes round(rest / u_ij) u_ij of what is left (one unit
+    less where that is 2^1024), which is exact too (u_ij is a power of two),
+    until the rest is 0. No unit is below 2^-1074, of which every float is a
+    multiple, so a column whose entries span a ratio of 2^r needs about
+    (r + 53) / beta slices, and none more than ceil(2098 / beta).
 
     The slices are written in place into one output with room for two, the
-    usual count, which grows to _MAX_SLICES only when a third is needed.
+    usual count, whose room doubles whenever it is full.
     """
     d, c = rest.shape
     beta = 52 - (d - 1).bit_length()
     mantissa, exponent = np.frexp(np.maximum(rest.max(axis=0), -rest.min(axis=0)))
     exponent -= mantissa == 0.5  # a power of two is its own bound
+    # 2^beta units of 2^(1024 - beta) would overflow: such columns keep one less
+    top = np.ldexp(1.0, beta) - (exponent == 1024)
     out = np.empty((d, 2 * c))
-    for i in range(_MAX_SLICES):
-        if out.shape[1] == i * c:  # a third slice: make room for the cap
-            grown = np.empty((d, _MAX_SLICES * c))
-            grown[:, :2 * c] = out
+    for i in range(-(-2098 // beta)):
+        if out.shape[1] == i * c:  # full: double the room
+            grown = np.empty((d, 2 * i * c))
+            grown[:, :i * c] = out
             out = grown
-        # below 2^-1074 no float is left to split off: that unit takes the rest
         unit = np.ldexp(1.0, np.maximum(exponent - beta * (i + 1), -1074))
         piece = out[:, i * c:(i + 1) * c]
         np.divide(rest, unit, out=piece)
         np.round(piece, out=piece)
+        np.clip(piece, -top, top, out=piece)
         piece *= unit
         rest -= piece
         if not rest.any():
             return out if out.shape[1] == (i + 1) * c else out[:, :(i + 1) * c].copy()
-    return None
+    raise AssertionError(f"the rest is not 0 after {i + 1} slices, the most any float needs")
 
 
 @dataclass(frozen=True)
 class ExactSplit:
-    """The error-free slices of a dataset's (d, n (b+1)) block T, or T itself
-    for the CSC route, taken once per run and read, never written, by every
-    replication's `compress`.
+    """The error-free slices of a dataset's (d, n (b+1)) block T, taken once
+    per run and read, never written, by every replication's `compress`.
 
-    `slices` is None when T needs more than _MAX_SLICES slices, and when the
-    run's sparsity `s` sends every `compress` down the CSC route, which never
-    reads them; only then is `block` kept, holding T, and otherwise it is
-    None. The slices are split in place from a fresh T, which ends as the
-    all-zero rest: they hold two copies of T on the usual two-slice split,
-    and the build's only other array is that rest. A T that passes the cap
-    is built again from the data.
+    The slices are split in place from a fresh T, which ends as the all-zero
+    rest: they hold two copies of T on the usual two-slice split, and the
+    build's only other array is that rest.
     """
 
     data: Dataset
-    s: float
-    block: np.ndarray | None = field(init=False, repr=False)
-    slices: np.ndarray | None = field(init=False, repr=False)
+    slices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        slices = None if _sparse_route(self.s) else _error_free_slices(_tall_block(self.data))
-        if slices is None:
-            object.__setattr__(self, "block", _readonly(_tall_block(self.data)))
-        else:
-            slices.setflags(write=False)
-            object.__setattr__(self, "block", None)
+        slices = _error_free_slices(_tall_block(self.data))
+        slices.setflags(write=False)
         object.__setattr__(self, "slices", slices)
 
     @property
     def count(self) -> int:
-        """Number of slices; 0 when there are none."""
-        c = self.data.n * (self.data.b + 1)
-        return 0 if self.slices is None else self.slices.shape[1] // c
+        """Number of slices."""
+        return self.slices.shape[1] // (self.data.n * (self.data.b + 1))
+
+
+def _add_slices(products: np.ndarray, out: np.ndarray) -> None:
+    """Add a sign block's products with the slices, (h, count c) side by
+    side, into out (h, c) in slice order, the one order of both kernels."""
+    c = out.shape[1]
+    np.copyto(out, products[:, :c])
+    for first in range(c, products.shape[1], c):
+        out += products[:, first:first + c]
 
 
 def compress(spec: ProjectionSpec, split: ExactSplit) -> CompressedDataset:
-    """apply(generate(spec), split.data) without building the matrix.
+    """apply(generate(spec), split.data) without building the k x d matrix.
 
-    R is drawn in row blocks from the stream `generate` reads, so the cells
-    are the same. Each block of +/-1/0 signs is multiplied by all slices of
-    the split in one product, whose entries are exact; the slices' products
-    are added in slice order and the sum is scaled by sqrt(s/k) once. The
-    result therefore depends on the spec and the data alone, not on the BLAS
-    thread count or the block height; it differs from the CSC product by
-    rounding only (about 5e-15 relative at d = 5000). When 1/s <= 0.05, or
-    the split does not fit, the CSC route runs and its result is returned.
+    The +/-1 signs of the cells `generate` draws multiply the split's slices,
+    exactly; the products are added in slice order and scaled by sqrt(s/k)
+    once, so the result depends on the spec and the data alone, not on the
+    kernel, the BLAS thread count or the block height. It differs from the
+    CSC product of T by rounding only (about 5e-15 relative at d = 5000).
 
-    A block's signs overwrite its uniforms once the masks are read, so a
-    call holds one _BLOCK_BYTES buffer, two boolean masks of a quarter its
-    size and the (k, n (b+1)) output; the split is shared, read-only.
+    When 1/s > 0.05 the signs are drawn in row blocks of dense +/-1/0 floats,
+    each multiplying all slices in one product. A block's signs overwrite its
+    uniforms, so a call holds one _BLOCK_BYTES buffer, two boolean masks of a
+    quarter its size and the (k, n (b+1)) output; the split is shared,
+    read-only. When 1/s <= 0.05 the CSC sign pattern multiplies them at once.
     """
     data = split.data
     if spec.d != data.d:
         raise DimensionError(f"projection expects d={spec.d}, dataset has d={data.d}")
-    if split.slices is None:
-        return _unstack(generate(spec).apply_to(split.block), data, spec)
-    if _sparse_route(spec.s):  # a split taken for a denser s
-        return apply(generate(spec), data)
-    c, count = data.n * (data.b + 1), split.count
-    rows = max(1, min(spec.k, _BLOCK_BYTES // (8 * spec.d)))
-    rng = np.random.default_rng(np.random.SeedSequence(int(spec.seed)))
-    block = np.empty((rows, spec.d))  # uniforms, then the signs drawn from them
-    plus, minus = np.empty((2, rows, spec.d), dtype=bool)
-    out = np.empty((spec.k, c))
-    for first in range(0, spec.k, rows):
-        h = min(rows, spec.k - first)
-        _sign_masks(rng.random(out=block[:h]), spec.s, plus[:h], minus[:h])
-        signs = np.subtract(plus[:h], minus[:h], out=block[:h], dtype=np.float64)
-        products = (signs @ split.slices).reshape(h, count, c)
-        total = out[first : first + h]
-        np.copyto(total, products[:, 0])
-        for i in range(1, count):
-            total += products[:, i]
+    out = np.empty((spec.k, data.n * (data.b + 1)))
+    if _sparse_route(spec.s):
+        _add_slices(_sign_pattern(spec) @ split.slices, out)
+    else:
+        rows = max(1, min(spec.k, _BLOCK_BYTES // (8 * spec.d)))
+        rng = np.random.default_rng(np.random.SeedSequence(int(spec.seed)))
+        block = np.empty((rows, spec.d))  # uniforms, then the signs drawn from them
+        plus, minus = np.empty((2, rows, spec.d), dtype=bool)
+        for first in range(0, spec.k, rows):
+            h = min(rows, spec.k - first)
+            _sign_masks(rng.random(out=block[:h]), spec.s, plus[:h], minus[:h])
+            signs = np.subtract(plus[:h], minus[:h], out=block[:h], dtype=np.float64)
+            _add_slices(signs @ split.slices, out[first : first + h])
     out *= spec.scale
     return _unstack(out, data, spec)
 

@@ -256,15 +256,15 @@ class TestEstimate:
         assert manifest["params"]["s_resolved"] == pytest.approx(12 ** 0.5)
 
     def test_dense_run_never_imports_scipy_sparse(self, tmp_path):
-        """At s = 1 every replication compresses through the exact split, so
-        the CSC route, the one user of scipy.sparse, never runs."""
+        """At s = 1 every replication compresses through the dense kernel, so
+        the CSC kernel, the one user of scipy.sparse, never runs."""
         csv_path = simulate_small(tmp_path / "sim")
         assert not run_fresh("estimate", "--data", csv_path, "--k", "4", "--s", "1",
                              "--replications", "2", "--grid", "128", "--refine", "1",
                              "--out", str(tmp_path / "est"))
 
     def test_csc_route_same_summary_at_one_and_two_threads(self, tmp_path):
-        """s = sqrt(400) = 20 sends every replication down the CSC route, so a
+        """s = sqrt(400) = 20 sends every replication to the CSC kernel, so a
         fresh process first imports scipy.sparse inside its worker threads;
         the summary must not depend on how many there are."""
         csv_path = tmp_path / "d400.csv"

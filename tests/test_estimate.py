@@ -621,7 +621,7 @@ class TestReplicationDriver:
     def _serial_compress(data, master_seed, r, k=8):
         spec = ProjectionSpec(k=k, d=data.d, s=1.0,
                               seed=derive_seed(master_seed, STREAM_PROJECTION, r))
-        return compress(spec, ExactSplit(data, spec.s))
+        return compress(spec, ExactSplit(data))
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_intervals_bit_equal_to_serial_loop(self, small_mc_dataset, threads):
@@ -668,28 +668,29 @@ class TestReplicationDriver:
         thetas = np.arange(1024) * (TWO_PI / 1024)
         spec = ProjectionSpec(k=8, d=40, s=1.0,
                               seed=derive_seed(3, STREAM_PROJECTION, 1, 1))
-        compressed = compress(spec, ExactSplit(small_mc_dataset, spec.s))
+        compressed = compress(spec, ExactSplit(small_mc_dataset))
         base, projected = (
             CircleProfile(CriterionEvaluator(data, cycles).D).values(thetas) / len(cycles)
             for data in (small_mc_dataset, compressed)
         )
         assert diag.gaps[1, 1] == float(np.abs(projected - base).max())
 
-    def test_sqrt_sparsity_splits_no_data(self, monkeypatch):
-        """At s = sqrt(d) >= 20 every `compress` takes the CSC route, which
-        never reads the split's slices, so neither `_replicate` nor
-        `convergence_diagnostic` builds them."""
+    def test_sqrt_sparsity_bit_equal_to_serial_dense_loop(self, monkeypatch):
+        """At s = sqrt(d) = 20 every replication takes the CSC kernel; the
+        serial loop forces the dense kernel, which must give the same bits."""
         data = logit_oracle_dataset(6, 400, 2, np.array([0.6, 0.8]), seed=47)
-
-        def refuse(block):
-            raise AssertionError("error-free slices built for a CSC-only run")
-
-        monkeypatch.setattr(projection_module, "_error_free_slices", refuse)
-        summary = run_replications(data, k=8, s="sqrt", replications=2, master_seed=12,
-                                   grid_size=64, threads=1)
-        assert summary.successes == 2
-        diag = convergence_diagnostic(data, k_values=(4,), s="sqrt", draws=1, master_seed=3)
-        assert diag.gaps.shape == (1, 1)
+        cycles = enumerate_cycles(data.n, (2, 3))
+        summary = run_replications(data, k=8, s="sqrt", replications=3, master_seed=12,
+                                   grid_size=64, threads=2)
+        assert summary.successes == 3
+        monkeypatch.setattr(projection_module, "_SPARSE_SAMPLER_MAX_PROB", 0.0)
+        split = ExactSplit(data)
+        for r, rec in enumerate(summary.records):
+            spec = ProjectionSpec(k=8, d=400, s=20.0,
+                                  seed=derive_seed(12, STREAM_PROJECTION, r))
+            _, idset = estimate_polar_grid(compress(spec, split), cycles, 64, 1)
+            lb, ub = idset.interval_estimate
+            assert (rec.lb, rec.ub, rec.q_min) == (lb, ub, idset.q_min)
 
     def test_threads_add_only_their_row_blocks(self):
         """Each extra replication thread adds one `compress` call's scratch,

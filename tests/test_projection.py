@@ -31,7 +31,14 @@ from rpchoice import (
 )
 from rpchoice._seeds import STREAM_DIAGNOSTIC, seed_sequence
 from rpchoice import projection as projection_module
-from rpchoice.projection import ExactSplit, _dots_dense, _sign_masks, _tall_block, compress
+from rpchoice.projection import (
+    ExactSplit,
+    _dots_dense,
+    _error_free_slices,
+    _sign_masks,
+    _tall_block,
+    compress,
+)
 
 
 class TestSpec:
@@ -252,6 +259,10 @@ def _panel(covariates, shares) -> Dataset:
     return Dataset(tuple(Market(c, s) for c, s in zip(covariates, shares)))
 
 
+_SPLIT_KINDS = ("one_slice", "two_slices", "three_slices", "four_slices", "zero_column",
+                "nine_slices")
+
+
 def _split_input(kind: str) -> Dataset:
     """Three markets, d = 64, b = 2, built to need a known number of slices
     (beta = 46 bits per slice at d = 64); normal covariates and Dirichlet
@@ -268,22 +279,47 @@ def _split_input(kind: str) -> Dataset:
         cov[0, :, 1] = 0.0
     elif kind == "four_slices":  # about 2^-100 below its column's peak
         cov[1, 5, 0] = 1e-30
-    elif kind == "beyond_the_cap":  # 2^-330 below its column's peak
+    elif kind == "nine_slices":  # 2^-330 below its column's peak
         cov[2, 7, 1] = 1e-100
     return _panel(cov, shares)
 
 
+# signed zeros, subnormals down to the least, and values near the largest float
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0,
+                1.7976931348623157e308, -1.7976931348623157e308, 1.7e308)
+
+
+@st.composite
+def _split_columns(draw):
+    """A (d, c) block of finite floats, several entries drawn from the edges."""
+    d = draw(st.sampled_from([1, 2, 3, 64, 1000]))
+    c = draw(st.integers(1, 3))
+    values = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    block = np.zeros((d, c))
+    cells = draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, c - 1), values),
+                          max_size=12))
+    for row, col, value in cells:
+        block[row, col] = value
+    return block
+
+
+def _slice_sum(slices: np.ndarray, c: int) -> np.ndarray:
+    """The (d, c) slices, side by side in `slices`, added in slice order."""
+    total = slices[:, :c].copy()
+    for first in range(c, slices.shape[1], c):
+        total += slices[:, first:first + c]
+    return total
+
+
+def _kernel(monkeypatch, name: str) -> None:
+    """Send every `compress` to one kernel, whatever its s."""
+    monkeypatch.setattr(projection_module, "_SPARSE_SAMPLER_MAX_PROB",
+                        {"dense": 0.0, "csc": 1.0}[name])
+
+
 class TestCompress:
-    """The fused route against `apply(generate(spec), data)`, its reference.
-
-    The reference rounds a sum of d terms, so it is within
-    d * 2^-53 * (|R| @ |T|) of R T; the fused route adds at most four exact
-    slice products and scales once. Their difference is therefore held to
-    2 (d + 8) 2^-53 times |R| @ |T|, entry by entry."""
-
-    @staticmethod
-    def _both(spec, data):
-        return compress(spec, ExactSplit(data, spec.s)), apply(generate(spec), data)
+    """The fused route against `apply(generate(spec), data)`, its reference."""
 
     @staticmethod
     def _stacked(compressed):
@@ -291,17 +327,27 @@ class TestCompress:
 
     @pytest.mark.parametrize("kind, count", [("one_slice", 1), ("two_slices", 2),
                                              ("three_slices", 3), ("four_slices", 4),
-                                             ("zero_column", 2)])
+                                             ("zero_column", 2), ("nine_slices", 9)])
     @pytest.mark.parametrize("s", [1.0, 3.0])
     def test_matches_the_csc_product(self, kind, count, s):
+        """Write u = 2^-53 and M = |R| @ |T|. The reference rounds a sum of d
+        products, so it is within d u M of R T (to first order, as below).
+        The fused route's slice products are exact. Slice i rounds what
+        slices 0 .. i-1 left to a multiple of its unit, so it is at most
+        twice that rest, which is no larger than T, entry by entry: every
+        partial sum of slices is T less a rest, at most 2 |T|. Each of the
+        count - 1 additions of slice products therefore rounds by at most
+        2 u M, and the scaling by sqrt(s/k) by u M. The two results differ by
+        at most (d + 2 count - 1) u M; the test allows 2 (d + 2 count) u M."""
         data = _split_input(kind)
-        assert ExactSplit(data, s).count == count
+        assert ExactSplit(data).count == count
         spec = ProjectionSpec(k=16, d=64, s=s, seed=8)
-        fused, csc = self._both(spec, data)
-        assert fused.spec == spec
+        fused = compress(spec, ExactSplit(data))
         proj = generate(spec)
+        csc = apply(proj, data)
+        assert fused.spec == spec
         magnitude = (abs(proj.matrix) @ np.abs(_tall_block(data))).reshape(16, 3, 3)
-        bound = 2 * (spec.d + 8) * 2.0 ** -53 * magnitude.transpose(1, 0, 2)
+        bound = 2 * (spec.d + 2 * count) * 2.0 ** -53 * magnitude.transpose(1, 0, 2)
         diff = np.abs(self._stacked(fused) - self._stacked(csc))
         assert (diff <= bound).all()
         if kind == "zero_column":
@@ -309,51 +355,76 @@ class TestCompress:
 
     def test_split_adds_up_exactly(self):
         """The slices add up to T; T itself is not kept beside them."""
-        for kind in ("one_slice", "two_slices", "three_slices", "four_slices", "zero_column"):
+        for kind in _SPLIT_KINDS:
             data = _split_input(kind)
-            split = ExactSplit(data, 1.0)
+            split = ExactSplit(data)
             block = _tall_block(data)
-            c = block.shape[1]
-            total = np.zeros_like(block)
-            for i in range(split.count):
-                total += split.slices[:, i * c:(i + 1) * c]
-            assert total.tobytes() == block.tobytes()
-            assert split.block is None
+            assert _slice_sum(split.slices, block.shape[1]).tobytes() == block.tobytes()
             assert not split.slices.flags.writeable
 
-    @pytest.mark.parametrize("s", [1.0, 3.0])
-    def test_beyond_the_cap_returns_the_csc_bits(self, s):
-        spec = ProjectionSpec(k=16, d=64, s=s, seed=8)
-        data = _split_input("beyond_the_cap")
-        split = ExactSplit(data, s)
-        assert split.slices is None and split.count == 0
-        # the split runs in place on a T of its own; the CSC route gets a fresh one
-        assert split.block.tobytes() == _tall_block(data).tobytes()
-        assert not split.block.flags.writeable
-        fused, csc = self._both(spec, data)
-        assert self._stacked(fused).tobytes() == self._stacked(csc).tobytes()
+    @given(_split_columns())
+    @settings(max_examples=150)
+    def test_split_is_exact_on_any_finite_column(self, block):
+        """The slices add up to T entry by entry; each entry of slice i is an
+        integer multiple of its column's unit 2^max(e - beta (i+1), -1074),
+        2^e the smallest power of two at or above the column's peak, and at
+        most 2^beta of them; no T needs more than ceil(2098 / beta) slices."""
+        d, c = block.shape
+        beta = 52 - (d - 1).bit_length()
+        slices = _error_free_slices(block.copy())
+        count = slices.shape[1] // c
+        assert slices.shape == (d, count * c)
+        assert 1 <= count <= -(-2098 // beta)
+        assert (_slice_sum(slices, c) == block).all()
+        for j in range(c):
+            mantissa, e = math.frexp(float(np.abs(block[:, j]).max()))
+            e -= mantissa == 0.5
+            for i in range(count):
+                piece = slices[:, i * c + j]
+                unit = 2.0 ** max(e - beta * (i + 1), -1074)
+                assert (np.fmod(piece, unit) == 0).all()
+                assert (np.abs(piece / unit) <= 2.0 ** beta).all()
 
-    def test_sqrt_d_returns_the_csc_bits(self):
+    def test_split_of_the_widest_column_takes_the_bound(self):
+        """From 1e300 down to the least subnormal at d = 64 (beta = 46) the
+        units run down to the 2^-1074 floor: ceil(2098 / 46) = 46 slices."""
+        block = np.zeros((64, 1))
+        block[:2, 0] = 1e300, 5e-324
+        slices = _error_free_slices(block.copy())
+        assert slices.shape == (64, 46)
+        assert (_slice_sum(slices, 1) == block).all()
+
+    @pytest.mark.parametrize("kind", _SPLIT_KINDS)
+    @pytest.mark.parametrize("s", [1.0, 3.0, 25.0])
+    def test_kernels_return_the_same_bits(self, monkeypatch, kind, s):
+        data = _split_input(kind)
+        split = ExactSplit(data)
+        spec = ProjectionSpec(k=16, d=64, s=s, seed=8)
+        results = []
+        for name in ("dense", "csc"):
+            _kernel(monkeypatch, name)
+            results.append(self._stacked(compress(spec, split)).tobytes())
+        assert results[0] == results[1]
+
+    def test_kernels_return_the_same_bits_at_sqrt_d(self, monkeypatch):
         data = logit_oracle_dataset(4, 900, 2, np.array([0.6, 0.8]), seed=3)
         spec = ProjectionSpec(k=30, d=900, s=resolve_sparsity("sqrt", 900), seed=4)
         assert spec.nonzero_prob <= projection_module._SPARSE_SAMPLER_MAX_PROB
-        fused, csc = self._both(spec, data)
-        assert self._stacked(fused).tobytes() == self._stacked(csc).tobytes()
-        assert ExactSplit(data, spec.s).slices is None
-        # a split taken for s = 1 holds slices and no T: compress builds T anew
-        dense = compress(spec, ExactSplit(data, 1.0))
-        assert self._stacked(dense).tobytes() == self._stacked(csc).tobytes()
+        split = ExactSplit(data)
+        csc = self._stacked(compress(spec, split)).tobytes()
+        _kernel(monkeypatch, "dense")
+        assert self._stacked(compress(spec, split)).tobytes() == csc
 
     def test_block_height_leaves_the_bits(self, monkeypatch):
         data = logit_oracle_dataset(3, 200, 2, np.array([0.6, 0.8]), seed=5)
         spec = ProjectionSpec(k=40, d=200, s=1.0, seed=6)
-        whole = compress(spec, ExactSplit(data, spec.s))
+        whole = compress(spec, ExactSplit(data))
         monkeypatch.setattr(projection_module, "_BLOCK_BYTES", 3 * 8 * 200)  # 3 rows
-        blocked = compress(spec, ExactSplit(data, spec.s))
+        blocked = compress(spec, ExactSplit(data))
         assert self._stacked(whole).tobytes() == self._stacked(blocked).tobytes()
 
     def test_dimension_mismatch(self):
-        split = ExactSplit(_split_input("two_slices"), 1.0)
+        split = ExactSplit(_split_input("two_slices"))
         with pytest.raises(DimensionError):
             compress(ProjectionSpec(k=4, d=65, s=1.0, seed=0), split)
 
@@ -367,7 +438,7 @@ class TestCompress:
             "from rpchoice import ProjectionSpec, logit_oracle_dataset\n"
             "from rpchoice.projection import ExactSplit, compress\n"
             "data = logit_oracle_dataset(8, 1000, 2, np.array([0.6, 0.8]), seed=3)\n"
-            "out = compress(ProjectionSpec(k=50, d=1000, s=1.0, seed=7), ExactSplit(data, 1.0))\n"
+            "out = compress(ProjectionSpec(k=50, d=1000, s=1.0, seed=7), ExactSplit(data))\n"
             "print(hashlib.sha256(out.covariates.tobytes() + out.shares.tobytes()).hexdigest())"
         )
         src = str(Path(rpchoice.__file__).resolve().parents[1])
@@ -387,10 +458,10 @@ class TestCompress:
         the two slices beside it, and keeps only the slices: a traced peak of
         3 T and 2 T kept, where a copy of T kept beside them would be 4 T and 3 T."""
         data = logit_oracle_dataset(30, 5000, 2, np.array([0.6, 0.8]), seed=0)
-        ExactSplit(data, 1.0)  # warm imports and caches outside the trace
+        ExactSplit(data)  # warm imports and caches outside the trace
         tracemalloc.start()
         try:
-            split = ExactSplit(data, 1.0)
+            split = ExactSplit(data)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -400,12 +471,11 @@ class TestCompress:
         assert kept < 2.1 * tall
 
     def test_peak_memory_is_one_row_block_plus_the_output(self):
-        """The CSC route's `generate` peaks at 52.6 MB on this shape; the fused
-        route holds one row block (uniforms overwritten by the signs, and two
+        """`generate` peaks at 52.6 MB on this shape; the dense kernel holds one row block (uniforms overwritten by the signs, and two
         masks: 10 bytes a cell) and a few copies of the (k, n (b+1)) output."""
         data = logit_oracle_dataset(30, 5000, 2, np.array([0.6, 0.8]), seed=0)
         spec = ProjectionSpec(k=500, d=5000, s=1.0, seed=1)
-        split = ExactSplit(data, spec.s)
+        split = ExactSplit(data)
         compress(spec, split)  # warm imports and caches outside the trace
         tracemalloc.start()
         try:
