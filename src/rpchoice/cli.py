@@ -256,7 +256,9 @@ def cmd_verify_jl(args, out_dir, stages):
     spec = ProjectionSpec(k=args.k, d=args.d, s=s_resolved, seed=args.seed)
     rng = derive_rng(args.seed, STREAM_COVARIATES)
     u, v = rng.standard_normal((2, args.d))
+    t0 = time.monotonic()
     diag = jl_diagnostic(u, v, spec, args.draws)
+    stages["diagnostic"] = time.monotonic() - t0
     payload = {"schema_version": SCHEMA_VERSION, **diag.to_dict()}
     tag = " (gaussian-equivalent)" if diag.gaussian_equivalent else ""
     report = (

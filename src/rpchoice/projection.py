@@ -18,12 +18,13 @@ instead. T is taken once per run (`ExactSplit`) and split without error
 (Ozaki, Ogita, Oishi & Rump, "Error-free transformations of matrix
 multiplication", Numer. Algorithms 59, 2012) into slices whose products with
 +/-1/0 signs are exact in float64. `compress` multiplies the signs of the
-cells `generate` draws by the slices: in row blocks of dense signs when
-1/s > 0.05, as a CSC sign pattern when 1/s <= 0.05, where sparse generation
-is faster. The slices' products are added in one fixed order and scaled by
-sqrt(s/k) once, so neither that choice nor BLAS threads or blocking change a
-bit of the result. scipy is imported by `_sign_pattern` alone, so a run that
-never builds a CSC matrix never loads it.
+cells `generate` draws by the slices: in row blocks of dense signs from
+`_sign_blocks` (the JL diagnostic's sampler too) when 1/s > 0.05, as a CSC
+sign pattern when 1/s <= 0.05, where sparse generation is faster. The
+slices' products are added in one fixed order and scaled by sqrt(s/k) once,
+so neither that choice nor BLAS threads or blocking change a bit of the
+result. scipy is imported by `_sign_pattern` alone, so a run that never
+builds a CSC matrix never loads it.
 """
 
 from __future__ import annotations
@@ -48,10 +49,9 @@ _JL_MIN_DRAWS = 1000
 # at or below this nonzero probability the sparse routes (CSC generation,
 # skip-sampling) beat drawing every cell
 _SPARSE_SAMPLER_MAX_PROB = 0.05
-# bytes of uniforms per row block of `compress`: a block holds
-# _BLOCK_BYTES / (8 d) rows, so its memory does not grow with k or d. The
-# signs overwrite the uniforms, so a thread's scratch is this buffer plus two
-# boolean masks of a quarter its size: about 2.5 MiB
+# bytes of uniforms per block of every dense sign draw (`_sign_blocks`), which
+# holds _BLOCK_BYTES / (8 d) rows, at least one, whatever the row count; with
+# its two masks (an eighth its size each) it is a drawing thread's scratch
 _BLOCK_BYTES = 1 << 21
 
 
@@ -110,6 +110,23 @@ def _sign_masks(uniforms: np.ndarray, s: float, plus=None, minus=None):
     """
     half = 0.5 / s
     return np.less(uniforms, half, out=plus), np.greater_equal(uniforms, 1.0 - half, out=minus)
+
+
+def _sign_blocks(rng: np.random.Generator, s: float, d: int, rows: int):
+    """Yield (first row, (h, d) signs) for `rows` rows of dense +/-1/0 signs
+    thresholded from `rng`'s uniforms in row-major order, at most
+    _BLOCK_BYTES of uniforms a block. The signs overwrite the uniforms in one
+    reused buffer, so each block is valid until the next is drawn."""
+    height = max(1, min(rows, _BLOCK_BYTES // (8 * d)))
+    block = np.empty((height, d))  # uniforms, then the signs drawn from them
+    plus, minus = np.empty((2, height, d), dtype=bool)
+    signs = plus.view(np.int8)  # int8 +/-1/0 in place: no float cast buffers
+    for first in range(0, rows, height):
+        h = min(height, rows - first)
+        _sign_masks(rng.random(out=block[:h]), s, plus[:h], minus[:h])
+        np.subtract(signs[:h], minus[:h].view(np.int8), out=signs[:h])
+        np.copyto(block[:h], signs[:h])
+        yield first, block[:h]
 
 
 @dataclass(frozen=True)
@@ -368,11 +385,11 @@ def compress(spec: ProjectionSpec, split: ExactSplit) -> CompressedDataset:
     kernel, the BLAS thread count or the block height. It differs from the
     CSC product of T by rounding only (about 5e-15 relative at d = 5000).
 
-    When 1/s > 0.05 the signs are drawn in row blocks of dense +/-1/0 floats,
-    each multiplying all slices in one product. A block's signs overwrite its
-    uniforms, so a call holds one _BLOCK_BYTES buffer, two boolean masks of a
-    quarter its size and the (k, n (b+1)) output; the split is shared,
-    read-only. When 1/s <= 0.05 the CSC sign pattern multiplies them at once.
+    When 1/s > 0.05 the signs come in row blocks of dense +/-1/0 floats from
+    `_sign_blocks`, each multiplying all slices in one product, so a call
+    holds one _BLOCK_BYTES block, its two boolean masks and the
+    (k, n (b+1)) output; the split is shared, read-only. When 1/s <= 0.05
+    the CSC sign pattern multiplies them at once.
     """
     data = split.data
     if spec.d != data.d:
@@ -381,15 +398,9 @@ def compress(spec: ProjectionSpec, split: ExactSplit) -> CompressedDataset:
     if _sparse_route(spec.s):
         _add_slices(_sign_pattern(spec) @ split.slices, out)
     else:
-        rows = max(1, min(spec.k, _BLOCK_BYTES // (8 * spec.d)))
         rng = np.random.default_rng(np.random.SeedSequence(int(spec.seed)))
-        block = np.empty((rows, spec.d))  # uniforms, then the signs drawn from them
-        plus, minus = np.empty((2, rows, spec.d), dtype=bool)
-        for first in range(0, spec.k, rows):
-            h = min(rows, spec.k - first)
-            _sign_masks(rng.random(out=block[:h]), spec.s, plus[:h], minus[:h])
-            signs = np.subtract(plus[:h], minus[:h], out=block[:h], dtype=np.float64)
-            _add_slices(signs @ split.slices, out[first : first + h])
+        for first, signs in _sign_blocks(rng, spec.s, spec.d, spec.k):
+            _add_slices(signs @ split.slices, out[first : first + len(signs)])
     out *= spec.scale
     return _unstack(out, data, spec)
 
@@ -451,39 +462,26 @@ class JlDiagnostic:
 def _dots_dense(w: np.ndarray, s: float, n_rows: int, rng: np.random.Generator) -> np.ndarray:
     """Unscaled row sums sum_j sigma_j w_j for n_rows independent matrix rows.
 
-    Uses the same uniform-threshold decision as generate(), batched across
-    rows; chunking bounds memory, not the distribution. The chunks run on two
-    threads, each over a contiguous half with its own buffers and its own
+    The signs come from `_sign_blocks`, thresholded as generate() does, on
+    two threads, each over a contiguous half with its own blocks and its own
     copy of `rng`, advanced to the half's first uniform (one 64-bit draw per
     uniform). The two streams together are exactly `rng`'s stream, so the
     result does not depend on the split; `rng` ends advanced past every draw.
-    Each row is summed by einsum rather than BLAS, whose reduction order
-    varies with its thread count, so neither count changes the result.
+    Each row is summed by einsum, not BLAS, whose reduction order varies with
+    its thread count, so neither count nor a row's block changes the result.
     """
     d = w.size
-    per_chunk = min(n_rows, max(1, (1 << 22) // max(d, 1)))
-    n_chunks = -(-n_rows // per_chunk)
-    split = min(n_rows, -(-n_chunks // 2) * per_chunk)
     out = np.empty(n_rows)
+    split = (n_rows + 1) // 2
 
-    def stream_at(row: int) -> np.random.Generator:
+    def run(first: int, part: np.ndarray) -> None:
         bit_gen = copy.deepcopy(rng.bit_generator)
-        bit_gen.advance(row * d)
-        return np.random.Generator(bit_gen)
+        bit_gen.advance(first * d)
+        for row, signs in _sign_blocks(np.random.Generator(bit_gen), s, d, len(part)):
+            np.einsum("ij,j->i", signs, w, out=part[row : row + len(signs)])
 
-    def run(stream: np.random.Generator, first: int, stop: int) -> None:
-        uniforms, signs = np.empty((2, per_chunk, d))
-        plus, minus = np.empty((2, per_chunk, d), dtype=bool)
-        for done in range(first, stop, per_chunk):
-            count = min(per_chunk, stop - done)
-            _sign_masks(stream.random(out=uniforms[:count]), s, plus[:count], minus[:count])
-            np.subtract(plus[:count], minus[:count], out=signs[:count], dtype=np.float64)
-            np.einsum("ij,j->i", signs[:count], w, out=out[done : done + count])
-
-    halves = [(0, split), (split, n_rows)] if split < n_rows else [(0, n_rows)]
-    with ThreadPoolExecutor(max_workers=len(halves)) as pool:
-        jobs = [pool.submit(run, stream_at(first), first, stop) for first, stop in halves]
-        for job in jobs:
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for job in [pool.submit(run, 0, out[:split]), pool.submit(run, split, out[split:])]:
             job.result()
     rng.bit_generator.advance(n_rows * d)
     return out

@@ -165,8 +165,11 @@ class TestEstimate:
         code = run("estimate", "--data", csv_path, "--k", "4", "--replications", "1",
                    "--grid", "64", "--threads", "1", "--out", str(out))
         assert code == 0
+        jl = tmp_path / "jl"
+        assert run("verify-jl", "--d", "20", "--k", "4", "--draws", "1000", "--out", str(jl)) == 0
         for run_dir, names in ((tmp_path / "sim", ["simulate", "write"]),
-                               (out, ["estimate", "load", "write"])):
+                               (out, ["estimate", "load", "write"]),
+                               (jl, ["diagnostic", "write"])):
             with open(run_dir / "manifest.json") as fh:
                 manifest = json.load(fh, parse_constant=_reject_constant)
             stages = manifest["stage_seconds"]

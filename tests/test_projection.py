@@ -35,6 +35,7 @@ from rpchoice.projection import (
     ExactSplit,
     _dots_dense,
     _error_free_slices,
+    _sign_blocks,
     _sign_masks,
     _tall_block,
     compress,
@@ -545,12 +546,12 @@ class TestJlDiagnostic:
 
     @pytest.mark.parametrize("s", [1.0, 2.0, 3.0])
     def test_dense_chunks_on_two_threads_reproduce_one_stream(self, s):
-        """The dense sampler splits its chunks between two threads; the dots
+        """The dense sampler splits its rows between two threads; the dots
         and the generator's final state must equal one generator drawing the
-        same chunks one after another."""
+        same sign blocks one after another."""
         d = 1000
-        per_chunk = (1 << 22) // d
-        n_rows = 2 * per_chunk + 123  # three chunks, the last one short
+        per_block = projection_module._BLOCK_BYTES // (8 * d)
+        n_rows = 2 * per_block + 123  # three blocks, the last one short
         w = np.random.default_rng(5).standard_normal(d)
         rng = np.random.default_rng(8)
         dots = _dots_dense(w, s, n_rows, rng)
@@ -558,12 +559,48 @@ class TestJlDiagnostic:
         stream = np.random.default_rng(8)
         half = 0.5 / s
         expected = np.empty(n_rows)
-        for lo in range(0, n_rows, per_chunk):
-            uniforms = stream.random((min(per_chunk, n_rows - lo), d))
+        for lo in range(0, n_rows, per_block):
+            uniforms = stream.random((min(per_block, n_rows - lo), d))
             signs = (uniforms < half).astype(float) - (uniforms >= 1.0 - half)
             expected[lo : lo + len(signs)] = np.einsum("ij,j->i", signs, w)
         assert dots.tobytes() == expected.tobytes()
         assert rng.bit_generator.state == stream.bit_generator.state
+
+    @pytest.mark.parametrize("s", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("d, rows", [
+        (1000, 2 * (projection_module._BLOCK_BYTES // 8000) + 57),  # last block short
+        (projection_module._BLOCK_BYTES // 8 + 11, 3),  # one-row blocks
+    ])
+    def test_sign_blocks_are_one_draw_thresholded(self, s, d, rows):
+        """The blocks, copied and stacked, are the thresholds of one
+        `random((rows, d))` call, and leave the generator where it leaves it."""
+        rng = np.random.default_rng(13)
+        blocks = [(first, signs.copy()) for first, signs in _sign_blocks(rng, s, d, rows)]
+        assert [first for first, _ in blocks] == list(
+            range(0, rows, max(1, projection_module._BLOCK_BYTES // (8 * d))))
+        stream = np.random.default_rng(13)
+        uniforms = stream.random((rows, d))
+        half = 0.5 / s
+        expected = (uniforms < half).astype(float) - (uniforms >= 1.0 - half)
+        assert np.concatenate([signs for _, signs in blocks]).tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == stream.bit_generator.state
+
+    def test_dense_peak_memory_is_two_sign_blocks_plus_the_output(self):
+        """Each of the two threads holds one block of uniforms (overwritten by
+        the signs) and its two boolean masks, whatever the row count, beside
+        the output and about 20 kB of threads and generators."""
+        d, n_rows = 1000, 10_000
+        assert n_rows >= 4 * (projection_module._BLOCK_BYTES // (8 * d))
+        w = np.random.default_rng(5).standard_normal(d)
+        _dots_dense(w, 1.0, 2000, np.random.default_rng(8))  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            _dots_dense(w, 1.0, n_rows, np.random.default_rng(8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = projection_module._BLOCK_BYTES
+        assert peak < 2 * (block + 2 * block // 8) + 8 * n_rows + (1 << 16)
 
     def test_result_independent_of_blas_threads(self):
         """OpenBLAS splits a product by its thread count and rounds each split
