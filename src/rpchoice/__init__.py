@@ -43,7 +43,6 @@ from .estimate import (
     convergence_diagnostic,
     estimate_polar_grid,
     estimate_subgradient,
-    run_coefficient_replications,
     run_replications,
     write_grid_csv,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "logit_oracle_dataset",
     "predicted_distance_variance",
     "resolve_sparsity",
-    "run_coefficient_replications",
     "run_replications",
     "save_metadata",
     "simulate_dataset",

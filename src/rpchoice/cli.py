@@ -29,11 +29,7 @@ except ImportError:  # not on Windows
 from . import __version__
 from ._seeds import STREAM_COVARIATES, available_cpus, derive_rng
 from .data import load_csv, save_metadata, write_csv
-from .estimate import (
-    run_coefficient_replications,
-    run_replications,
-    write_grid_csv,
-)
+from .estimate import run_replications, write_grid_csv
 from .projection import ProjectionSpec, jl_diagnostic, resolve_sparsity
 from .simulate import (
     COVARIATE_MODES,
@@ -212,19 +208,23 @@ def cmd_estimate(args, out_dir, stages):
     data = load_csv(args.data)
     stages["load"] = time.monotonic() - t0
     s_resolved = resolve_sparsity(args.s, data.d)
-    threads = args.threads if args.threads else available_cpus()
-    common = dict(
+    t0 = time.monotonic()
+    summary = run_replications(
+        data,
         k=args.k,
         s=s_resolved,
         replications=args.replications,
         master_seed=args.seed,
         cycle_lengths=args.cycles,
-        threads=threads,
+        grid_size=args.grid,
+        restarts=args.restarts,
+        steps=args.steps,
+        threads=args.threads if args.threads else available_cpus(),
     )
-    artifacts = {}
-    t0 = time.monotonic()
+    stages["estimate"] = time.monotonic() - t0
+    payload = {"schema_version": SCHEMA_VERSION, **summary.to_dict()}
+    artifacts = {"summary": ("summary.json", partial(_write_json, payload))}
     if data.b == 2:
-        summary = run_replications(data, grid_size=args.grid, **common)
         artifacts["grid"] = ("grid.csv", partial(write_grid_csv, summary.unprojected_grid))
         lo, hi = summary.unprojected_set.interval_estimate
         report = (
@@ -233,14 +233,7 @@ def cmd_estimate(args, out_dir, stages):
             f"nested {summary.nested_count}/{summary.successes}"
         )
     else:
-        summary = run_coefficient_replications(
-            data, restarts=args.restarts, steps=args.steps, **common
-        )
         report = f"{summary.successes} replications succeeded"
-    stages["estimate"] = time.monotonic() - t0
-    payload = {"schema_version": SCHEMA_VERSION, **summary.to_dict()}
-    artifacts["summary"] = ("summary.json", partial(_write_json, payload))
-
     resolved = {"data": os.path.abspath(args.data), "s_resolved": s_resolved}
     if summary.successes == 0:
         report = (
@@ -304,7 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=(2, 3),
         help="comma-separated cycle lengths, from 2 and 3 (default 2,3)",
     )
-    p_est.add_argument("--replications", type=_positive_int, default=100)
+    p_est.add_argument(
+        "--replications",
+        type=_positive_int,
+        default=100,
+        help="projection draws (default 100); a failed one is recorded in summary.json, "
+        "and the run exits 1 only when every one failed",
+    )
     p_est.add_argument(
         "--grid",
         type=_positive_int,

@@ -9,8 +9,8 @@ With more covariates, an active-set iteration does the minimizing over the
 sphere: it fixes the set of violated cycles, under which the criterion is a
 quadratic form, and jumps to that form's smallest eigenvector, repeating
 while the criterion strictly drops. One replication driver, `_replicate`,
-repeats seed -> compression -> estimation over independent draws for both
-the circle and the sphere summaries, splitting the data once per run
+repeats seed -> compression -> estimation over independent draws, with the
+estimator picked by the number of covariates, splitting the data once per run
 (`projection.ExactSplit`) into exact slices that every replication's
 projection multiplies.
 """
@@ -144,6 +144,17 @@ class IdentifiedSet:
         }
 
 
+def _identified_set(profile: CircleProfile) -> IdentifiedSet:
+    """The level set {Q <= q_min + tolerance} of a circle profile, with
+    tolerance max(1e-12, 1e-6 * max Q)."""
+    q_min, argmin = profile.minimum()
+    tolerance = max(_TOL_FLOOR, _TOL_RELATIVE * profile.max_value)
+    arcs = profile.level_set(q_min + tolerance)
+    if arcs == ((0.0, TWO_PI),):
+        argmin = 0.0  # flat criterion: every direction is as good as any other
+    return IdentifiedSet(arcs, q_min, tolerance, argmin)
+
+
 def estimate_polar_grid(
     data, cycles: CycleSet, grid_size: int = 2000, refine: int = 10
 ) -> tuple[AngleGrid, IdentifiedSet]:
@@ -168,14 +179,7 @@ def estimate_polar_grid(
 
     profile = CircleProfile(CriterionEvaluator(data, cycles).D)
     thetas = np.arange(grid_size) * (TWO_PI / grid_size)
-    grid = AngleGrid(thetas, profile.values(thetas))
-
-    q_min, argmin = profile.minimum()
-    tolerance = max(_TOL_FLOOR, _TOL_RELATIVE * profile.max_value)
-    arcs = profile.level_set(q_min + tolerance)
-    if arcs == ((0.0, TWO_PI),):
-        argmin = 0.0  # flat criterion: every direction is as good as any other
-    return grid, IdentifiedSet(arcs, q_min, tolerance, argmin)
+    return AngleGrid(thetas, profile.values(thetas)), _identified_set(profile)
 
 
 @dataclass(frozen=True)
@@ -308,11 +312,15 @@ def estimate_subgradient(
 
 @dataclass(frozen=True)
 class ReplicationRecord:
-    """One replication's interval estimate [lb, ub], or the error it raised."""
+    """One replication: the criterion's minimum `q_min` with the circle's
+    interval estimate [lb, ub] (b = 2) or the sphere's minimizer `beta`
+    (b != 2), or the error it raised. A failed record keeps NaN in place of
+    each number, and a failed sphere record a beta of b NaNs."""
 
     index: int
     lb: float = math.nan
     ub: float = math.nan
+    beta: tuple[float, ...] | None = None
     q_min: float = math.nan
     error: str | None = None
 
@@ -329,6 +337,9 @@ class ReplicationRecord:
         return self.ub < self.lb
 
     def to_dict(self) -> dict:
+        if self.beta is not None:
+            return {"index": self.index, "beta": list(self.beta), "q_min": self.q_min,
+                    "error": self.error}
         return {
             "index": self.index,
             "lb": self.lb,
@@ -354,24 +365,35 @@ def _statistic(fn, values: str) -> property:
     return property(read)
 
 
+def _successful(name: str) -> property:
+    """The successful records' `name`, in replication order, as an array."""
+    return property(lambda self: np.array([getattr(r, name) for r in self.records if r.ok]))
+
+
 @dataclass(frozen=True)
 class ReplicationSummary:
-    """Interval statistics across projection replications.
+    """Statistics across projection replications, for either estimator.
 
-    Only the records and the unprojected estimate are stored; every
-    statistic is computed from the successful records when read. Quantiles
-    use linear interpolation on order statistics (numpy's default, quantile
-    type 7); dispersion is the population standard deviation, which
-    degrades gracefully to 0 for a single replication.
+    Only the records and, on the circle, the unprojected set and grid are
+    stored; every statistic is computed from the successful records when
+    read. The circle's statistics are over the intervals, the sphere's over
+    the betas and their criterion values. Quantiles use linear interpolation
+    on order statistics (numpy's default, quantile type 7); dispersion is
+    the population standard deviation, which degrades gracefully to 0 for a
+    single replication.
     """
 
     design_label: str
     k: int
     s: float
     records: tuple[ReplicationRecord, ...]
-    unprojected_set: IdentifiedSet
-    unprojected_grid: AngleGrid = field(repr=False)
+    unprojected_set: IdentifiedSet | None = None
+    unprojected_grid: AngleGrid | None = field(default=None, repr=False)
 
+    lb = _successful("lb")
+    ub = _successful("ub")
+    theta_hat = _successful("theta_hat")
+    values = _successful("q_min")
     mean_lb = _statistic(np.mean, "lb")
     sd_lb = _statistic(np.std, "lb")
     mean_ub = _statistic(np.mean, "ub")
@@ -382,18 +404,17 @@ class ReplicationSummary:
     max_ub = _statistic(np.max, "ub")
     mean_theta = _statistic(np.mean, "theta_hat")
     sd_theta = _statistic(np.std, "theta_hat")
+    mean_value = _statistic(np.mean, "values")
 
     @property
-    def lb(self) -> np.ndarray:
-        return np.array([r.lb for r in self.records if r.ok])
+    def betas(self) -> np.ndarray:
+        """(successes, b): the successful sphere replications' minimizers."""
+        b = len(self.records[0].beta)
+        return np.array([r.beta for r in self.records if r.ok]).reshape(-1, b)
 
     @property
-    def ub(self) -> np.ndarray:
-        return np.array([r.ub for r in self.records if r.ok])
-
-    @property
-    def theta_hat(self) -> np.ndarray:
-        return np.array([r.theta_hat for r in self.records if r.ok])
+    def errors(self) -> tuple[tuple[int, str], ...]:
+        return tuple((r.index, r.error) for r in self.records if not r.ok)
 
     @property
     def replications(self) -> int:
@@ -420,18 +441,31 @@ class ReplicationSummary:
         return self.nested_count / good if good else math.nan
 
     def to_dict(self) -> dict:
-        stats = ("mean_lb", "sd_lb", "mean_ub", "sd_ub", "q25_lb", "q75_ub", "min_lb",
-                 "max_ub", "mean_theta", "sd_theta", "nested_count", "nested_fraction",
-                 "failures")
-        return {
+        out = {
             "design": self.design_label,
             "k": self.k,
             "s": self.s,
             "replications": self.replications,
-            "summary": {name: getattr(self, name) for name in stats},
-            "unprojected": self.unprojected_set.to_dict(),
             "records": [r.to_dict() for r in self.records],
         }
+        if self.unprojected_set is not None:
+            stats = ("mean_lb", "sd_lb", "mean_ub", "sd_ub", "q25_lb", "q75_ub", "min_lb",
+                     "max_ub", "mean_theta", "sd_theta", "nested_count", "nested_fraction",
+                     "failures")
+            out["summary"] = {name: getattr(self, name) for name in stats}
+            out["unprojected"] = self.unprojected_set.to_dict()
+            return out
+        betas = self.betas
+
+        def across(fn) -> list:
+            return fn(betas, axis=0).tolist() if betas.size else []
+
+        out["summary"] = {"median": across(np.median), "q25": across(_q25),
+                          "q75": across(_q75), "mean_value": self.mean_value,
+                          "failures": self.failures}
+        out["betas"] = betas.tolist()
+        out["errors"] = [list(e) for e in self.errors]
+        return out
 
 
 def _compress(split: ExactSplit, k: int, s: float, master_seed: int, *key: int):
@@ -440,18 +474,6 @@ def _compress(split: ExactSplit, k: int, s: float, master_seed: int, *key: int):
         k=k, d=split.data.d, s=s, seed=derive_seed(master_seed, STREAM_PROJECTION, *key)
     )
     return compress(spec, split)
-
-
-def _check_replications(data, k: int, s, replications: int, threads: int) -> float:
-    """Validate a replication run up front; return the resolved sparsity."""
-    if replications < 1:
-        raise ParameterError("replications must be at least 1")
-    if threads < 1:
-        raise ParameterError("threads must be at least 1")
-    s_resolved = resolve_sparsity(s, data.d)
-    # fail fast on structurally impossible specs instead of logging R failures
-    ProjectionSpec(k=k, d=data.d, s=s_resolved, seed=0)
-    return s_resolved
 
 
 def _replicate(data, k: int, s: float, replications: int, master_seed: int, threads: int,
@@ -485,28 +507,52 @@ def run_replications(
     master_seed: int,
     cycle_lengths=(2, 3),
     grid_size: int = 2000,
+    restarts: int = 20,
+    steps: int = 5000,
     threads: int = 1,
     design_label: str = "",
 ) -> ReplicationSummary:
-    """Repeat (draw projection, compress, sweep the circle) and summarize.
+    """Repeat (draw projection, compress, estimate) and summarize.
 
-    Replications run through `_replicate`: a failed replication is marked
-    failed and excluded from the statistics rather than aborting the run.
+    The estimator follows the number of covariates. With b = 2 it is the
+    exact circle sweep: each record holds the interval estimate, and the
+    summary the unprojected set and its criterion on `grid_size` angles.
+    Otherwise it is the sphere solver `estimate_subgradient`, with
+    `restarts` and `steps` and its seed drawn from (master_seed, r): each
+    record holds the beta. Replications run through `_replicate`: a failed
+    replication is recorded with its error and left out of the statistics
+    rather than aborting the run.
     """
-    if data.b != 2:
-        raise DimensionError("run_replications reports angle intervals; needs b = 2")
-    s_resolved = _check_replications(data, k, s, replications, threads)
+    if replications < 1:
+        raise ParameterError("replications must be at least 1")
+    if threads < 1:
+        raise ParameterError("threads must be at least 1")
+    s_resolved = resolve_sparsity(s, data.d)
+    # fail fast on structurally impossible specs instead of logging R failures
+    ProjectionSpec(k=k, d=data.d, s=s_resolved, seed=0)
     cycles = enumerate_cycles(data.n, cycle_lengths)
 
-    grid0, unprojected = estimate_polar_grid(data, cycles, grid_size)
+    grid = unprojected = failed_beta = None
+    if data.b == 2:
+        grid, unprojected = estimate_polar_grid(data, cycles, grid_size)
 
-    def solve(r: int, compressed) -> ReplicationRecord:
-        _, idset = estimate_polar_grid(compressed, cycles, grid_size)
-        lb, ub = idset.interval_estimate
-        return ReplicationRecord(index=r, lb=lb, ub=ub, q_min=idset.q_min)
+        def solve(r: int, compressed) -> ReplicationRecord:
+            idset = _identified_set(CircleProfile(CriterionEvaluator(compressed, cycles).D))
+            lb, ub = idset.interval_estimate
+            return ReplicationRecord(index=r, lb=lb, ub=ub, q_min=idset.q_min)
+    else:
+        failed_beta = (math.nan,) * data.b
+
+        def solve(r: int, compressed) -> ReplicationRecord:
+            result = estimate_subgradient(
+                compressed, cycles, restarts=restarts, steps=steps,
+                seed=derive_seed(master_seed, STREAM_RESTARTS, r),
+            )
+            return ReplicationRecord(index=r, beta=tuple(map(float, result.beta)),
+                                     q_min=result.value)
 
     records = tuple(
-        record if error is None else ReplicationRecord(index=r, error=error)
+        record if error is None else ReplicationRecord(index=r, beta=failed_beta, error=error)
         for r, (record, error) in enumerate(
             _replicate(data, k, s_resolved, replications, master_seed, threads, solve)
         )
@@ -517,96 +563,7 @@ def run_replications(
         s=s_resolved,
         records=records,
         unprojected_set=unprojected,
-        unprojected_grid=grid0,
-    )
-
-
-@dataclass(frozen=True)
-class CoefficientReplicationSummary:
-    """Per-coefficient spread across projection replications (b != 2 path).
-
-    `betas` (one row per successful replication) and `values` hold the
-    successful solves in replication order; `errors` holds the
-    (index, message) pair of each failed one.
-    """
-
-    design_label: str
-    k: int
-    s: float
-    betas: np.ndarray
-    values: np.ndarray
-    errors: tuple[tuple[int, str], ...]
-
-    @property
-    def successes(self) -> int:
-        return len(self.betas)
-
-    @property
-    def failures(self) -> int:
-        return len(self.errors)
-
-    @property
-    def replications(self) -> int:
-        return self.successes + self.failures
-
-    def to_dict(self) -> dict:
-        def across(fn) -> list:
-            return fn(self.betas, axis=0).tolist() if self.betas.size else []
-
-        return {
-            "design": self.design_label,
-            "k": self.k,
-            "s": self.s,
-            "replications": self.replications,
-            "summary": {
-                "median": across(np.median),
-                "q25": across(_q25),
-                "q75": across(_q75),
-                "mean_value": float(self.values.mean()) if self.values.size else math.nan,
-                "failures": self.failures,
-            },
-            "betas": self.betas.tolist(),
-            "errors": [list(f) for f in self.errors],
-        }
-
-
-def run_coefficient_replications(
-    data: Dataset,
-    k: int,
-    s,
-    replications: int,
-    master_seed: int,
-    cycle_lengths=(2, 3),
-    restarts: int = 20,
-    steps: int = 5000,
-    threads: int = 1,
-) -> CoefficientReplicationSummary:
-    """Replication harness for b != 2: the active-set sphere solver
-    (`estimate_subgradient`) instead of the exact circle sweep.
-
-    Failures are recorded as in `run_replications`.
-    """
-    s_resolved = _check_replications(data, k, s, replications, threads)
-    cycles = enumerate_cycles(data.n, cycle_lengths)
-
-    def solve(r: int, compressed) -> SphereDescentResult:
-        return estimate_subgradient(
-            compressed,
-            cycles,
-            restarts=restarts,
-            steps=steps,
-            seed=derive_seed(master_seed, STREAM_RESTARTS, r),
-        )
-
-    results = _replicate(data, k, s_resolved, replications, master_seed, threads, solve)
-    good = [result for result, error in results if error is None]
-    return CoefficientReplicationSummary(
-        design_label=f"d{data.d}k{k}",
-        k=k,
-        s=s_resolved,
-        betas=np.array([g.beta for g in good]) if good else np.empty((0, data.b)),
-        values=np.array([g.value for g in good]),
-        errors=tuple((r, error) for r, (_, error) in enumerate(results) if error is not None),
+        unprojected_grid=grid,
     )
 
 

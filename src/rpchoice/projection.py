@@ -316,21 +316,22 @@ def _error_free_slices(rest: np.ndarray) -> np.ndarray:
     multiple, so a column whose entries span a ratio of 2^r needs about
     (r + 53) / beta slices, and none more than ceil(2098 / beta).
 
-    The slices are written in place into one output with room for two, the
-    usual count, whose room doubles whenever it is full.
+    The count is worked out first: slice i leaves column j's rest 0 exactly
+    when u_ij is at or below the lowest set bit 2^p_j of every entry (no
+    float has one below 2^-1074), so the column needs
+    max(1, ceil((e_j - p_j) / beta)) slices. The output is allocated once
+    at the largest such count and the slices are written into it in place.
     """
     d, c = rest.shape
     beta = 52 - (d - 1).bit_length()
     mantissa, exponent = np.frexp(np.maximum(rest.max(axis=0), -rest.min(axis=0)))
     exponent -= mantissa == 0.5  # a power of two is its own bound
+    spread = int((exponent - _lowest_bits(rest)).max())
+    count = max(1, -(-spread // beta))
     # 2^beta units of 2^(1024 - beta) would overflow: such columns keep one less
     top = np.ldexp(1.0, beta) - (exponent == 1024)
-    out = np.empty((d, 2 * c))
-    for i in range(-(-2098 // beta)):
-        if out.shape[1] == i * c:  # full: double the room
-            grown = np.empty((d, 2 * i * c))
-            grown[:, :i * c] = out
-            out = grown
+    out = np.empty((d, count * c))
+    for i in range(count):
         unit = np.ldexp(1.0, np.maximum(exponent - beta * (i + 1), -1074))
         piece = out[:, i * c:(i + 1) * c]
         np.divide(rest, unit, out=piece)
@@ -338,9 +339,26 @@ def _error_free_slices(rest: np.ndarray) -> np.ndarray:
         np.clip(piece, -top, top, out=piece)
         piece *= unit
         rest -= piece
-        if not rest.any():
-            return out if out.shape[1] == (i + 1) * c else out[:, :(i + 1) * c].copy()
-    raise AssertionError(f"the rest is not 0 after {i + 1} slices, the most any float needs")
+    if rest.any():
+        raise AssertionError(f"the rest is not 0 after {count} slices")
+    return out
+
+
+def _lowest_bits(block: np.ndarray) -> np.ndarray:
+    """Per column, the exponent p of the lowest set bit 2^p over the column's
+    nonzero entries (2^1024 for an all-zero column). It reads about 8,192
+    entries at a time, so its scratch stays under half a MB."""
+    lowest = np.full(block.shape[1], 1024)
+    rows = max(1, 8192 // block.shape[1])
+    for first in range(0, block.shape[0], rows):
+        # x = m 2^e with m 2^53 an integer M below 2^53, whose lowest set
+        # bit M & -M is 2^z (frexp gives z + 1); x's lowest bit is 2^(e - 53 + z)
+        mantissa, exponent = np.frexp(block[first:first + rows])
+        whole = np.ldexp(np.abs(mantissa), 53).astype(np.int64)
+        exponent += np.frexp(whole & -whole)[1]
+        exponent[whole == 0] = 1024 + 54
+        np.minimum(lowest, exponent.min(axis=0) - 54, out=lowest)
+    return lowest
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,10 @@ import pytest
 import rpchoice
 from rpchoice import NumericalError, __version__, load_csv, logit_oracle_dataset, write_csv
 from rpchoice import cli
+from rpchoice._seeds import STREAM_PROJECTION, derive_seed
 from rpchoice.cli import PRESETS, SCHEMA_VERSION, TOOL_NAME, build_parser, main
 from rpchoice.estimate import run_replications
+from rpchoice.projection import compress
 
 
 def run(*argv) -> int:
@@ -318,6 +320,36 @@ class TestEstimate:
         assert [r["lb"] for r in payload["records"]] == [None, None]
         assert [r["error"] for r in payload["records"]] == ["NumericalError: injected"] * 2
         assert (out / "manifest.json").exists()
+
+    def test_partial_failure_exits_0_and_records_it(self, tmp_path, monkeypatch):
+        """A run exits 1 only when every replication failed: with replication
+        1 of 3 failing, a b = 3 run exits 0, its record carries the error, and
+        the other two replications' betas remain."""
+        failing = derive_seed(4, STREAM_PROJECTION, 1)
+
+        def compress_but_one(spec, split):
+            if spec.seed == failing:
+                raise NumericalError("injected")
+            return compress(spec, split)
+
+        csv_path = tmp_path / "b3.csv"
+        write_csv(logit_oracle_dataset(8, 12, 3, np.array([1.0, -0.5, 0.25]), seed=3),
+                  str(csv_path))
+        monkeypatch.setattr("rpchoice.estimate.compress", compress_but_one)
+        out = tmp_path / "est"
+        code = run("estimate", "--data", str(csv_path), "--k", "4", "--replications", "3",
+                   "--restarts", "2", "--steps", "50", "--threads", "1", "--seed", "4",
+                   "--out", str(out))
+        assert code == 0
+        with open(out / "summary.json") as fh:
+            payload = json.load(fh, parse_constant=_reject_constant)
+        records = payload["records"]
+        assert [r["index"] for r in records] == [0, 1, 2]
+        assert records[1]["error"] == "NumericalError: injected"
+        assert records[1]["beta"] == [None, None, None] and records[1]["q_min"] is None
+        assert payload["errors"] == [[1, "NumericalError: injected"]]
+        assert payload["betas"] == [records[0]["beta"], records[2]["beta"]]
+        assert payload["summary"]["failures"] == 1
 
 
 def _reject_constant(token):

@@ -34,7 +34,6 @@ from rpchoice import (
     estimate_subgradient,
     generate,
     logit_oracle_dataset,
-    run_coefficient_replications,
     run_replications,
     simulate_dataset,
     write_grid_csv,
@@ -597,19 +596,52 @@ class TestReplications:
         for a, b in zip(one.records, three.records):
             assert (a.lb, a.ub, a.theta_hat, a.q_min) == (b.lb, b.ub, b.theta_hat, b.q_min)
 
-    def test_coefficient_replications(self, small_mc_dataset):
-        coef = run_coefficient_replications(small_mc_dataset, k=8, s=1.0,
-                                            replications=3, master_seed=5,
-                                            restarts=4, steps=200)
-        assert coef.betas.shape == (3, 2)
-        np.testing.assert_allclose(np.linalg.norm(coef.betas, axis=1), 1.0, atol=1e-12)
-        assert (coef.values >= 0).all()
-        assert coef.errors == ()
-        assert (coef.replications, coef.successes, coef.failures) == (3, 3, 0)
-        again = run_coefficient_replications(small_mc_dataset, k=8, s=1.0,
-                                             replications=3, master_seed=5,
-                                             restarts=4, steps=200)
-        np.testing.assert_array_equal(coef.betas, again.betas)
+    def test_sphere_solver_on_compressed_circle_data(self, small_mc_dataset):
+        """The sphere solver runs at b = 2 too (run_replications takes the
+        circle sweep there): unit betas, nonnegative values, same bits twice."""
+        cycles = enumerate_cycles(small_mc_dataset.n, (2, 3))
+        split = ExactSplit(small_mc_dataset)
+        for r in range(3):
+            spec = ProjectionSpec(k=8, d=small_mc_dataset.d, s=1.0,
+                                  seed=derive_seed(5, STREAM_PROJECTION, r))
+            first, again = (
+                estimate_subgradient(compress(spec, split), cycles, restarts=4, steps=200,
+                                     seed=derive_seed(5, STREAM_RESTARTS, r))
+                for _ in range(2)
+            )
+            assert first.beta.shape == (2,)
+            assert abs(np.linalg.norm(first.beta) - 1.0) <= 1e-12
+            assert first.value >= 0
+            np.testing.assert_array_equal(first.beta, again.beta)
+
+    def test_sphere_replications(self, b3_data):
+        """With b = 3 the records hold betas and criterion minima, and the
+        summary's betas, values and errors are read off them."""
+        summary = run_replications(b3_data, k=8, s=1.0, replications=3, master_seed=5,
+                                   restarts=4, steps=200)
+        assert summary.unprojected_set is None and summary.unprojected_grid is None
+        assert summary.betas.shape == (3, 3)
+        np.testing.assert_allclose(np.linalg.norm(summary.betas, axis=1), 1.0, atol=1e-12)
+        assert (summary.values >= 0).all()
+        assert summary.errors == ()
+        assert (summary.replications, summary.successes, summary.failures) == (3, 3, 0)
+        for r, rec in enumerate(summary.records):
+            assert rec.index == r and rec.ok
+            assert all(type(x) is float for x in rec.beta)
+            np.testing.assert_array_equal(rec.beta, summary.betas[r])
+            assert rec.q_min == summary.values[r]
+        payload = summary.to_dict()
+        json.dumps(payload, allow_nan=False)
+        assert payload["records"] == [
+            {"index": r, "beta": list(rec.beta), "q_min": rec.q_min, "error": None}
+            for r, rec in enumerate(summary.records)
+        ]
+        assert payload["betas"] == summary.betas.tolist()
+        assert payload["summary"]["mean_value"] == float(summary.values.mean())
+        assert "unprojected" not in payload
+        again = run_replications(b3_data, k=8, s=1.0, replications=3, master_seed=5,
+                                 restarts=4, steps=200)
+        assert again.records == summary.records
 
 
 class TestReplicationDriver:
@@ -640,26 +672,23 @@ class TestReplicationDriver:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_coefficients_bit_equal_to_serial_loop(self, b3_data, threads):
         cycles = enumerate_cycles(b3_data.n, (2, 3))
-        coef = run_coefficient_replications(b3_data, k=8, s=1.0, replications=3,
-                                            master_seed=12, restarts=2, steps=50,
-                                            threads=threads)
-        assert coef.betas.shape == (3, 3)
-        for r in range(3):
+        summary = run_replications(b3_data, k=8, s=1.0, replications=3, master_seed=12,
+                                   restarts=2, steps=50, threads=threads)
+        assert [rec.index for rec in summary.records] == [0, 1, 2]
+        for r, rec in enumerate(summary.records):
             res = estimate_subgradient(self._serial_compress(b3_data, 12, r),
                                        cycles, restarts=2, steps=50,
                                        seed=derive_seed(12, STREAM_RESTARTS, r))
-            np.testing.assert_array_equal(coef.betas[r], res.beta)
-            assert coef.values[r] == res.value
+            np.testing.assert_array_equal(rec.beta, res.beta)
+            assert rec.q_min == res.value
 
     def test_coefficient_threads_do_not_change_results(self, b3_data):
         one, two = (
-            run_coefficient_replications(b3_data, k=8, s=1.0, replications=4,
-                                         master_seed=8, restarts=2, steps=50,
-                                         threads=threads)
+            run_replications(b3_data, k=8, s=1.0, replications=4, master_seed=8,
+                             restarts=2, steps=50, threads=threads)
             for threads in (1, 2)
         )
-        np.testing.assert_array_equal(one.betas, two.betas)
-        np.testing.assert_array_equal(one.values, two.values)
+        assert one.records == two.records
 
     def test_convergence_gap_recomputed_by_hand(self, small_mc_dataset):
         diag = convergence_diagnostic(small_mc_dataset, k_values=(4, 8), s=1.0,
@@ -710,13 +739,13 @@ class TestReplicationDriver:
         per_call = 10 * rows * data.d + 4 * 8 * k * data.n * (data.b + 1)
         assert peaks[4] - peaks[1] <= 3 * per_call
 
-    def test_thread_count_below_one_rejected(self, small_mc_dataset):
+    def test_thread_count_below_one_rejected(self, small_mc_dataset, b3_data):
         with pytest.raises(ParameterError, match="threads"):
             run_replications(small_mc_dataset, k=8, s=1.0, replications=1,
                              master_seed=1, grid_size=64, threads=0)
         with pytest.raises(ParameterError, match="threads"):
-            run_coefficient_replications(small_mc_dataset, k=8, s=1.0, replications=1,
-                                         master_seed=1, restarts=1, steps=5, threads=0)
+            run_replications(b3_data, k=8, s=1.0, replications=1,
+                             master_seed=1, restarts=1, steps=5, threads=0)
 
 
 class TestReplicationFailures:
@@ -730,32 +759,36 @@ class TestReplicationFailures:
         return compress
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_package_error_is_recorded(self, small_mc_dataset, monkeypatch, threads):
+    def test_package_error_is_recorded(self, small_mc_dataset, b3_data, monkeypatch,
+                                       threads):
         monkeypatch.setattr("rpchoice.estimate.compress",
                             self._broken_compress(NumericalError("injected")))
         summary = run_replications(small_mc_dataset, k=8, s=1.0, replications=2,
                                    master_seed=5, grid_size=64, threads=threads)
         assert summary.failures == 2
         assert all(r.error == "NumericalError: injected" for r in summary.records)
-        coef = run_coefficient_replications(small_mc_dataset, k=8, s=1.0,
-                                            replications=2, master_seed=5,
-                                            restarts=1, steps=5, threads=threads)
-        assert coef.errors == ((0, "NumericalError: injected"),
-                               (1, "NumericalError: injected"))
-        assert (coef.replications, coef.successes, coef.failures) == (2, 0, 2)
-        assert coef.betas.shape == (0, 2)
+        sphere = run_replications(b3_data, k=8, s=1.0, replications=2, master_seed=5,
+                                  restarts=1, steps=5, threads=threads)
+        assert sphere.errors == ((0, "NumericalError: injected"),
+                                 (1, "NumericalError: injected"))
+        assert (sphere.replications, sphere.successes, sphere.failures) == (2, 0, 2)
+        assert sphere.betas.shape == (0, 3)
+        assert math.isnan(sphere.mean_value)
+        payload = sphere.to_dict()
+        assert payload["betas"] == [] and payload["summary"]["median"] == []
+        assert [r["error"] for r in payload["records"]] == ["NumericalError: injected"] * 2
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_programming_error_propagates(self, small_mc_dataset, monkeypatch, threads):
+    def test_programming_error_propagates(self, small_mc_dataset, b3_data, monkeypatch,
+                                          threads):
         monkeypatch.setattr("rpchoice.estimate.compress",
                             self._broken_compress(TypeError("injected")))
         with pytest.raises(TypeError, match="injected"):
             run_replications(small_mc_dataset, k=8, s=1.0, replications=2,
                              master_seed=5, grid_size=64, threads=threads)
         with pytest.raises(TypeError, match="injected"):
-            run_coefficient_replications(small_mc_dataset, k=8, s=1.0,
-                                         replications=2, master_seed=5,
-                                         restarts=1, steps=5, threads=threads)
+            run_replications(b3_data, k=8, s=1.0, replications=2, master_seed=5,
+                             restarts=1, steps=5, threads=threads)
 
 
 class TestConvergenceDiagnostic:

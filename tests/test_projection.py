@@ -471,6 +471,26 @@ class TestCompress:
         assert peak < 3.2 * tall
         assert kept < 2.1 * tall
 
+    def test_split_is_sized_once(self):
+        """A column of normals with one entry at 2^-75 spans e - p = 77 > 2
+        beta bits at d = 100,000 (beta = 35), so it needs 3 slices. Counted up
+        front, the split holds T and the 3 slices, never a larger output or a
+        trimmed copy of it; 64 kB covers the per-column counts and the block
+        scratch beyond T's 800 kB. Made room for 4 slices and copied, the
+        peak would be T + 4 + 3 slices."""
+        column = np.random.default_rng(2).standard_normal((100_000, 1))
+        column[7, 0] = 2.0 ** -75
+        _error_free_slices(column.copy())  # warm imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            slices = _error_free_slices(column.copy())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert slices.shape == (100_000, 3)
+        assert (_slice_sum(slices, 1) == column).all()
+        assert peak <= column.nbytes + slices.nbytes + 64_000
+
     def test_peak_memory_is_one_row_block_plus_the_output(self):
         """`generate` peaks at 52.6 MB on this shape; the dense kernel holds one row block (uniforms overwritten by the signs, and two
         masks: 10 bytes a cell) and a few copies of the (k, n (b+1)) output."""
