@@ -12,11 +12,8 @@ from .criterion import (
     CircleProfile,
     CriterionEvaluator,
     CycleSet,
-    ParamPoint,
     criterion,
     cross_moments,
-    cycle_residual_dot,
-    cycle_residual_euclid,
     enumerate_cycles,
 )
 from .data import (
@@ -58,7 +55,6 @@ from .projection import (
     resolve_sparsity,
 )
 from .simulate import (
-    ErrorSpec,
     SimConfig,
     compute_shares_mc,
     default_mc_draws,
@@ -78,12 +74,10 @@ __all__ = [
     "CycleSet",
     "Dataset",
     "DimensionError",
-    "ErrorSpec",
     "IdentifiedSet",
     "JlDiagnostic",
     "Market",
     "NumericalError",
-    "ParamPoint",
     "ParameterError",
     "ParseError",
     "ProjectionSpec",
@@ -97,8 +91,6 @@ __all__ = [
     "convergence_diagnostic",
     "criterion",
     "cross_moments",
-    "cycle_residual_dot",
-    "cycle_residual_euclid",
     "default_mc_draws",
     "draw_covariates",
     "enumerate_cycles",

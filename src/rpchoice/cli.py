@@ -35,7 +35,6 @@ from .simulate import (
     COVARIATE_MODES,
     DEFAULT_THETA,
     ERROR_KINDS,
-    ErrorSpec,
     SimConfig,
     simulate_dataset,
 )
@@ -188,7 +187,7 @@ def cmd_simulate(args, out_dir, stages):
         n=args.n,
         theta0=args.theta0,
         covariate_mode=args.mode,
-        error=ErrorSpec(kind=args.error),
+        error=args.error,
         mc_draws=args.mc_draws,
         seed=args.seed,
     )

@@ -10,26 +10,23 @@ so the criterion aggregates violations across a cycle set:
     Q(beta) = sum_cycles max(r, 0)^2.
 
 Q is convex in beta: each residual is linear in beta, max(., 0) preserves
-convexity, and squares of nonnegative convex functions stay convex. An
-equivalent squared-distance form of the residual,
-
-    r_e = sum_l (||u^(a_{l+1}) - p^(a_{l+1})||^2 - ||u^(a_{l+1}) - p^(a_l)||^2),
-
-expands to exactly 2 r (the quadratic terms telescope around the cycle), so
-the euclid-form criterion equals 4 Q. Both forms are implemented on separate
-floating-point paths so each can check the other.
+convexity, and squares of nonnegative convex functions stay convex. The
+residuals are computed in this dot form only, as r = D beta with D built
+once per (data, cycles) pair (`CriterionEvaluator`). An equivalent
+squared-distance form of the residual, which telescopes to exactly 2 r, is
+kept in the tests as a literal per-cycle reference that checks D.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ParameterError, ValidationError
+from .errors import DimensionError, NumericalError, ParameterError, ValidationError, as_index
 
+# how far from 1 a minimizer's norm may be; the benchmark's gate reads it
 UNIT_NORM_TOL = 1e-12
 
 _TWO_PI = 2.0 * math.pi
@@ -58,10 +55,10 @@ class CycleSet:
     lengths: tuple[int, ...]
 
     def __post_init__(self):
-        n = operator.index(self.n)
+        n = as_index(self.n, "n")
         if n < 2:
             raise ParameterError(f"need at least 2 markets, got n={n}")
-        lengths = tuple(sorted(set(int(L) for L in self.lengths)))
+        lengths = tuple(sorted(set(as_index(L, "a cycle length") for L in self.lengths)))
         if not lengths:
             raise ParameterError("no cycle lengths requested")
         for L in lengths:
@@ -87,36 +84,13 @@ def enumerate_cycles(n: int, lengths=_LENGTHS) -> CycleSet:
     return CycleSet(n, lengths)
 
 
-@dataclass(frozen=True)
-class ParamPoint:
-    """A coefficient vector on the unit sphere."""
-
-    beta: np.ndarray
-
-    def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=np.float64)
-        if beta.ndim != 1 or beta.size < 1:
-            raise DimensionError("beta must be a nonempty vector")
-        norm = float(np.linalg.norm(beta))
-        if not math.isfinite(norm) or abs(norm - 1.0) > UNIT_NORM_TOL:
-            raise ValidationError(f"beta must have unit norm, got {norm!r}")
-        beta = np.ascontiguousarray(beta)
-        beta.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
-
-
 def _as_beta(beta, b: int) -> np.ndarray:
-    vec = beta.beta if isinstance(beta, ParamPoint) else np.asarray(beta, dtype=np.float64)
+    vec = np.asarray(beta, dtype=np.float64)
     if vec.shape != (b,):
         raise DimensionError(f"beta has shape {vec.shape}, data has b={b}")
     if not np.isfinite(vec).all():
         raise ValidationError("beta contains non-finite values")
     return vec
-
-
-def _check_cycles(cycles: CycleSet, n: int) -> None:
-    if cycles.n > n:
-        raise DimensionError(f"cycle index {cycles.n - 1} out of range for n={n} markets")
 
 
 def cross_moments(data) -> np.ndarray:
@@ -170,7 +144,10 @@ class CriterionEvaluator:
     """
 
     def __init__(self, data, cycles: CycleSet):
-        _check_cycles(cycles, data.n)
+        if cycles.n > data.n:
+            raise DimensionError(
+                f"cycle index {cycles.n - 1} out of range for n={data.n} markets"
+            )
         C = cross_moments(data)
         self.b = int(C.shape[2])
         # E[i, j] = C[j, i] - C[i, i]: the term of the step from market i to j
@@ -404,62 +381,6 @@ def _sublevel_segments(M: np.ndarray, threshold: float, lo: float, hi: float):
     return out
 
 
-def _literal_cycle(cycle, beta, data):
-    """One cycle's validated indices, with each member's utilities and shares."""
-    idx = tuple(int(i) for i in cycle)
-    if len(idx) < 2:
-        raise ValidationError("a cycle needs at least 2 markets")
-    if min(idx) < 0:
-        raise ValidationError("market indices must be nonnegative")
-    if len(set(idx)) < len(idx):
-        raise ValidationError(f"cycle {idx} repeats a market")
-    if max(idx) >= data.n:
-        raise DimensionError(f"cycle index {max(idx)} out of range for n={data.n} markets")
-    vec = _as_beta(beta, data.b)
-    X, P = data.covariate_stack(), data.share_stack()
-    return idx, {i: X[i] @ vec for i in idx}, {i: P[i] for i in idx}
-
-
-def cycle_residual_dot(cycle: tuple[int, ...], beta, data) -> float:
-    """Literal evaluation of sum_l (u^(next) - u^(cur)) . p^(cur)."""
-    idx, u, p = _literal_cycle(cycle, beta, data)
-    total = 0.0
-    L = len(idx)
-    for l in range(L):
-        cur, nxt = idx[l], idx[(l + 1) % L]
-        total += float((u[nxt] - u[cur]) @ p[cur])
-    return total
-
-
-def cycle_residual_euclid(cycle: tuple[int, ...], beta, data) -> float:
-    """Literal squared-distance form; equals 2x the dot form by telescoping."""
-    idx, u, p = _literal_cycle(cycle, beta, data)
-    total = 0.0
-    L = len(idx)
-    for l in range(L):
-        cur, nxt = idx[l], idx[(l + 1) % L]
-        total += float(np.sum((u[nxt] - p[nxt]) ** 2)) - float(
-            np.sum((u[nxt] - p[cur]) ** 2)
-        )
-    return total
-
-
-def criterion(beta, data, cycles: CycleSet, form: str = "dot") -> float:
-    """Q(beta) = sum of squared positive residuals over the cycle set.
-
-    form "dot" is the computational default; form "euclid" recomputes every
-    residual through squared distances and costs O(n^2 d) extra, which is
-    what makes it an independent check rather than a reparametrization.
-    """
-    if form == "dot":
-        return CriterionEvaluator(data, cycles).value(beta)
-    if form == "euclid":
-        _check_cycles(cycles, data.n)
-        vec = _as_beta(beta, data.b)
-        # pairwise squared distances between utility and share vectors
-        U = data.covariate_stack() @ vec
-        G = ((U[:, None, :] - data.share_stack()[None, :, :]) ** 2).sum(axis=2)
-        # F[i, j] = G[j, j] - G[j, i]: the term of the step from market i to j
-        viol = np.maximum(_cycle_rows(np.diag(G)[None, :] - G.T, cycles), 0.0)
-        return float(viol @ viol)
-    raise ParameterError(f"unknown criterion form {form!r}")
+def criterion(beta, data, cycles: CycleSet) -> float:
+    """Q(beta) = sum of squared positive residuals over the cycle set."""
+    return CriterionEvaluator(data, cycles).value(beta)

@@ -4,6 +4,8 @@ Everything derives from ValueError or RuntimeError so callers that do not
 care about the distinction can catch the builtin bases.
 """
 
+import operator
+
 
 class ParseError(ValueError):
     """A cell in an input file could not be parsed; message carries the row number."""
@@ -32,3 +34,12 @@ PACKAGE_ERRORS = (
     ParameterError,
     NumericalError,
 )
+
+
+def as_index(value, name: str) -> int:
+    """`value` as an int when it is an integer, numpy integers included; a
+    ParameterError otherwise, so a float is refused rather than truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None

@@ -25,15 +25,9 @@ from functools import partial
 import numpy as np
 
 from ._seeds import STREAM_PROJECTION, STREAM_RESTARTS, derive_rng, derive_seed
-from .criterion import (
-    CircleProfile,
-    CriterionEvaluator,
-    CycleSet,
-    ParamPoint,
-    enumerate_cycles,
-)
+from .criterion import CircleProfile, CriterionEvaluator, CycleSet, enumerate_cycles
 from .data import Dataset
-from .errors import PACKAGE_ERRORS, DimensionError, NumericalError, ParameterError
+from .errors import PACKAGE_ERRORS, DimensionError, NumericalError, ParameterError, as_index
 from .projection import ExactSplit, ProjectionSpec, compress, resolve_sparsity
 
 TWO_PI = 2.0 * math.pi
@@ -184,13 +178,15 @@ def estimate_polar_grid(
 
 @dataclass(frozen=True)
 class SphereDescentResult:
-    point: ParamPoint
+    """The best unit-norm iterate `beta` (read-only), its criterion value, and
+    each restart's final value in restart order."""
+
+    beta: np.ndarray
     value: float
     restart_values: tuple[float, ...]
 
-    @property
-    def beta(self) -> np.ndarray:
-        return self.point.beta
+    def __post_init__(self):
+        self.beta.setflags(write=False)
 
 
 def estimate_subgradient(
@@ -303,11 +299,7 @@ def estimate_subgradient(
             break
 
     assert best_beta is not None
-    return SphereDescentResult(
-        point=ParamPoint(best_beta),
-        value=best_value,
-        restart_values=tuple(restart_values),
-    )
+    return SphereDescentResult(best_beta, best_value, tuple(restart_values))
 
 
 @dataclass(frozen=True)
@@ -519,14 +511,18 @@ def run_replications(
     summary the unprojected set and its criterion on `grid_size` angles.
     Otherwise it is the sphere solver `estimate_subgradient`, with
     `restarts` and `steps` and its seed drawn from (master_seed, r): each
-    record holds the beta. Replications run through `_replicate`: a failed
-    replication is recorded with its error and left out of the statistics
-    rather than aborting the run.
+    record holds the beta. The arguments are checked before the first
+    replication, so a bad one raises once. Replications run through
+    `_replicate`: a failed replication is recorded with its error and left
+    out of the statistics rather than aborting the run.
     """
+    replications, threads = as_index(replications, "replications"), as_index(threads, "threads")
     if replications < 1:
         raise ParameterError("replications must be at least 1")
     if threads < 1:
         raise ParameterError("threads must be at least 1")
+    if data.b != 2 and (restarts < 1 or steps < 1):
+        raise ParameterError("restarts and steps must be positive")
     s_resolved = resolve_sparsity(s, data.d)
     # fail fast on structurally impossible specs instead of logging R failures
     ProjectionSpec(k=k, d=data.d, s=s_resolved, seed=0)

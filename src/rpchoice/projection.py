@@ -39,7 +39,7 @@ import numpy as np
 
 from ._seeds import STREAM_DIAGNOSTIC, check_seed, seed_sequence
 from .data import Dataset, _readonly
-from .errors import DimensionError, ParameterError, ValidationError
+from .errors import DimensionError, ParameterError, ValidationError, as_index
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -78,13 +78,16 @@ class ProjectionSpec:
     seed: int
 
     def __post_init__(self):
-        if not 1 <= self.k:
-            raise DimensionError(f"k must be at least 1, got {self.k}")
-        if self.k > self.d:
-            raise DimensionError(f"k={self.k} exceeds d={self.d}")
-        if not (math.isfinite(self.s) and 1.0 <= self.s <= self.d):
-            raise ParameterError(f"s must lie in [1, d]={self.d}, got {self.s!r}")
+        k, d = as_index(self.k, "k"), as_index(self.d, "d")
+        if not 1 <= k:
+            raise DimensionError(f"k must be at least 1, got {k}")
+        if k > d:
+            raise DimensionError(f"k={k} exceeds d={d}")
+        if not (math.isfinite(self.s) and 1.0 <= self.s <= d):
+            raise ParameterError(f"s must lie in [1, d]={d}, got {self.s!r}")
         check_seed(self.seed)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "d", d)
 
     @property
     def scale(self) -> float:
@@ -176,19 +179,6 @@ class SparseProjection:
     @property
     def nonzero_fraction(self) -> float:
         return self.nnz / (self.spec.k * self.spec.d)
-
-    def apply_to(self, tall: np.ndarray) -> np.ndarray:
-        """Multiply R @ tall for a (d,) vector or (d, c) matrix.
-
-        The csc kernel walks columns of R in order, i.e. rows of the tall
-        input exactly once each; untouched rows are never read.
-        """
-        arr = np.asarray(tall, dtype=np.float64)
-        if arr.shape[0] != self.spec.d:
-            raise DimensionError(
-                f"input has {arr.shape[0]} rows, projection expects {self.spec.d}"
-            )
-        return self.matrix @ arr
 
 
 def _sign_pattern(spec: ProjectionSpec) -> "sparse.csc_matrix":
@@ -297,7 +287,7 @@ def apply(projection: SparseProjection, data: Dataset) -> CompressedDataset:
         raise DimensionError(
             f"projection expects d={projection.spec.d}, dataset has d={data.d}"
         )
-    return _unstack(projection.apply_to(_tall_block(data)), data, projection.spec)
+    return _unstack(projection.matrix @ _tall_block(data), data, projection.spec)
 
 
 def _error_free_slices(rest: np.ndarray) -> np.ndarray:
@@ -547,6 +537,8 @@ def jl_diagnostic(u, v, spec: ProjectionSpec, draws: int) -> JlDiagnostic:
     v = np.asarray(v, dtype=np.float64)
     if u.shape != (spec.d,) or v.shape != (spec.d,):
         raise DimensionError(f"u and v must have shape ({spec.d},)")
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise ValidationError("u and v must be finite")
     w = u - v
     exact = float(np.einsum("i,i->", w, w))
     predicted = predicted_distance_variance(w, spec.s, spec.k)

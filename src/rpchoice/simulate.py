@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from ._seeds import (
     derive_seed,
 )
 from .data import Dataset, Market, exact_unit_sum
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError, ValidationError, as_index
 
 DEFAULT_THETA = 0.75 * math.pi
 
@@ -60,17 +60,9 @@ def default_mc_draws(d: int) -> int:
     return 100_000 if d <= 1000 else 10_000
 
 
-@dataclass(frozen=True)
-class ErrorSpec:
-    """Distribution of the per-choice utility noise."""
-
-    kind: str = "ma-window"
-
-    def __post_init__(self):
-        if self.kind not in ERROR_KINDS:
-            raise ParameterError(
-                f"unknown error kind {self.kind!r}, expected one of {ERROR_KINDS}"
-            )
+def _check_error_kind(kind) -> None:
+    if kind not in ERROR_KINDS:
+        raise ParameterError(f"unknown error kind {kind!r}, expected one of {ERROR_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -81,11 +73,14 @@ class SimConfig:
     n: int = 30
     theta0: float = DEFAULT_THETA
     covariate_mode: str = "iid"
-    error: ErrorSpec = field(default_factory=ErrorSpec)
+    error: str = "ma-window"
     mc_draws: int | None = None
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("d", "n", "mc_draws"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, as_index(getattr(self, name), name))
         if self.n < 2:
             raise ParameterError(f"need at least 2 markets, got n={self.n}")
         if self.d < 2:
@@ -97,6 +92,7 @@ class SimConfig:
                 f"unknown covariate mode {self.covariate_mode!r}, "
                 f"expected one of {COVARIATE_MODES}"
             )
+        _check_error_kind(self.error)
         if self.mc_draws is not None and self.mc_draws < _MIN_MC_DRAWS:
             raise ParameterError(
                 f"mc_draws must be at least {_MIN_MC_DRAWS}, got {self.mc_draws}"
@@ -135,8 +131,9 @@ def draw_covariates(config: SimConfig) -> list[np.ndarray]:
             for _ in range(n)]
 
 
-def compute_shares_mc(utilities, error: ErrorSpec, mc_draws: int, seed: int) -> np.ndarray:
-    """Share vector: frequency each choice maximizes utility + noise.
+def compute_shares_mc(utilities, error: str, mc_draws: int, seed: int) -> np.ndarray:
+    """Share vector: frequency each choice maximizes utility + noise, the
+    noise of kind `error`, one of ERROR_KINDS.
 
     Draws arrive in chunks sized to the whole scratch budget,
     _CHUNK_BUDGET_BYTES, so the peak footprint does not grow with mc_draws
@@ -144,10 +141,12 @@ def compute_shares_mc(utilities, error: ErrorSpec, mc_draws: int, seed: int) -> 
     ties break toward the lowest index (a measure-zero event for continuous
     noise). The returned shares are nonnegative and sum to exactly 1.
     """
-    return _shares_mc(utilities, error, mc_draws, seed, _CHUNK_BUDGET_BYTES)
+    _check_error_kind(error)
+    check_seed(seed)
+    return _shares_mc(utilities, error, as_index(mc_draws, "mc_draws"), seed, _CHUNK_BUDGET_BYTES)
 
 
-def _shares_mc(utilities, error: ErrorSpec, mc_draws: int, seed: int,
+def _shares_mc(utilities, error: str, mc_draws: int, seed: int,
                budget_bytes: int) -> np.ndarray:
     """compute_shares_mc with `budget_bytes` of scratch.
 
@@ -166,7 +165,7 @@ def _shares_mc(utilities, error: ErrorSpec, mc_draws: int, seed: int,
     d = u.size
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     chunk = max(1, min(mc_draws, budget_bytes // (16 * (d + MA_TAPS - 1))))
-    moving = error.kind == "ma-window"
+    moving = error == "ma-window"
     eta = np.empty((chunk, d + MA_TAPS - 1)) if moving else None
     total = np.empty((chunk, d))
     counts = np.zeros(d, dtype=np.int64)

@@ -27,6 +27,8 @@ from rpchoice import (
 )
 from rpchoice.projection import jl_diagnostic, predicted_distance_variance
 
+from literal import criterion_euclid
+
 THETA0 = 0.75 * math.pi
 BETA0 = np.array([math.cos(THETA0), math.sin(THETA0)])
 
@@ -105,8 +107,8 @@ def test_criterion_form_equivalence():
         cycles = enumerate_cycles(n, (2, 3) if n >= 3 else (2,))
         theta = rng.uniform(0.0, 2.0 * math.pi)
         beta = np.array([math.cos(theta), math.sin(theta)])
-        q_dot = criterion(beta, data, cycles, form="dot")
-        q_euclid = criterion(beta, data, cycles, form="euclid")
+        q_dot = criterion(beta, data, cycles)
+        q_euclid = criterion_euclid(beta, data, cycles)
         scale = max(q_euclid, 4.0 * q_dot, 1e-300)
         worst = max(worst, abs(q_euclid - 4.0 * q_dot) / scale)
     ok = worst <= 1e-10

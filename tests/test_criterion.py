@@ -1,10 +1,10 @@
-"""Cycle enumeration and the violation criterion in both forms.
+"""Cycle enumeration and the violation criterion, against literal references.
 
 The two hand oracles: markets with utility vectors u1=(1,0), u2=(0,1) (b=1,
 covariates equal to the utilities, beta=1) and shares p1=(1,0), p2=(0,1) give
 the 2-cycle residual (u2-u1).p1 + (u1-u2).p2 = -1 + -1 = -2; swapping the
-shares flips it to +2. The Euclidean form doubles residuals, so -4 and +4,
-and the summed criterion picks up a factor 4.
+shares flips it to +2. The literal Euclidean form (tests/literal.py) doubles
+residuals, so -4 and +4, and the summed criterion picks up a factor 4.
 """
 
 import importlib
@@ -25,20 +25,19 @@ from rpchoice import (
     Market,
     DimensionError,
     ParameterError,
-    ParamPoint,
     ValidationError,
     ProjectionSpec,
     apply,
     criterion,
     cross_moments,
-    cycle_residual_dot,
-    cycle_residual_euclid,
     enumerate_cycles,
     generate,
     logit_oracle_dataset,
 )
 from rpchoice.criterion import _cycle_rows
 from rpchoice.estimate import interval_width
+
+from literal import criterion_euclid, cycle_residual_dot, cycle_residual_euclid, literal_cycles
 
 
 # the module, which `rpchoice.criterion` (the function) shadows as an attribute
@@ -58,18 +57,6 @@ def _utility_markets(swap=False):
 
 BETA1 = np.array([1.0])
 TWO_CYCLE = (0, 1)
-
-
-def literal_cycles(n, lengths):
-    """Every cycle as a tuple, from the nested combinations/permutations
-    loop: per length, each combination anchored at its smallest market,
-    then each order of the rest. The criterion's rows follow this listing."""
-    return [
-        (combo[0], *perm)
-        for length in sorted(lengths)
-        for combo in itertools.combinations(range(n), length)
-        for perm in itertools.permutations(combo[1:])
-    ]
 
 
 def difference_rows(C, idx):
@@ -170,6 +157,17 @@ class TestEnumerateCycles:
         with pytest.raises(ParameterError, match="supported lengths are 2 and 3"):
             enumerate_cycles(5, (4,))
 
+    @pytest.mark.parametrize("n, lengths", [(5, (2.9,)), (5, (2, 3.0)), (5.0, (2,))])
+    def test_non_integers_rejected(self, n, lengths):
+        """A float is refused, not truncated: lengths (2.9,) must not become (2,)."""
+        with pytest.raises(ParameterError, match="must be an integer"):
+            enumerate_cycles(n, lengths)
+
+    def test_numpy_integers_accepted(self):
+        cycles = enumerate_cycles(np.int64(5), (np.int64(3), 2))
+        assert cycles == enumerate_cycles(5, (2, 3))
+        assert type(cycles.n) is int and all(type(L) is int for L in cycles.lengths)
+
     def test_count_matches_listing(self):
         for n in range(2, 9):
             for lengths in LENGTH_SETS:
@@ -263,12 +261,8 @@ class TestEnumerateCycles:
     def test_more_cycle_markets_than_data_rejected(self):
         data = logit_oracle_dataset(4, 6, 2, np.array([0.6, 0.8]), seed=22)
         cycles = enumerate_cycles(5, (2, 3))
-        for build in (
-            lambda: CriterionEvaluator(data, cycles),
-            lambda: criterion(np.array([0.6, 0.8]), data, cycles, form="euclid"),
-        ):
-            with pytest.raises(DimensionError, match=r"^cycle index 4 out of range for n=4 markets$"):
-                build()
+        with pytest.raises(DimensionError, match=r"^cycle index 4 out of range for n=4 markets$"):
+            CriterionEvaluator(data, cycles)
 
 
 class TestResiduals:
@@ -337,7 +331,7 @@ class TestCriterion:
         data = _utility_markets(swap=True)
         cs = enumerate_cycles(2, (2,))
         assert criterion(BETA1, data, cs) == pytest.approx(4.0)  # (+2)^2
-        assert criterion(BETA1, data, cs, form="euclid") == pytest.approx(16.0)
+        assert criterion_euclid(BETA1, data, cs) == pytest.approx(16.0)
 
     def test_empty_cycles_rejected(self):
         with pytest.raises(ParameterError, match="no cycle lengths requested"):
@@ -361,7 +355,7 @@ class TestCriterion:
         cycles = enumerate_cycles(5, (2, 3))
         beta = np.array([math.cos(2.0), math.sin(2.0)])
         q_dot = criterion(beta, compressed, cycles)
-        q_euc = criterion(beta, compressed, cycles, form="euclid")
+        q_euc = criterion_euclid(beta, compressed, cycles)
         assert q_euc == pytest.approx(4.0 * q_dot, rel=1e-10)
 
     def test_translation_invariance(self):
@@ -473,12 +467,6 @@ class TestSubgradient:
                 else:
                     assert abs(grad[axis] - fd) < 1e-6
             checked += 1
-
-
-class TestParamPoint:
-    def test_unit_norm_enforced(self):
-        with pytest.raises(ValidationError):
-            ParamPoint(np.array([0.5, 0.5]))
 
 
 class TestEvaluator:

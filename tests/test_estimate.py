@@ -279,7 +279,7 @@ class TestDescent:
         res = estimate_subgradient(comp10, cycles30, restarts=10, steps=2000,
                                    seed=3)
         assert abs(res.value - idset.q_min) <= 1e-6 * idset.q_min
-        gap = abs(angle_of(res.point.beta) - idset.argmin)
+        gap = abs(angle_of(res.beta) - idset.argmin)
         assert min(gap, TWO_PI - gap) < 2e-3
 
     def test_start_at_truth_stays_there(self):
@@ -287,11 +287,12 @@ class TestDescent:
         cycles = enumerate_cycles(8, (2, 3))
         res = estimate_subgradient(data, cycles, restarts=1, steps=10, initial=BETA0)
         assert res.value == 0.0
-        np.testing.assert_array_equal(res.point.beta, BETA0)
+        np.testing.assert_array_equal(res.beta, BETA0)
 
     def test_unit_norm_and_restart_bookkeeping(self, comp10, cycles30):
         res = estimate_subgradient(comp10, cycles30, restarts=3, steps=50, seed=5)
-        assert np.linalg.norm(res.point.beta) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(res.beta) == pytest.approx(1.0, abs=1e-12)
+        assert not res.beta.flags.writeable
         assert len(res.restart_values) == 3
         assert res.value == min(res.restart_values)
 
@@ -315,7 +316,7 @@ class TestDescent:
     def test_deterministic_in_seed(self, comp10, cycles30):
         a = estimate_subgradient(comp10, cycles30, restarts=2, steps=100, seed=9)
         b = estimate_subgradient(comp10, cycles30, restarts=2, steps=100, seed=9)
-        np.testing.assert_array_equal(a.point.beta, b.point.beta)
+        np.testing.assert_array_equal(a.beta, b.beta)
 
 
 class TestActiveSetSolver:
@@ -527,7 +528,7 @@ class TestIrrelevantCoefficientRecovery:
             res = estimate_subgradient(comp, cycles, restarts=8, steps=1500,
                                        seed=derive_seed(77, 5, r))
             assert res.value > 0
-            third.append(res.point.beta[2])
+            third.append(res.beta[2])
 
         frozen = [-0.2665, 0.1510, 0.2633, 0.3437, -0.0445, -0.1090,
                   -0.0833, 0.0543, 0.0257, 0.1475, -0.2877]
@@ -746,6 +747,28 @@ class TestReplicationDriver:
         with pytest.raises(ParameterError, match="threads"):
             run_replications(b3_data, k=8, s=1.0, replications=1,
                              master_seed=1, restarts=1, steps=5, threads=0)
+
+    @pytest.mark.parametrize("restarts, steps", [(0, 5), (1, 0), (-1, -1)])
+    def test_sphere_restarts_and_steps_checked_up_front(self, restarts, steps):
+        """With b = 3 a bad value raises once, before any replication, rather
+        than leaving every replication a failed record; a circle run, which
+        does not use them, is not affected."""
+        data = logit_oracle_dataset(6, 20, 3, np.array([0.6, -0.48, 0.64]), seed=1)
+        with pytest.raises(ParameterError, match="^restarts and steps must be positive$"):
+            run_replications(data, k=4, s=1.0, replications=3, master_seed=1,
+                             restarts=restarts, steps=steps)
+        circle = logit_oracle_dataset(6, 20, 2, BETA0, seed=1)
+        summary = run_replications(circle, k=4, s=1.0, replications=2, master_seed=1,
+                                   grid_size=64, restarts=restarts, steps=steps)
+        assert summary.successes == 2
+
+    @pytest.mark.parametrize("name", ["k", "replications", "threads"])
+    def test_non_integer_counts_rejected(self, b3_data, name):
+        """Refused up front, before k = 4.5 can reach `compress` or
+        replications = 2.0 reach `range` as a bare TypeError."""
+        kwargs = {"k": 4, "replications": 1, "threads": 1, name: 2.0 if name != "k" else 4.5}
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer, got"):
+            run_replications(b3_data, s=1.0, master_seed=1, restarts=1, steps=5, **kwargs)
 
 
 class TestReplicationFailures:

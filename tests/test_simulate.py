@@ -25,12 +25,10 @@ from scipy import stats
 
 import rpchoice
 from rpchoice import (
-    ErrorSpec,
     ParameterError,
     SimConfig,
     compute_shares_mc,
     criterion,
-    cycle_residual_dot,
     default_mc_draws,
     draw_covariates,
     enumerate_cycles,
@@ -42,8 +40,10 @@ from rpchoice import simulate as simulate_module
 from rpchoice._seeds import STREAM_SHARES, derive_seed
 from rpchoice.simulate import MA_TAPS, MA_WEIGHT, _shares_mc
 
-MA = ErrorSpec("ma-window")
-GUMBEL = ErrorSpec("iid-gumbel")
+from literal import cycle_residual_dot
+
+MA = "ma-window"
+GUMBEL = "iid-gumbel"
 
 
 class TestConfig:
@@ -52,7 +52,7 @@ class TestConfig:
         assert cfg.n == 30
         assert cfg.theta0 == pytest.approx(0.75 * math.pi)
         assert cfg.covariate_mode == "iid"
-        assert cfg.error.kind == "ma-window"
+        assert cfg.error == "ma-window"
         assert cfg.b == 2
 
     def test_mc_draw_defaults(self):
@@ -75,13 +75,37 @@ class TestConfig:
         assert SimConfig(d=10, seed=np.int64(5)).seed == 5
         assert SimConfig(d=10, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
+    @pytest.mark.parametrize("field, value", [("d", 10.5), ("n", 4.0), ("mc_draws", 1000.5)])
+    def test_integer_fields_must_be_integers(self, field, value):
+        """Refused here, not by a bare TypeError once the simulation starts."""
+        with pytest.raises(ParameterError, match=f"^{field} must be an integer"):
+            SimConfig(**{"d": 10, field: value})
+
+    def test_share_simulation_refuses_float_counts_and_seeds(self):
+        """compute_shares_mc is public: a float seed is not truncated to
+        another seed's draws, and a float draw count is refused."""
+        with pytest.raises(ParameterError, match="seed must be a 64-bit unsigned integer"):
+            compute_shares_mc(np.zeros(4), MA, 1000, seed=1.7)
+        with pytest.raises(ParameterError, match="^mc_draws must be an integer"):
+            compute_shares_mc(np.zeros(4), MA, 1000.5, seed=1)
+
+    def test_numpy_integer_fields_become_ints(self):
+        cfg = SimConfig(d=np.int64(10), n=np.int32(4), mc_draws=np.uint32(1000))
+        assert (cfg.d, cfg.n, cfg.mc_draws) == (10, 4, 1000)
+        assert {type(cfg.d), type(cfg.n), type(cfg.mc_draws)} == {int}
+
     def test_bad_mode(self):
         with pytest.raises(ParameterError):
             SimConfig(d=10, covariate_mode="random")
 
-    def test_bad_error_kind(self):
-        with pytest.raises(ParameterError):
-            ErrorSpec("laplace")
+    @pytest.mark.parametrize("kind", ["laplace", "MA-WINDOW", None])
+    def test_bad_error_kind(self, kind):
+        """Refused where it enters: the config and the public share simulation."""
+        message = r"unknown error kind .*, expected one of \('ma-window', 'iid-gumbel'\)"
+        with pytest.raises(ParameterError, match=message):
+            SimConfig(d=10, error=kind)
+        with pytest.raises(ParameterError, match=message):
+            compute_shares_mc(np.zeros(3), kind, 1000, seed=1)
 
     def test_beta0(self):
         cfg = SimConfig(d=10, theta0=0.75 * math.pi)
