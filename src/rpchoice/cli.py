@@ -28,7 +28,7 @@ except ImportError:  # not on Windows
 
 from . import __version__
 from ._seeds import STREAM_COVARIATES, available_cpus, derive_rng
-from .data import load_csv, save_metadata, write_csv
+from .data import load_csv_with_digest, save_metadata, write_csv
 from .estimate import run_replications, write_grid_csv
 from .projection import ProjectionSpec, jl_diagnostic, resolve_sparsity
 from .simulate import (
@@ -128,13 +128,15 @@ def _peak_rss_mb() -> float | None:
 def _run(body, parser: argparse.ArgumentParser, args) -> int:
     """Run one command and write its manifest.json.
 
-    `body(args, out_dir, stages)` does the command's work and returns
+    `body(args, out_dir, stages, notes)` does the command's work and returns
     (resolved, artifacts, report, code): `resolved` maps flags to the values
     the run actually used, plus derived values such as s_resolved; `artifacts`
     maps a key to (file name, writer). A body may record the wall seconds of
     its stages in `stages`; writing the artifacts is timed as `write`, and
     all are written as the manifest's stage_seconds, beside the process's
-    peak_rss_mb at the end of the run. The output directory is
+    peak_rss_mb at the end of the run. What a body puts in `notes` becomes
+    top-level manifest fields (estimate: the input's data_sha256 and
+    data_cache). The output directory is
     created only once the body has returned, so a run that fails early
     leaves nothing behind.
 
@@ -147,7 +149,8 @@ def _run(body, parser: argparse.ArgumentParser, args) -> int:
     t0 = time.monotonic()
     out_dir = _resolve_out(args.out, f"{args.command}-seed{args.seed}")
     stages: dict[str, float] = {}
-    resolved, artifacts, report, code = body(args, out_dir, stages)
+    notes: dict = {}
+    resolved, artifacts, report, code = body(args, out_dir, stages, notes)
     os.makedirs(out_dir, exist_ok=True)
     t_write = time.monotonic()
     for name, write in artifacts.values():
@@ -174,13 +177,14 @@ def _run(body, parser: argparse.ArgumentParser, args) -> int:
         "elapsed_seconds": time.monotonic() - t0,
         "stage_seconds": stages,
         "peak_rss_mb": _peak_rss_mb(),
+        **notes,
     }
     _write_json(manifest, os.path.join(out_dir, "manifest.json"))
     print(report, file=sys.stderr if code else sys.stdout)
     return code
 
 
-def cmd_simulate(args, out_dir, stages):
+def cmd_simulate(args, out_dir, stages, notes):
     d = PRESETS[args.preset][0] if args.preset is not None else args.d
     config = SimConfig(
         d=d,
@@ -202,10 +206,11 @@ def cmd_simulate(args, out_dir, stages):
     return resolved, artifacts, f"wrote dataset.csv (n={config.n}, d={config.d}) to {out_dir}", 0
 
 
-def cmd_estimate(args, out_dir, stages):
+def cmd_estimate(args, out_dir, stages, notes):
     t0 = time.monotonic()
-    data = load_csv(args.data)
+    data, notes["data_sha256"], cache_hit = load_csv_with_digest(args.data)
     stages["load"] = time.monotonic() - t0
+    notes["data_cache"] = "hit" if cache_hit else "miss"
     s_resolved = resolve_sparsity(args.s, data.d)
     t0 = time.monotonic()
     summary = run_replications(
@@ -243,7 +248,7 @@ def cmd_estimate(args, out_dir, stages):
     return resolved, artifacts, f"{report}; wrote summary.json to {out_dir}", 0
 
 
-def cmd_verify_jl(args, out_dir, stages):
+def cmd_verify_jl(args, out_dir, stages, notes):
     s_resolved = resolve_sparsity(args.s, args.d)
     spec = ProjectionSpec(k=args.k, d=args.d, s=s_resolved, seed=args.seed)
     rng = derive_rng(args.seed, STREAM_COVARIATES)
@@ -287,7 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=partial(_run, cmd_simulate, p_sim))
 
     p_est = sub.add_parser("estimate", help="replicated projection + estimation")
-    p_est.add_argument("--data", required=True, help="dataset CSV")
+    p_est.add_argument(
+        "--data",
+        required=True,
+        help="dataset CSV; its parsed table is cached beside it in .<name>.rpchoice.npz, "
+        "keyed by the file's SHA-256 (safe to delete; skipped where the directory is "
+        "read-only or an id would not read back equal)",
+    )
     p_est.add_argument("--k", type=_positive_int, required=True, help="projected dimension")
     p_est.add_argument("--s", default="1", help="sparsity: 1, 3, sqrt, or a number")
     p_est.add_argument(

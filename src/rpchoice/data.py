@@ -8,12 +8,18 @@ market lists every choice and each market's shares sum to 1.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import hashlib
 import io
 import json
 import locale
 import math
+import os
+import sys
+import tempfile
 import warnings
+import zipfile
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -402,9 +408,27 @@ def load_csv(path: str) -> Dataset:
     whitespace-only line, or a number float() reads but loadtxt does not,
     such as 1_000 or non-ASCII digits); a repeated pair; or fewer than two
     markets.
+
+    A parse is a function of the file's bytes, so its table (names, ids,
+    numbers) is cached beside the file, in .<file name>.rpchoice.npz, keyed
+    by the SHA-256 of those bytes and by _reader(). A later load of the same
+    bytes reads the table from there and runs every check after the parse
+    again; the result is the parse's bit for bit. The cache is not a run
+    artifact and is safe to delete. Nothing is cached when the load fails,
+    when the file changed during the parse, when the directory cannot be
+    written, or when an id or name would not read back equal (a trailing
+    NUL).
     """
+    return load_csv_with_digest(path)[0]
+
+
+def load_csv_with_digest(path: str) -> tuple[Dataset, str, bool]:
+    """load_csv's Dataset, the SHA-256 (hex) of the bytes it was read from,
+    and whether the cache served the load."""
+    digest = _sha256(path)
+    cached = _cached_table(path, digest)
     cov_names, market_ids, choice_ids, table, present = (
-        _table_in_bulk(path) or _table_by_rows(path))
+        cached or _table_in_bulk(path) or _table_by_rows(path))
     b = len(cov_names)
 
     incomplete = np.flatnonzero(~present.all(axis=1))
@@ -421,12 +445,94 @@ def load_csv(path: str) -> Dataset:
         except ValidationError as exc:
             raise ValidationError(f"market {mid!r}: {exc}") from None
 
-    return Dataset(
+    data = Dataset(
         markets=tuple(markets),
         covariate_names=cov_names,
         market_ids=tuple(market_ids),
         choice_ids=tuple(choice_ids),
     )
+    # a file rewritten during the parse must not pair its new digest, or the
+    # old one, with the other bytes' table
+    if cached is None and _sha256(path) == digest:
+        _store_table(path, digest, (cov_names, market_ids, choice_ids), table)
+    return data, digest, cached is not None
+
+
+# Bump when what load_csv makes of a file's bytes changes, so that no entry
+# written by an older parser is read.
+_CACHE_VERSION = 1
+_CACHE_LABELS = ("covariate_names", "market_ids", "choice_ids")
+
+
+def _sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(partial(fh.read, 1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _cache_path(path: str) -> str:
+    folder, name = os.path.split(path)
+    return os.path.join(folder, f".{name}.rpchoice.npz")
+
+
+def _reader() -> str:
+    """What else the parse of given bytes depends on: the text encoding
+    open() decodes them with, and the csv module, which refuses a NUL before
+    Python 3.11."""
+    major, minor = sys.version_info[:2]
+    return f"python {major}.{minor}, {locale.getpreferredencoding(False)}"
+
+
+def _cached_table(path: str, digest: str):
+    """The table _store_table kept for these bytes, as the parse returns it,
+    or None when there is no readable entry for this digest, format version
+    and reader."""
+    try:
+        # np.load leaves a file it opened itself open when it is no zip file
+        with open(_cache_path(path), "rb") as fh, np.load(fh, allow_pickle=False) as entry:
+            if (entry["version"].item(), entry["sha256"].item(), entry["reader"].item()) != (
+                    _CACHE_VERSION, digest, _reader()):
+                return None
+            labels = [entry[key] for key in _CACHE_LABELS]
+            table = entry["table"]
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    names, market_ids, choice_ids = (tuple(ids.tolist()) for ids in labels)
+    if (any(ids.dtype.kind != "U" or ids.ndim != 1 for ids in labels)
+            or table.dtype != np.float64
+            or table.shape != (len(market_ids), len(choice_ids), len(names) + 1)):
+        return None
+    return names, market_ids, choice_ids, table, np.ones(table.shape[:2], dtype=bool)
+
+
+def _store_table(path: str, digest: str, labels, table: np.ndarray) -> None:
+    """Write the entry _cached_table reads, unless a label would not read
+    back equal (numpy's str arrays drop trailing NULs) or the directory
+    cannot take it. The entry is written to a temporary file and renamed
+    into place, so a reader sees a whole entry or none."""
+    arrays = {key: np.array(ids, dtype=str) for key, ids in zip(_CACHE_LABELS, labels)}
+    if any(arrays[key].tolist() != list(ids) for key, ids in zip(_CACHE_LABELS, labels)):
+        return
+    target = _cache_path(path)
+    try:
+        fd, scratch = tempfile.mkstemp(prefix=os.path.basename(target) + ".",
+                                       dir=os.path.dirname(target) or ".")
+    except OSError:  # a read-only directory, say: the load stands without an entry
+        return
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, version=_CACHE_VERSION, sha256=digest, reader=_reader(),
+                     table=table, **arrays)
+        # mkstemp makes the file private; whoever may read the CSV may read its parse
+        os.chmod(scratch, os.stat(path).st_mode & 0o666)
+        os.replace(scratch, target)
+    except OSError:  # a full disk, say: the load stands without an entry
+        pass
+    finally:
+        with contextlib.suppress(OSError):  # gone once renamed
+            os.unlink(scratch)
 
 
 def _csv_cells(labels) -> list[str]:

@@ -539,9 +539,12 @@ def jl_diagnostic(u, v, spec: ProjectionSpec, draws: int) -> JlDiagnostic:
         raise DimensionError(f"u and v must have shape ({spec.d},)")
     if not (np.isfinite(u).all() and np.isfinite(v).all()):
         raise ValidationError("u and v must be finite")
-    w = u - v
-    exact = float(np.einsum("i,i->", w, w))
-    predicted = predicted_distance_variance(w, spec.s, spec.k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = u - v
+        exact = float(np.einsum("i,i->", w, w))
+        predicted = predicted_distance_variance(w, spec.s, spec.k)
+    if not (math.isfinite(exact) and math.isfinite(predicted)):
+        raise ValidationError("||u - v||^2 or its predicted variance overflows float64")
 
     if exact == 0.0:
         mean_sq = var_sq = 0.0

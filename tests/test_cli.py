@@ -6,6 +6,7 @@ manifest.json byte for byte.
 """
 
 import filecmp
+import hashlib
 import importlib.util
 import json
 import os
@@ -180,6 +181,23 @@ class TestEstimate:
             assert sum(stages.values()) <= manifest["elapsed_seconds"]
             # the peak includes the interpreter and numpy, tens of MB
             assert manifest["peak_rss_mb"] is None or 10.0 < manifest["peak_rss_mb"] < 1e4
+
+    def test_manifest_records_the_input_digest_and_cache(self, tmp_path):
+        """The first estimate on a file parses it, the second reads the parse
+        cache; both record the SHA-256 of the bytes, and their artifacts are
+        identical."""
+        csv_path = simulate_small(tmp_path / "sim")
+        digest = hashlib.sha256(Path(csv_path).read_bytes()).hexdigest()
+        caches = []
+        for out in ("e1", "e2"):
+            assert run("estimate", "--data", csv_path, "--k", "4", "--replications", "2",
+                       "--grid", "64", "--threads", "1", "--out", str(tmp_path / out)) == 0
+            manifest = load_manifest(str(tmp_path / out / "manifest.json"))
+            assert manifest["data_sha256"] == digest
+            caches.append(manifest["data_cache"])
+        assert caches == ["miss", "hit"]
+        for name in manifest["artifacts"].values():
+            assert filecmp.cmp(tmp_path / "e1" / name, tmp_path / "e2" / name, shallow=False)
 
     @pytest.mark.parametrize("platform, ru_maxrss, expected", [
         ("linux", 2048, 2.097152),  # KiB

@@ -1,13 +1,16 @@
 """Dataset construction, CSV loading and round-trips."""
 
 import csv
+import hashlib
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -34,7 +37,13 @@ from rpchoice import (
     write_csv,
 )
 from rpchoice import data as data_module
-from rpchoice.data import SHARE_SUM_TOL, _sort_ids, _table_by_rows, _table_in_bulk
+from rpchoice.data import (
+    SHARE_SUM_TOL,
+    _sort_ids,
+    _table_by_rows,
+    _table_in_bulk,
+    load_csv_with_digest,
+)
 
 
 def _write(path, text):
@@ -385,12 +394,21 @@ class TestBulkRoute:
     @settings(max_examples=500, deadline=None)
     @given(text=_csv_files())
     def test_bulk_route_matches_the_row_loop(self, tmp_path_factory, text):
+        """The row loop, the bulk route and then the parse cache, which both
+        parses filled, give one outcome bit for bit. The cache serves the
+        third load unless the load failed or a label ends in a NUL."""
         path = str(tmp_path_factory.mktemp("bulk") / "d.csv")
         with open(path, "w", newline="") as fh:
             fh.write(text)
-        with mock.patch.object(data_module, "_table_in_bulk", return_value=None):
-            expected = _outcome(lambda: load_csv(path))
-        assert _outcome(lambda: load_csv(path)) == expected
+        with _no_cache_hits():
+            with mock.patch.object(data_module, "_table_in_bulk", return_value=None):
+                expected = _outcome(lambda: load_csv(path))
+            assert _outcome(lambda: load_csv(path)) == expected
+        served = []
+        assert _outcome(lambda: _load_noting_hit(path, served)) == expected
+        if len(expected) == 5:
+            labels = (*expected[0], *expected[1], *expected[2])
+            assert served == [not any(label.endswith("\x00") for label in labels)]
 
         bulk = _table_in_bulk(path)
         if bulk is not None:
@@ -408,6 +426,7 @@ class TestBulkRoute:
         BASIC_CSV.replace("0.5,1.0", "5e-1,1E0").replace("2.0", " 2.0\t"),
     ], ids=["lf", "crlf", "cr", "blank_lines_no_final_end", "ids_with_spaces", "exponents"])
     def test_clean_files_take_the_bulk_route(self, tmp_path, monkeypatch, text):
+        monkeypatch.setattr(data_module, "_cached_table", _miss)
         path = _write(tmp_path / "d.csv", text)
         expected = _outcome(lambda: load_csv(path))
         monkeypatch.setattr(data_module, "_table_by_rows", _refuse)
@@ -416,6 +435,7 @@ class TestBulkRoute:
 
     def test_benchmark_shaped_file_takes_the_bulk_route(self, tmp_path, monkeypatch):
         """simulate_dataset written by write_csv, as the benchmark makes its input."""
+        monkeypatch.setattr(data_module, "_cached_table", _miss)
         path = str(tmp_path / "d.csv")
         write_csv(simulate_dataset(SimConfig(d=40, n=30, mc_draws=1000, seed=1)), path)
         expected = _outcome(lambda: load_csv(path))
@@ -519,8 +539,182 @@ class TestBulkRoute:
         assert grown_mb <= 12, f"{grown_mb:.1f} MB"
 
 
+class TestParseCache:
+    """load_csv keeps each parsed table beside its file, keyed by the bytes'
+    SHA-256; a load of the same bytes reads it and gives the parse's
+    Dataset bit for bit."""
+
+    @staticmethod
+    def _benchmark_shaped(tmp_path):
+        path = str(tmp_path / "d.csv")
+        write_csv(simulate_dataset(SimConfig(d=40, n=30, mc_draws=1000, seed=1)), path)
+        return path
+
+    def test_a_hit_gives_the_parse_bit_for_bit(self, tmp_path):
+        path = self._benchmark_shaped(tmp_path)
+        parsed, digest, hit = load_csv_with_digest(path)
+        assert not hit
+        assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        assert sorted(os.listdir(tmp_path)) == [".d.csv.rpchoice.npz", "d.csv"]
+        cached, cached_digest, hit = load_csv_with_digest(path)
+        assert hit and cached_digest == digest
+        assert _outcome(lambda: cached) == _outcome(lambda: parsed)
+        assert all(type(label) is str for label in (*cached.market_ids, *cached.choice_ids))
+
+    @pytest.mark.parametrize("mode", [0o644, 0o640, 0o600])
+    def test_the_entry_is_as_readable_as_the_file(self, tmp_path, mode):
+        path = _write(tmp_path / "d.csv", BASIC_CSV)
+        os.chmod(path, mode)
+        load_csv(path)
+        assert os.stat(tmp_path / ".d.csv.rpchoice.npz").st_mode & 0o777 == mode
+
+    def test_an_edited_file_of_the_same_size_and_mtime_is_parsed_again(self, tmp_path):
+        path = _write(tmp_path / "d.csv", BASIC_CSV)
+        load_csv(path)
+        stat = os.stat(path)
+        _write(tmp_path / "d.csv", BASIC_CSV.replace("1,b,-0.25,", "1,b,-0.75,"))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert os.stat(path).st_size == stat.st_size
+        data, _, hit = load_csv_with_digest(path)
+        assert not hit
+        assert data.markets[0].covariates[1, 0] == -0.75
+        assert load_csv_with_digest(path)[2]
+
+    @pytest.mark.parametrize("entry", ["empty", "garbage", "truncated", "other_digest",
+                                       "other_version", "other_reader", "pickled_table"])
+    def test_a_bad_or_foreign_entry_is_a_miss_and_is_rewritten(self, tmp_path, entry):
+        path = _write(tmp_path / "d.csv", BASIC_CSV)
+        expected = _outcome(lambda: load_csv(path))
+        cache = tmp_path / ".d.csv.rpchoice.npz"
+        good = cache.read_bytes()
+        fields = dict(np.load(cache, allow_pickle=False))
+        if entry in ("empty", "garbage", "truncated"):
+            cache.write_bytes({"empty": b"", "garbage": b"not a zip file " * 10,
+                               "truncated": good[:len(good) // 2]}[entry])
+        else:
+            key, value = {"other_digest": ("sha256", "0" * 64),
+                          "other_version": ("version", fields["version"] + 1),
+                          "other_reader": ("reader", "python 2.7, ascii"),
+                          "pickled_table": ("table", np.array([None], dtype=object))}[entry]
+            with open(cache, "wb") as fh:
+                np.savez(fh, **{**fields, key: value})
+        data, _, hit = load_csv_with_digest(path)
+        assert not hit
+        assert _outcome(lambda: data) == expected
+        assert load_csv_with_digest(path)[2]
+
+    def test_a_read_only_directory_loads_without_an_entry(self, tmp_path, monkeypatch):
+        path = _write(tmp_path / "d.csv", BASIC_CSV)
+        expected = _outcome(lambda: load_csv(path))
+        os.remove(tmp_path / ".d.csv.rpchoice.npz")
+        os.chmod(tmp_path, 0o555)
+        try:
+            if os.access(tmp_path, os.W_OK):  # root writes anywhere
+                monkeypatch.setattr(data_module.tempfile, "mkstemp", _read_only_mkstemp)
+            assert _outcome(lambda: load_csv(path)) == expected
+        finally:
+            os.chmod(tmp_path, 0o755)
+        assert os.listdir(tmp_path) == ["d.csv"]
+
+    def test_a_failed_write_leaves_no_scratch_file(self, tmp_path, monkeypatch):
+        def full_disk(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(data_module.np, "savez", full_disk)
+        path = _write(tmp_path / "d.csv", BASIC_CSV)
+        load_csv(path)
+        assert os.listdir(tmp_path) == ["d.csv"]
+
+    @pytest.mark.parametrize("text", [
+        BASIC_CSV.replace("2,c,-0.5,0.25,0.3\n", ""),
+        BASIC_CSV.replace("0.5,1.0", "oops,1.0"),
+        BASIC_CSV.replace("1,c,1.5,-1.0,0.5", "1,c,1.5,-1.0,0.6"),
+        BASIC_CSV.replace("1,a,0.5,1.0", "1,a,inf,1.0"),
+    ], ids=["missing_choice", "unparsable_cell", "share_sum", "infinite_covariate"])
+    def test_a_failed_load_leaves_no_entry(self, tmp_path, text):
+        path = _write(tmp_path / "d.csv", text)
+        for _ in range(2):
+            with pytest.raises((DimensionError, ParseError, ValidationError)):
+                load_csv(path)
+        assert os.listdir(tmp_path) == ["d.csv"]
+
+    def test_a_file_changed_during_the_parse_is_not_cached(self, tmp_path, monkeypatch):
+        path = _write(tmp_path / "d.csv", BASIC_CSV)
+
+        def parse_then_edit(file):
+            table = _table_in_bulk(file)
+            _write(tmp_path / "d.csv", BASIC_CSV.replace("0.5,1.0", "0.25,1.0"))
+            return table
+
+        monkeypatch.setattr(data_module, "_table_in_bulk", parse_then_edit)
+        assert not load_csv_with_digest(path)[2]
+        assert os.listdir(tmp_path) == ["d.csv"]
+
+    def test_a_trailing_nul_id_is_parsed_every_time(self, tmp_path):
+        """numpy's str arrays drop trailing NULs, so such an id would come back
+        as another id; csv refuses the NUL before Python 3.11."""
+        path = _write(tmp_path / "d.csv", BASIC_CSV.replace(",b,", ",b\x00,"))
+        with mock.patch.object(data_module, "_table_in_bulk", return_value=None):
+            expected = _outcome(lambda: load_csv(path))
+        if sys.version_info >= (3, 11):
+            assert expected[1] == ("a", "b\x00", "c")
+        else:
+            assert expected[0] is ParseError
+        served = []
+        for _ in range(2):
+            assert _outcome(lambda: _load_noting_hit(path, served)) == expected
+        assert served == ([False, False] if len(expected) == 5 else [])
+        assert os.listdir(tmp_path) == ["d.csv"]
+
+    def test_threads_loading_one_file_all_succeed(self, tmp_path):
+        """Four threads, more than the test machines' cores, load one file
+        from no entry on, with frequent thread switches: every load gives the
+        parse's outcome, whether it parsed, wrote or read the entry."""
+        path = self._benchmark_shaped(tmp_path)
+        with _no_cache_hits():
+            expected = _outcome(lambda: load_csv(path))
+        os.remove(tmp_path / ".d.csv.rpchoice.npz")
+        start = threading.Barrier(4, timeout=60)
+
+        def loads(_):
+            start.wait()
+            return [_outcome(lambda: load_csv(path)) for _ in range(4)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                outcomes = [o for result in pool.map(loads, range(4), timeout=120)
+                            for o in result]
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcomes == [expected] * 16
+        assert sorted(os.listdir(tmp_path)) == [".d.csv.rpchoice.npz", "d.csv"]
+        assert load_csv_with_digest(path)[2]
+
+
+def _read_only_mkstemp(*args, **kwargs):
+    raise PermissionError(13, "Permission denied")
+
+
 def _refuse(*args):
     raise AssertionError("the row loop ran")
+
+
+def _miss(*args):
+    return None
+
+
+def _no_cache_hits():
+    """Every load in the block parses its file: the cache is written but
+    never read."""
+    return mock.patch.object(data_module, "_cached_table", _miss)
+
+
+def _load_noting_hit(path, served):
+    data, _, hit = load_csv_with_digest(path)
+    served.append(hit)
+    return data
 
 
 def _two_markets(b=1):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -547,6 +548,18 @@ class TestJlDiagnostic:
         (u if side == "u" else v)[7] = bad
         with pytest.raises(ValidationError, match="^u and v must be finite$"):
             jl_diagnostic(u, v, spec, draws=1000)
+
+    @pytest.mark.parametrize("u, v", [(1e308, -1e308), (1e160, 0.0)],
+                             ids=["difference_overflows", "square_overflows"])
+    def test_overflowing_distance_rejected(self, u, v):
+        """Finite u and v whose u - v or ||u - v||^2 overflows used to give an
+        inf exact distance and NaN in the other fields, with only a numpy
+        warning."""
+        spec = ProjectionSpec(k=5, d=20, s=1.0, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="overflows float64$"):
+                jl_diagnostic(np.full(20, u), np.full(20, v), spec, draws=1000)
 
     def test_minimum_draws_enforced(self):
         spec = ProjectionSpec(k=5, d=20, s=1.0, seed=0)
