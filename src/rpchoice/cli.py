@@ -128,15 +128,13 @@ def _peak_rss_mb() -> float | None:
 def _run(body, parser: argparse.ArgumentParser, args) -> int:
     """Run one command and write its manifest.json.
 
-    `body(args, out_dir, stages, notes)` does the command's work and returns
+    `body(args, out_dir, stages)` does the command's work and returns
     (resolved, artifacts, report, code): `resolved` maps flags to the values
     the run actually used, plus derived values such as s_resolved; `artifacts`
     maps a key to (file name, writer). A body may record the wall seconds of
     its stages in `stages`; writing the artifacts is timed as `write`, and
     all are written as the manifest's stage_seconds, beside the process's
-    peak_rss_mb at the end of the run. What a body puts in `notes` becomes
-    top-level manifest fields (estimate: the input's data_sha256 and
-    data_cache). The output directory is
+    peak_rss_mb at the end of the run. The output directory is
     created only once the body has returned, so a run that fails early
     leaves nothing behind.
 
@@ -149,8 +147,7 @@ def _run(body, parser: argparse.ArgumentParser, args) -> int:
     t0 = time.monotonic()
     out_dir = _resolve_out(args.out, f"{args.command}-seed{args.seed}")
     stages: dict[str, float] = {}
-    notes: dict = {}
-    resolved, artifacts, report, code = body(args, out_dir, stages, notes)
+    resolved, artifacts, report, code = body(args, out_dir, stages)
     os.makedirs(out_dir, exist_ok=True)
     t_write = time.monotonic()
     for name, write in artifacts.values():
@@ -177,14 +174,13 @@ def _run(body, parser: argparse.ArgumentParser, args) -> int:
         "elapsed_seconds": time.monotonic() - t0,
         "stage_seconds": stages,
         "peak_rss_mb": _peak_rss_mb(),
-        **notes,
     }
     _write_json(manifest, os.path.join(out_dir, "manifest.json"))
     print(report, file=sys.stderr if code else sys.stdout)
     return code
 
 
-def cmd_simulate(args, out_dir, stages, notes):
+def cmd_simulate(args, out_dir, stages):
     d = PRESETS[args.preset][0] if args.preset is not None else args.d
     config = SimConfig(
         d=d,
@@ -206,11 +202,10 @@ def cmd_simulate(args, out_dir, stages, notes):
     return resolved, artifacts, f"wrote dataset.csv (n={config.n}, d={config.d}) to {out_dir}", 0
 
 
-def cmd_estimate(args, out_dir, stages, notes):
+def cmd_estimate(args, out_dir, stages):
     t0 = time.monotonic()
-    data, notes["data_sha256"], cache_hit = load_csv_with_digest(args.data)
+    data, digest, cache_hit = load_csv_with_digest(args.data)
     stages["load"] = time.monotonic() - t0
-    notes["data_cache"] = "hit" if cache_hit else "miss"
     s_resolved = resolve_sparsity(args.s, data.d)
     t0 = time.monotonic()
     summary = run_replications(
@@ -238,7 +233,12 @@ def cmd_estimate(args, out_dir, stages, notes):
         )
     else:
         report = f"{summary.successes} replications succeeded"
-    resolved = {"data": os.path.abspath(args.data), "s_resolved": s_resolved}
+    resolved = {
+        "data": os.path.abspath(args.data),
+        "data_sha256": digest,
+        "data_cache": "hit" if cache_hit else "miss",
+        "s_resolved": s_resolved,
+    }
     if summary.successes == 0:
         report = (
             f"error: all {args.replications} replications failed; their errors "
@@ -248,7 +248,7 @@ def cmd_estimate(args, out_dir, stages, notes):
     return resolved, artifacts, f"{report}; wrote summary.json to {out_dir}", 0
 
 
-def cmd_verify_jl(args, out_dir, stages, notes):
+def cmd_verify_jl(args, out_dir, stages):
     s_resolved = resolve_sparsity(args.s, args.d)
     spec = ProjectionSpec(k=args.k, d=args.d, s=s_resolved, seed=args.seed)
     rng = derive_rng(args.seed, STREAM_COVARIATES)

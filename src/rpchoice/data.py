@@ -26,6 +26,7 @@ from functools import partial
 
 import numpy as np
 
+from . import __version__
 from .errors import DimensionError, ParseError, ValidationError
 
 SHARE_SUM_TOL = 1e-9
@@ -202,6 +203,7 @@ def _sort_ids(ids) -> list[str]:
     the order never depends on the order of the input. NaN compares false
     with every number, so an id that parses as NaN would not have a place.
     """
+    # the parse cache stores this order: a change bumps _CACHE_VERSION
     ids = list(ids)
     try:
         keys = [float(i) for i in ids]
@@ -213,6 +215,7 @@ def _sort_ids(ids) -> list[str]:
 
 
 def _parse_cell(raw: str, column: str, line_num: int) -> float:
+    # the parse cache stores these numbers: a change bumps _CACHE_VERSION
     try:
         return float(raw)
     except ValueError:
@@ -458,8 +461,11 @@ def load_csv_with_digest(path: str) -> tuple[Dataset, str, bool]:
     return data, digest, cached is not None
 
 
-# Bump when what load_csv makes of a file's bytes changes, so that no entry
-# written by an older parser is read.
+# Bump when what load_csv makes of a file's bytes changes (the numbers
+# _parse_cell and loadtxt read, the _sort_ids order, what the row loop or the
+# bulk route accepts), so that no entry written by an older parser is read;
+# TestParseCache pins an entry of this version against today's parse. The
+# package version in _reader() retires all entries at each release as well.
 _CACHE_VERSION = 1
 _CACHE_LABELS = ("covariate_names", "market_ids", "choice_ids")
 
@@ -478,11 +484,12 @@ def _cache_path(path: str) -> str:
 
 
 def _reader() -> str:
-    """What else the parse of given bytes depends on: the text encoding
-    open() decodes them with, and the csv module, which refuses a NUL before
-    Python 3.11."""
+    """What else the parse of given bytes depends on: the package release,
+    the text encoding open() decodes them with, and the csv module, which
+    refuses a NUL before Python 3.11."""
     major, minor = sys.version_info[:2]
-    return f"python {major}.{minor}, {locale.getpreferredencoding(False)}"
+    return (f"rpchoice {__version__}, python {major}.{minor}, "
+            f"{locale.getpreferredencoding(False)}")
 
 
 def _cached_table(path: str, digest: str):
@@ -499,10 +506,11 @@ def _cached_table(path: str, digest: str):
             table = entry["table"]
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
+    if any(ids.dtype.kind != "U" or ids.ndim != 1 for ids in labels):
+        return None
     names, market_ids, choice_ids = (tuple(ids.tolist()) for ids in labels)
-    if (any(ids.dtype.kind != "U" or ids.ndim != 1 for ids in labels)
-            or table.dtype != np.float64
-            or table.shape != (len(market_ids), len(choice_ids), len(names) + 1)):
+    if table.dtype != np.float64 or table.shape != (
+            len(market_ids), len(choice_ids), len(names) + 1):
         return None
     return names, market_ids, choice_ids, table, np.ones(table.shape[:2], dtype=bool)
 

@@ -184,8 +184,8 @@ class TestEstimate:
 
     def test_manifest_records_the_input_digest_and_cache(self, tmp_path):
         """The first estimate on a file parses it, the second reads the parse
-        cache; both record the SHA-256 of the bytes, and their artifacts are
-        identical."""
+        cache; both record the SHA-256 of the bytes among their params, and
+        their artifacts are identical."""
         csv_path = simulate_small(tmp_path / "sim")
         digest = hashlib.sha256(Path(csv_path).read_bytes()).hexdigest()
         caches = []
@@ -193,8 +193,8 @@ class TestEstimate:
             assert run("estimate", "--data", csv_path, "--k", "4", "--replications", "2",
                        "--grid", "64", "--threads", "1", "--out", str(tmp_path / out)) == 0
             manifest = load_manifest(str(tmp_path / out / "manifest.json"))
-            assert manifest["data_sha256"] == digest
-            caches.append(manifest["data_cache"])
+            assert manifest["params"]["data_sha256"] == digest
+            caches.append(manifest["params"]["data_cache"])
         assert caches == ["miss", "hit"]
         for name in manifest["artifacts"].values():
             assert filecmp.cmp(tmp_path / "e1" / name, tmp_path / "e2" / name, shallow=False)
@@ -395,6 +395,26 @@ def test_replication_study_threads_default_to_the_affinity_set(tmp_path, monkeyp
     with pytest.raises(Stop):
         study.main(["--presets", "d100k10", "--out", str(tmp_path)])
     assert seen == [3]
+
+
+def test_k_ladder_study_parses_its_csv_once(tmp_path):
+    """One estimate run per k on one file: the first parses it, the others
+    read the parse cache, and each rung's manifest re-runs that rung."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "k_ladder_study.py"
+    spec = importlib.util.spec_from_file_location("script_k_ladder_study", path)
+    study = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(study)
+    csv_path = simulate_small(tmp_path / "sim")
+    out = tmp_path / "ladder"
+    assert study.main(["--data", csv_path, "--k", "3", "4", "6", "--replications", "2",
+                       "--threads", "1", "--out", str(out)]) == 0
+    ladder = json.loads((out / "k_ladder.json").read_text())
+    assert ladder["data_sha256"] == hashlib.sha256(Path(csv_path).read_bytes()).hexdigest()
+    assert [(row["k"], row["data_cache"]) for row in ladder["rows"]] == [
+        (3, "miss"), (4, "hit"), (6, "hit")]
+    for k in (3, 4, 6):
+        manifest = load_manifest(str(out / f"k{k}" / "manifest.json"))
+        assert manifest["params"]["k"] == k
 
 
 class TestVerifyJl:

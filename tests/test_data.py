@@ -581,7 +581,8 @@ class TestParseCache:
         assert load_csv_with_digest(path)[2]
 
     @pytest.mark.parametrize("entry", ["empty", "garbage", "truncated", "other_digest",
-                                       "other_version", "other_reader", "pickled_table"])
+                                       "other_version", "other_reader", "pickled_table",
+                                       "numeric_labels"])
     def test_a_bad_or_foreign_entry_is_a_miss_and_is_rewritten(self, tmp_path, entry):
         path = _write(tmp_path / "d.csv", BASIC_CSV)
         expected = _outcome(lambda: load_csv(path))
@@ -595,13 +596,33 @@ class TestParseCache:
             key, value = {"other_digest": ("sha256", "0" * 64),
                           "other_version": ("version", fields["version"] + 1),
                           "other_reader": ("reader", "python 2.7, ascii"),
-                          "pickled_table": ("table", np.array([None], dtype=object))}[entry]
+                          "pickled_table": ("table", np.array([None], dtype=object)),
+                          "numeric_labels": ("market_ids", np.int64(5))}[entry]
             with open(cache, "wb") as fh:
                 np.savez(fh, **{**fields, key: value})
         data, _, hit = load_csv_with_digest(path)
         assert not hit
         assert _outcome(lambda: data) == expected
         assert load_csv_with_digest(path)[2]
+
+    def test_todays_parse_is_the_pinned_entry_of_this_format_version(self, tmp_path):
+        """An entry on disk holds the parse of the code that wrote it, and is
+        read as long as the format version matches: today's parse of the
+        pinned bytes, on either route, must be the pinned entry."""
+        assert data_module._CACHE_VERSION == _PINNED_VERSION
+        path = tmp_path / "d.csv"
+        path.write_bytes(_PINNED_CSV.encode("ascii"))
+        pinned = _PINNED_ENTRY[:3], np.array(_PINNED_ENTRY[3]).tobytes()
+        bulk = _table_in_bulk(str(path))
+        assert bulk is not None
+        for parse in (bulk, _table_by_rows(str(path))):
+            assert (tuple(map(tuple, parse[:3])), parse[3].tobytes()) == pinned
+        assert not load_csv_with_digest(str(path))[2]
+        with np.load(tmp_path / ".d.csv.rpchoice.npz", allow_pickle=False) as entry:
+            labels = tuple(tuple(entry[key].tolist())
+                           for key in ("covariate_names", "market_ids", "choice_ids"))
+            assert (labels, entry["table"].tobytes()) == pinned
+            assert entry["version"] == _PINNED_VERSION
 
     def test_a_read_only_directory_loads_without_an_entry(self, tmp_path, monkeypatch):
         path = _write(tmp_path / "d.csv", BASIC_CSV)
@@ -691,6 +712,30 @@ class TestParseCache:
         assert outcomes == [expected] * 16
         assert sorted(os.listdir(tmp_path)) == [".d.csv.rpchoice.npz", "d.csv"]
         assert load_csv_with_digest(path)[2]
+
+
+# What the parser of cache format _PINNED_VERSION makes of _PINNED_CSV: market
+# ids in numeric order, choice ids in lexicographic order, and numbers with an
+# exponent, a signed zero, a subnormal and surrounding whitespace. When today's
+# parse of these bytes differs, the entries already on disk hold the old
+# parse: bump data._CACHE_VERSION, then update this entry and _PINNED_VERSION.
+_PINNED_VERSION = 1
+_PINNED_CSV = (
+    "market,choice,x1,x2,share\r\n"
+    "10,b,5e-1,-0.0,0.25\r\n"
+    "10,a, 2.0\t,1E0,0.5\r\n"
+    "10,B,5e-324,-1.5,0.25\r\n"
+    "9,a,0.1,0.2,0.2\r\n"
+    "9,B,1e300,3,0.3\r\n"
+    "9,b,-7,.5,0.5\r\n"
+)
+_PINNED_ENTRY = (
+    ("x1", "x2"),
+    ("9", "10"),
+    ("B", "a", "b"),
+    [[[1e300, 3.0, 0.3], [0.1, 0.2, 0.2], [-7.0, 0.5, 0.5]],
+     [[5e-324, -1.5, 0.25], [2.0, 1.0, 0.5], [0.5, -0.0, 0.25]]],
+)
 
 
 def _read_only_mkstemp(*args, **kwargs):

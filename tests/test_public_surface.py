@@ -44,7 +44,7 @@ def test_every_exported_name_resolves():
 
 
 def test_scripts_found():
-    assert [path.name for path in SCRIPTS] == ["convergence_study.py",
+    assert [path.name for path in SCRIPTS] == ["convergence_study.py", "k_ladder_study.py",
                                                "replication_study.py"]
 
 
