@@ -5,8 +5,8 @@ Runs `rpchoice estimate` once per k on the same --data file, each into its
 own run directory <out>/k<k> with the manifest whose argv re-runs that rung,
 and collects every rung's summary in <out>/k_ladder.json. Unlike the
 simulated studies, it takes any CSV in load_csv's layout, real data
-included. The first rung parses the file; the later rungs, and any re-run
-from a manifest, read the parse cache load_csv keeps beside it.
+included. The first rung parses the file; the later rungs, run in this
+process, reuse its Dataset, and a re-run from a manifest parses it again.
 
     python3 scripts/k_ladder_study.py --data runs/sim/dataset.csv --k 100 500
 """

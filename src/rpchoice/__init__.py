@@ -8,9 +8,6 @@ intervals with replication statistics (`estimate`). The `cli` module wires
 the same steps into reproducible batch runs.
 """
 
-# before the submodules: the parse cache (data) keys its entries by it
-__version__ = "0.1.0"
-
 from .criterion import (
     CircleProfile,
     CriterionEvaluator,
@@ -66,6 +63,7 @@ from .simulate import (
     simulate_dataset,
 )
 
+__version__ = "0.1.0"
 
 __all__ = [
     "AngleGrid",

@@ -292,13 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=partial(_run, cmd_simulate, p_sim))
 
     p_est = sub.add_parser("estimate", help="replicated projection + estimation")
-    p_est.add_argument(
-        "--data",
-        required=True,
-        help="dataset CSV; its parsed table is cached beside it in .<name>.rpchoice.npz, "
-        "keyed by the file's SHA-256 (safe to delete; skipped where the directory is "
-        "read-only or an id would not read back equal)",
-    )
+    p_est.add_argument("--data", required=True,
+                       help="dataset CSV; the manifest records its SHA-256")
     p_est.add_argument("--k", type=_positive_int, required=True, help="projected dimension")
     p_est.add_argument("--s", default="1", help="sparsity: 1, 3, sqrt, or a number")
     p_est.add_argument(

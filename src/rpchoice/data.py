@@ -8,25 +8,19 @@ market lists every choice and each market's shares sum to 1.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import hashlib
 import io
 import json
 import locale
 import math
-import os
-import sys
-import tempfile
 import warnings
-import zipfile
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from . import __version__
 from .errors import DimensionError, ParseError, ValidationError
 
 SHARE_SUM_TOL = 1e-9
@@ -203,7 +197,6 @@ def _sort_ids(ids) -> list[str]:
     the order never depends on the order of the input. NaN compares false
     with every number, so an id that parses as NaN would not have a place.
     """
-    # the parse cache stores this order: a change bumps _CACHE_VERSION
     ids = list(ids)
     try:
         keys = [float(i) for i in ids]
@@ -215,7 +208,6 @@ def _sort_ids(ids) -> list[str]:
 
 
 def _parse_cell(raw: str, column: str, line_num: int) -> float:
-    # the parse cache stores these numbers: a change bumps _CACHE_VERSION
     try:
         return float(raw)
     except ValueError:
@@ -279,7 +271,7 @@ def _table_by_rows(path: str):
     load_csv accepts and every error it raises, first fault in file order.
     """
     cells: dict[tuple[str, str], list[float]] = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding=_text_encoding()) as fh:
         header, cov_names, records = _checked_rows(fh, path)
         mid_at, cid_at = (header.index(c) for c in ID_COLUMNS)
         number_at = [header.index(c) for c in (*cov_names, SHARE_COLUMN)]
@@ -357,7 +349,7 @@ def _table_in_bulk(path: str):
     float() rejects, and the text check covers the cells it accepts and
     float() does not.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding=_text_encoding()) as fh:
         # a fault of any kind, an undecodable byte included, is the row
         # loop's to report
         try:
@@ -412,26 +404,33 @@ def load_csv(path: str) -> Dataset:
     such as 1_000 or non-ASCII digits); a repeated pair; or fewer than two
     markets.
 
-    A parse is a function of the file's bytes, so its table (names, ids,
-    numbers) is cached beside the file, in .<file name>.rpchoice.npz, keyed
-    by the SHA-256 of those bytes and by _reader(). A later load of the same
-    bytes reads the table from there and runs every check after the parse
-    again; the result is the parse's bit for bit. The cache is not a run
-    artifact and is safe to delete. Nothing is cached when the load fails,
-    when the file changed during the parse, when the directory cannot be
-    written, or when an id or name would not read back equal (a trailing
-    NUL).
+    A load of the bytes the last successful load read, by SHA-256, in the
+    same text encoding, returns that load's Dataset again, which is safe to
+    share: Dataset is frozen and its arrays are read-only. A failed load, or
+    one whose file changed during the parse, is not remembered.
     """
     return load_csv_with_digest(path)[0]
 
 
+# ((SHA-256, text encoding), Dataset) of the last load that succeeded on
+# bytes that did not change during its parse; read and replaced whole, so
+# threads that load at once need no lock (the last to finish is remembered)
+_last_load: tuple[tuple[str, str], Dataset] | None = None
+
+
 def load_csv_with_digest(path: str) -> tuple[Dataset, str, bool]:
     """load_csv's Dataset, the SHA-256 (hex) of the bytes it was read from,
-    and whether the cache served the load."""
+    and whether it is the last load's Dataset, returned without a parse."""
+    global _last_load
     digest = _sha256(path)
-    cached = _cached_table(path, digest)
+    # the parse decodes the bytes in the locale's encoding, which
+    # locale.setlocale can change within a process
+    key = digest, _text_encoding()
+    last = _last_load
+    if last is not None and last[0] == key:
+        return last[1], digest, True
     cov_names, market_ids, choice_ids, table, present = (
-        cached or _table_in_bulk(path) or _table_by_rows(path))
+        _table_in_bulk(path) or _table_by_rows(path))
     b = len(cov_names)
 
     incomplete = np.flatnonzero(~present.all(axis=1))
@@ -455,19 +454,15 @@ def load_csv_with_digest(path: str) -> tuple[Dataset, str, bool]:
         choice_ids=tuple(choice_ids),
     )
     # a file rewritten during the parse must not pair its new digest, or the
-    # old one, with the other bytes' table
-    if cached is None and _sha256(path) == digest:
-        _store_table(path, digest, (cov_names, market_ids, choice_ids), table)
-    return data, digest, cached is not None
+    # old one, with the other bytes' Dataset
+    if _sha256(path) == digest:
+        _last_load = key, data
+    return data, digest, False
 
 
-# Bump when what load_csv makes of a file's bytes changes (the numbers
-# _parse_cell and loadtxt read, the _sort_ids order, what the row loop or the
-# bulk route accepts), so that no entry written by an older parser is read;
-# TestParseCache pins an entry of this version against today's parse. The
-# package version in _reader() retires all entries at each release as well.
-_CACHE_VERSION = 1
-_CACHE_LABELS = ("covariate_names", "market_ids", "choice_ids")
+def _text_encoding() -> str:
+    """The encoding open() reads and writes text in by default."""
+    return locale.getpreferredencoding(False)
 
 
 def _sha256(path: str) -> str:
@@ -476,71 +471,6 @@ def _sha256(path: str) -> str:
         for chunk in iter(partial(fh.read, 1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _cache_path(path: str) -> str:
-    folder, name = os.path.split(path)
-    return os.path.join(folder, f".{name}.rpchoice.npz")
-
-
-def _reader() -> str:
-    """What else the parse of given bytes depends on: the package release,
-    the text encoding open() decodes them with, and the csv module, which
-    refuses a NUL before Python 3.11."""
-    major, minor = sys.version_info[:2]
-    return (f"rpchoice {__version__}, python {major}.{minor}, "
-            f"{locale.getpreferredencoding(False)}")
-
-
-def _cached_table(path: str, digest: str):
-    """The table _store_table kept for these bytes, as the parse returns it,
-    or None when there is no readable entry for this digest, format version
-    and reader."""
-    try:
-        # np.load leaves a file it opened itself open when it is no zip file
-        with open(_cache_path(path), "rb") as fh, np.load(fh, allow_pickle=False) as entry:
-            if (entry["version"].item(), entry["sha256"].item(), entry["reader"].item()) != (
-                    _CACHE_VERSION, digest, _reader()):
-                return None
-            labels = [entry[key] for key in _CACHE_LABELS]
-            table = entry["table"]
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
-        return None
-    if any(ids.dtype.kind != "U" or ids.ndim != 1 for ids in labels):
-        return None
-    names, market_ids, choice_ids = (tuple(ids.tolist()) for ids in labels)
-    if table.dtype != np.float64 or table.shape != (
-            len(market_ids), len(choice_ids), len(names) + 1):
-        return None
-    return names, market_ids, choice_ids, table, np.ones(table.shape[:2], dtype=bool)
-
-
-def _store_table(path: str, digest: str, labels, table: np.ndarray) -> None:
-    """Write the entry _cached_table reads, unless a label would not read
-    back equal (numpy's str arrays drop trailing NULs) or the directory
-    cannot take it. The entry is written to a temporary file and renamed
-    into place, so a reader sees a whole entry or none."""
-    arrays = {key: np.array(ids, dtype=str) for key, ids in zip(_CACHE_LABELS, labels)}
-    if any(arrays[key].tolist() != list(ids) for key, ids in zip(_CACHE_LABELS, labels)):
-        return
-    target = _cache_path(path)
-    try:
-        fd, scratch = tempfile.mkstemp(prefix=os.path.basename(target) + ".",
-                                       dir=os.path.dirname(target) or ".")
-    except OSError:  # a read-only directory, say: the load stands without an entry
-        return
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, version=_CACHE_VERSION, sha256=digest, reader=_reader(),
-                     table=table, **arrays)
-        # mkstemp makes the file private; whoever may read the CSV may read its parse
-        os.chmod(scratch, os.stat(path).st_mode & 0o666)
-        os.replace(scratch, target)
-    except OSError:  # a full disk, say: the load stands without an entry
-        pass
-    finally:
-        with contextlib.suppress(OSError):  # gone once renamed
-            os.unlink(scratch)
 
 
 def _csv_cells(labels) -> list[str]:
@@ -583,7 +513,7 @@ def write_csv(data: Dataset, path: str) -> None:
     labels = (*data.market_ids, *data.choice_ids, *data.covariate_names)
     if any("\x00" in label for label in labels):
         raise ValidationError("ids and covariate names must not contain NUL characters")
-    encoding = locale.getpreferredencoding(False)  # what open() writes text in
+    encoding = _text_encoding()
     for label in labels:
         try:
             label.encode(encoding)
@@ -593,7 +523,7 @@ def write_csv(data: Dataset, path: str) -> None:
     for mid, market in zip(data.market_ids, data.markets):
         _require_unit_sum(mid, market.shares)
     width = 2 * data.b + 4  # slots a row takes
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding=encoding) as fh:
         writer = csv.writer(fh)
         writer.writerow([*ID_COLUMNS, *data.covariate_names, SHARE_COLUMN])
         end = writer.dialect.lineterminator

@@ -166,6 +166,7 @@ def estimate_polar_grid(
         raise DimensionError(
             "the circle estimate needs exactly 2 covariates; use estimate_subgradient"
         )
+    grid_size, refine = as_index(grid_size, "grid_size"), as_index(refine, "refine")
     if grid_size < 8:
         raise ParameterError(f"grid_size must be at least 8, got {grid_size}")
     if refine < 1:
@@ -224,6 +225,7 @@ def estimate_subgradient(
     The name is kept for API stability: the method replaced a projected
     subgradient walk, whose step-size schedule it no longer needs.
     """
+    restarts, steps = as_index(restarts, "restarts"), as_index(steps, "steps")
     if restarts < 1 or steps < 1:
         raise ParameterError("restarts and steps must be positive")
     evaluator = CriterionEvaluator(data, cycles)
@@ -521,8 +523,10 @@ def run_replications(
         raise ParameterError("replications must be at least 1")
     if threads < 1:
         raise ParameterError("threads must be at least 1")
-    if data.b != 2 and (restarts < 1 or steps < 1):
-        raise ParameterError("restarts and steps must be positive")
+    if data.b != 2:
+        restarts, steps = as_index(restarts, "restarts"), as_index(steps, "steps")
+        if restarts < 1 or steps < 1:
+            raise ParameterError("restarts and steps must be positive")
     s_resolved = resolve_sparsity(s, data.d)
     # fail fast on structurally impossible specs instead of logging R failures
     ProjectionSpec(k=k, d=data.d, s=s_resolved, seed=0)
@@ -604,9 +608,10 @@ def convergence_diagnostic(
     """
     if data.b != 2:
         raise DimensionError("the diagnostic compares angle grids; needs b = 2")
+    draws = as_index(draws, "draws")
     if draws < 1:
         raise ParameterError("draws must be at least 1")
-    k_values = tuple(int(k) for k in k_values)
+    k_values = tuple(as_index(k, "k_values") for k in k_values)
     if not k_values:
         raise ParameterError("no k values given")
     s_resolved = resolve_sparsity(s, data.d)

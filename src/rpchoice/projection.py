@@ -531,6 +531,7 @@ def jl_diagnostic(u, v, spec: ProjectionSpec, draws: int) -> JlDiagnostic:
     matrix rows dotted with w. Very sparse settings (1/s <= 0.05) use
     geometric skip-sampling over the identical Bernoulli cell pattern.
     """
+    draws = as_index(draws, "draws")
     if draws < _JL_MIN_DRAWS:
         raise ParameterError(f"draws must be at least {_JL_MIN_DRAWS}, got {draws}")
     u = np.asarray(u, dtype=np.float64)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from rpchoice import SimConfig, enumerate_cycles, simulate_dataset
+from rpchoice import data as data_module
 
 settings.register_profile(
     "suite",
@@ -30,6 +31,13 @@ def cycles30():
 def d500_dataset():
     """d=500 design for the convergence-in-k diagnostic."""
     return simulate_dataset(SimConfig(d=500, n=30, seed=3))
+
+
+@pytest.fixture()
+def forget_last_load(monkeypatch):
+    """Nothing is remembered by load_csv when the test starts, so its first
+    load of a file parses it, whatever an earlier test loaded."""
+    monkeypatch.setattr(data_module, "_last_load", None)
 
 
 @pytest.fixture()

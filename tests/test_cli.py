@@ -182,10 +182,12 @@ class TestEstimate:
             # the peak includes the interpreter and numpy, tens of MB
             assert manifest["peak_rss_mb"] is None or 10.0 < manifest["peak_rss_mb"] < 1e4
 
+    @pytest.mark.usefixtures("forget_last_load")
     def test_manifest_records_the_input_digest_and_cache(self, tmp_path):
-        """The first estimate on a file parses it, the second reads the parse
-        cache; both record the SHA-256 of the bytes among their params, and
-        their artifacts are identical."""
+        """The first estimate on a file parses it, the second, in the same
+        process, reuses its Dataset; both record the SHA-256 of the bytes
+        among their params, and their artifacts are identical. Neither
+        writes beside the CSV."""
         csv_path = simulate_small(tmp_path / "sim")
         digest = hashlib.sha256(Path(csv_path).read_bytes()).hexdigest()
         caches = []
@@ -196,6 +198,8 @@ class TestEstimate:
             assert manifest["params"]["data_sha256"] == digest
             caches.append(manifest["params"]["data_cache"])
         assert caches == ["miss", "hit"]
+        assert sorted(os.listdir(tmp_path / "sim")) == ["dataset.csv", "manifest.json",
+                                                         "metadata.json"]
         for name in manifest["artifacts"].values():
             assert filecmp.cmp(tmp_path / "e1" / name, tmp_path / "e2" / name, shallow=False)
 
@@ -397,9 +401,10 @@ def test_replication_study_threads_default_to_the_affinity_set(tmp_path, monkeyp
     assert seen == [3]
 
 
+@pytest.mark.usefixtures("forget_last_load")
 def test_k_ladder_study_parses_its_csv_once(tmp_path):
     """One estimate run per k on one file: the first parses it, the others
-    read the parse cache, and each rung's manifest re-runs that rung."""
+    reuse its Dataset, and each rung's manifest re-runs that rung."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "k_ladder_study.py"
     spec = importlib.util.spec_from_file_location("script_k_ladder_study", path)
     study = importlib.util.module_from_spec(spec)

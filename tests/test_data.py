@@ -394,21 +394,18 @@ class TestBulkRoute:
     @settings(max_examples=500, deadline=None)
     @given(text=_csv_files())
     def test_bulk_route_matches_the_row_loop(self, tmp_path_factory, text):
-        """The row loop, the bulk route and then the parse cache, which both
-        parses filled, give one outcome bit for bit. The cache serves the
-        third load unless the load failed or a label ends in a NUL."""
+        """The row loop, the bulk route and then the remembered load give one
+        outcome bit for bit. The third load returns the second's Dataset
+        unless the load failed."""
         path = str(tmp_path_factory.mktemp("bulk") / "d.csv")
         with open(path, "w", newline="") as fh:
             fh.write(text)
-        with _no_cache_hits():
-            with mock.patch.object(data_module, "_table_in_bulk", return_value=None):
-                expected = _outcome(lambda: load_csv(path))
-            assert _outcome(lambda: load_csv(path)) == expected
+        with mock.patch.object(data_module, "_table_in_bulk", return_value=None):
+            expected = _outcome(lambda: _parse(path))
+        assert _outcome(lambda: _parse(path)) == expected
         served = []
         assert _outcome(lambda: _load_noting_hit(path, served)) == expected
-        if len(expected) == 5:
-            labels = (*expected[0], *expected[1], *expected[2])
-            assert served == [not any(label.endswith("\x00") for label in labels)]
+        assert served == ([True] if len(expected) == 5 else [])
 
         bulk = _table_in_bulk(path)
         if bulk is not None:
@@ -426,21 +423,17 @@ class TestBulkRoute:
         BASIC_CSV.replace("0.5,1.0", "5e-1,1E0").replace("2.0", " 2.0\t"),
     ], ids=["lf", "crlf", "cr", "blank_lines_no_final_end", "ids_with_spaces", "exponents"])
     def test_clean_files_take_the_bulk_route(self, tmp_path, monkeypatch, text):
-        monkeypatch.setattr(data_module, "_cached_table", _miss)
         path = _write(tmp_path / "d.csv", text)
-        expected = _outcome(lambda: load_csv(path))
+        expected = _outcome(lambda: _parse(path))
         monkeypatch.setattr(data_module, "_table_by_rows", _refuse)
-        assert _outcome(lambda: load_csv(path)) == expected
+        assert _outcome(lambda: _parse(path)) == expected
         assert len(expected) == 5
 
     def test_benchmark_shaped_file_takes_the_bulk_route(self, tmp_path, monkeypatch):
-        """simulate_dataset written by write_csv, as the benchmark makes its input."""
-        monkeypatch.setattr(data_module, "_cached_table", _miss)
-        path = str(tmp_path / "d.csv")
-        write_csv(simulate_dataset(SimConfig(d=40, n=30, mc_draws=1000, seed=1)), path)
-        expected = _outcome(lambda: load_csv(path))
+        path = _benchmark_shaped(tmp_path)
+        expected = _outcome(lambda: _parse(path))
         monkeypatch.setattr(data_module, "_table_by_rows", _refuse)
-        assert _outcome(lambda: load_csv(path)) == expected
+        assert _outcome(lambda: _parse(path)) == expected
 
     @pytest.mark.parametrize("text", [
         BASIC_CSV.replace("\n2,a", "\n \n2,a"),
@@ -465,8 +458,19 @@ class TestBulkRoute:
             return _table_by_rows(*args)
 
         monkeypatch.setattr(data_module, "_table_by_rows", counting)
-        _outcome(lambda: load_csv(path))
+        _outcome(lambda: _parse(path))
         assert len(calls) == 1
+
+    def test_both_routes_give_the_pinned_parse(self, tmp_path):
+        """Today's parse of the pinned bytes, on either route, is the pinned
+        table: a change to what load_csv makes of a file shows here."""
+        path = tmp_path / "d.csv"
+        path.write_bytes(_PINNED_CSV.encode("ascii"))
+        pinned = _PINNED_ENTRY[:3], np.array(_PINNED_ENTRY[3]).tobytes()
+        bulk = _table_in_bulk(str(path))
+        assert bulk is not None
+        for parse in (bulk, _table_by_rows(str(path))):
+            assert (tuple(map(tuple, parse[:3])), parse[3].tobytes()) == pinned
 
     def test_undecodable_byte_is_reported_by_the_row_loop(self, tmp_path):
         """The decoder names the byte's position in the chunk it was given,
@@ -539,34 +543,22 @@ class TestBulkRoute:
         assert grown_mb <= 12, f"{grown_mb:.1f} MB"
 
 
-class TestParseCache:
-    """load_csv keeps each parsed table beside its file, keyed by the bytes'
-    SHA-256; a load of the same bytes reads it and gives the parse's
-    Dataset bit for bit."""
+@pytest.mark.usefixtures("forget_last_load")
+class TestLastLoad:
+    """load_csv remembers the Dataset of its last successful load, keyed by
+    the SHA-256 of the file's bytes; a load of the same bytes returns it."""
 
-    @staticmethod
-    def _benchmark_shaped(tmp_path):
-        path = str(tmp_path / "d.csv")
-        write_csv(simulate_dataset(SimConfig(d=40, n=30, mc_draws=1000, seed=1)), path)
-        return path
-
-    def test_a_hit_gives_the_parse_bit_for_bit(self, tmp_path):
-        path = self._benchmark_shaped(tmp_path)
+    def test_a_repeat_load_returns_the_same_read_only_dataset(self, tmp_path):
+        path = _benchmark_shaped(tmp_path)
         parsed, digest, hit = load_csv_with_digest(path)
         assert not hit
         assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        assert sorted(os.listdir(tmp_path)) == [".d.csv.rpchoice.npz", "d.csv"]
-        cached, cached_digest, hit = load_csv_with_digest(path)
-        assert hit and cached_digest == digest
-        assert _outcome(lambda: cached) == _outcome(lambda: parsed)
-        assert all(type(label) is str for label in (*cached.market_ids, *cached.choice_ids))
-
-    @pytest.mark.parametrize("mode", [0o644, 0o640, 0o600])
-    def test_the_entry_is_as_readable_as_the_file(self, tmp_path, mode):
-        path = _write(tmp_path / "d.csv", BASIC_CSV)
-        os.chmod(path, mode)
-        load_csv(path)
-        assert os.stat(tmp_path / ".d.csv.rpchoice.npz").st_mode & 0o777 == mode
+        again, again_digest, hit = load_csv_with_digest(path)
+        assert hit and again_digest == digest
+        assert again is parsed
+        assert not any(array.flags.writeable for market in again.markets
+                       for array in (market.covariates, market.shares))
+        assert os.listdir(tmp_path) == ["d.csv"]
 
     def test_an_edited_file_of_the_same_size_and_mtime_is_parsed_again(self, tmp_path):
         path = _write(tmp_path / "d.csv", BASIC_CSV)
@@ -580,71 +572,40 @@ class TestParseCache:
         assert data.markets[0].covariates[1, 0] == -0.75
         assert load_csv_with_digest(path)[2]
 
-    @pytest.mark.parametrize("entry", ["empty", "garbage", "truncated", "other_digest",
-                                       "other_version", "other_reader", "pickled_table",
-                                       "numeric_labels"])
-    def test_a_bad_or_foreign_entry_is_a_miss_and_is_rewritten(self, tmp_path, entry):
-        path = _write(tmp_path / "d.csv", BASIC_CSV)
-        expected = _outcome(lambda: load_csv(path))
-        cache = tmp_path / ".d.csv.rpchoice.npz"
-        good = cache.read_bytes()
-        fields = dict(np.load(cache, allow_pickle=False))
-        if entry in ("empty", "garbage", "truncated"):
-            cache.write_bytes({"empty": b"", "garbage": b"not a zip file " * 10,
-                               "truncated": good[:len(good) // 2]}[entry])
-        else:
-            key, value = {"other_digest": ("sha256", "0" * 64),
-                          "other_version": ("version", fields["version"] + 1),
-                          "other_reader": ("reader", "python 2.7, ascii"),
-                          "pickled_table": ("table", np.array([None], dtype=object)),
-                          "numeric_labels": ("market_ids", np.int64(5))}[entry]
-            with open(cache, "wb") as fh:
-                np.savez(fh, **{**fields, key: value})
-        data, _, hit = load_csv_with_digest(path)
-        assert not hit
-        assert _outcome(lambda: data) == expected
-        assert load_csv_with_digest(path)[2]
+    def test_the_same_bytes_under_another_name_are_remembered(self, tmp_path):
+        data = load_csv(_write(tmp_path / "d.csv", BASIC_CSV))
+        again, _, hit = load_csv_with_digest(_write(tmp_path / "copy.csv", BASIC_CSV))
+        assert hit and again is data
 
-    def test_todays_parse_is_the_pinned_entry_of_this_format_version(self, tmp_path):
-        """An entry on disk holds the parse of the code that wrote it, and is
-        read as long as the format version matches: today's parse of the
-        pinned bytes, on either route, must be the pinned entry."""
-        assert data_module._CACHE_VERSION == _PINNED_VERSION
+    def test_only_the_last_load_is_remembered(self, tmp_path):
+        first = _write(tmp_path / "first.csv", BASIC_CSV)
+        second = _write(tmp_path / "second.csv", BASIC_CSV.replace("0.5,1.0", "0.25,1.0"))
+        assert [load_csv_with_digest(path)[2] for path in (first, second, second, first)] == [
+            False, False, True, False]
+
+    def test_a_repeat_load_in_another_text_encoding_is_parsed_again(
+            self, tmp_path, monkeypatch):
+        """The parse decodes the bytes in the locale's encoding, which
+        locale.setlocale can change within a process: the same bytes read as
+        Latin-1 give another choice id than they gave read as UTF-8."""
         path = tmp_path / "d.csv"
-        path.write_bytes(_PINNED_CSV.encode("ascii"))
-        pinned = _PINNED_ENTRY[:3], np.array(_PINNED_ENTRY[3]).tobytes()
-        bulk = _table_in_bulk(str(path))
-        assert bulk is not None
-        for parse in (bulk, _table_by_rows(str(path))):
-            assert (tuple(map(tuple, parse[:3])), parse[3].tobytes()) == pinned
-        assert not load_csv_with_digest(str(path))[2]
-        with np.load(tmp_path / ".d.csv.rpchoice.npz", allow_pickle=False) as entry:
-            labels = tuple(tuple(entry[key].tolist())
-                           for key in ("covariate_names", "market_ids", "choice_ids"))
-            assert (labels, entry["table"].tobytes()) == pinned
-            assert entry["version"] == _PINNED_VERSION
+        path.write_bytes(BASIC_CSV.replace(",b,", ",\u00e9,").encode("utf-8"))
+        data, _, hit = load_csv_with_digest(str(path))
+        assert not hit and "\u00e9" in data.choice_ids
+        monkeypatch.setattr(data_module.locale, "getpreferredencoding",
+                            lambda do_setlocale=True: "latin-1")
+        data, _, hit = load_csv_with_digest(str(path))
+        assert not hit and "\u00c3\u00a9" in data.choice_ids
+        again, _, hit = load_csv_with_digest(str(path))
+        assert hit and again is data
 
-    def test_a_read_only_directory_loads_without_an_entry(self, tmp_path, monkeypatch):
-        path = _write(tmp_path / "d.csv", BASIC_CSV)
-        expected = _outcome(lambda: load_csv(path))
-        os.remove(tmp_path / ".d.csv.rpchoice.npz")
-        os.chmod(tmp_path, 0o555)
-        try:
-            if os.access(tmp_path, os.W_OK):  # root writes anywhere
-                monkeypatch.setattr(data_module.tempfile, "mkstemp", _read_only_mkstemp)
-            assert _outcome(lambda: load_csv(path)) == expected
-        finally:
-            os.chmod(tmp_path, 0o755)
-        assert os.listdir(tmp_path) == ["d.csv"]
-
-    def test_a_failed_write_leaves_no_scratch_file(self, tmp_path, monkeypatch):
-        def full_disk(*args, **kwargs):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(data_module.np, "savez", full_disk)
-        path = _write(tmp_path / "d.csv", BASIC_CSV)
-        load_csv(path)
-        assert os.listdir(tmp_path) == ["d.csv"]
+    def test_a_failed_load_leaves_the_last_load_remembered(self, tmp_path):
+        good = _write(tmp_path / "good.csv", BASIC_CSV)
+        data = load_csv(good)
+        with pytest.raises(ParseError):
+            load_csv(_write(tmp_path / "bad.csv", BASIC_CSV.replace("0.5,1.0", "oops,1.0")))
+        again, _, hit = load_csv_with_digest(good)
+        assert hit and again is data
 
     @pytest.mark.parametrize("text", [
         BASIC_CSV.replace("2,c,-0.5,0.25,0.3\n", ""),
@@ -652,28 +613,33 @@ class TestParseCache:
         BASIC_CSV.replace("1,c,1.5,-1.0,0.5", "1,c,1.5,-1.0,0.6"),
         BASIC_CSV.replace("1,a,0.5,1.0", "1,a,inf,1.0"),
     ], ids=["missing_choice", "unparsable_cell", "share_sum", "infinite_covariate"])
-    def test_a_failed_load_leaves_no_entry(self, tmp_path, text):
+    def test_a_failed_load_raises_every_time(self, tmp_path, text):
         path = _write(tmp_path / "d.csv", text)
-        for _ in range(2):
-            with pytest.raises((DimensionError, ParseError, ValidationError)):
-                load_csv(path)
-        assert os.listdir(tmp_path) == ["d.csv"]
+        outcomes = [_outcome(lambda: load_csv(path)) for _ in range(3)]
+        assert outcomes[0][0] in (DimensionError, ParseError, ValidationError)
+        assert outcomes == [outcomes[0]] * 3
 
-    def test_a_file_changed_during_the_parse_is_not_cached(self, tmp_path, monkeypatch):
+    def test_a_file_rewritten_during_the_parse_is_not_remembered(self, tmp_path, monkeypatch):
+        """The parse here reads the new bytes after the digest of the old
+        ones was taken: remembered, that pair would serve the new bytes'
+        Dataset for the old bytes."""
         path = _write(tmp_path / "d.csv", BASIC_CSV)
 
-        def parse_then_edit(file):
-            table = _table_in_bulk(file)
+        def edit_then_parse(file):
             _write(tmp_path / "d.csv", BASIC_CSV.replace("0.5,1.0", "0.25,1.0"))
-            return table
+            return _table_in_bulk(file)
 
-        monkeypatch.setattr(data_module, "_table_in_bulk", parse_then_edit)
-        assert not load_csv_with_digest(path)[2]
-        assert os.listdir(tmp_path) == ["d.csv"]
+        with monkeypatch.context() as patch:
+            patch.setattr(data_module, "_table_in_bulk", edit_then_parse)
+            data, _, hit = load_csv_with_digest(path)
+        assert not hit and data.markets[0].covariates[0, 0] == 0.25
+        _write(tmp_path / "d.csv", BASIC_CSV)
+        data, _, hit = load_csv_with_digest(path)
+        assert not hit and data.markets[0].covariates[0, 0] == 0.5
 
-    def test_a_trailing_nul_id_is_parsed_every_time(self, tmp_path):
-        """numpy's str arrays drop trailing NULs, so such an id would come back
-        as another id; csv refuses the NUL before Python 3.11."""
+    def test_a_trailing_nul_id_loads_the_same_on_a_repeat(self, tmp_path):
+        """csv refuses the NUL before Python 3.11, so there the load fails
+        every time."""
         path = _write(tmp_path / "d.csv", BASIC_CSV.replace(",b,", ",b\x00,"))
         with mock.patch.object(data_module, "_table_in_bulk", return_value=None):
             expected = _outcome(lambda: load_csv(path))
@@ -684,17 +650,15 @@ class TestParseCache:
         served = []
         for _ in range(2):
             assert _outcome(lambda: _load_noting_hit(path, served)) == expected
-        assert served == ([False, False] if len(expected) == 5 else [])
-        assert os.listdir(tmp_path) == ["d.csv"]
+        assert served == ([True, True] if len(expected) == 5 else [])
 
     def test_threads_loading_one_file_all_succeed(self, tmp_path):
         """Four threads, more than the test machines' cores, load one file
-        from no entry on, with frequent thread switches: every load gives the
-        parse's outcome, whether it parsed, wrote or read the entry."""
-        path = self._benchmark_shaped(tmp_path)
-        with _no_cache_hits():
-            expected = _outcome(lambda: load_csv(path))
-        os.remove(tmp_path / ".d.csv.rpchoice.npz")
+        from nothing remembered on, with frequent thread switches: every load
+        gives the parse's outcome, whether it parsed or was remembered."""
+        path = _benchmark_shaped(tmp_path)
+        expected = _outcome(lambda: _parse(path))
+        data_module._last_load = None
         start = threading.Barrier(4, timeout=60)
 
         def loads(_):
@@ -710,16 +674,12 @@ class TestParseCache:
         finally:
             sys.setswitchinterval(interval)
         assert outcomes == [expected] * 16
-        assert sorted(os.listdir(tmp_path)) == [".d.csv.rpchoice.npz", "d.csv"]
         assert load_csv_with_digest(path)[2]
 
 
-# What the parser of cache format _PINNED_VERSION makes of _PINNED_CSV: market
-# ids in numeric order, choice ids in lexicographic order, and numbers with an
-# exponent, a signed zero, a subnormal and surrounding whitespace. When today's
-# parse of these bytes differs, the entries already on disk hold the old
-# parse: bump data._CACHE_VERSION, then update this entry and _PINNED_VERSION.
-_PINNED_VERSION = 1
+# What load_csv's parse makes of _PINNED_CSV: market ids in numeric order,
+# choice ids in lexicographic order, and numbers with an exponent, a signed
+# zero, a subnormal and surrounding whitespace.
 _PINNED_CSV = (
     "market,choice,x1,x2,share\r\n"
     "10,b,5e-1,-0.0,0.25\r\n"
@@ -738,22 +698,21 @@ _PINNED_ENTRY = (
 )
 
 
-def _read_only_mkstemp(*args, **kwargs):
-    raise PermissionError(13, "Permission denied")
-
-
 def _refuse(*args):
     raise AssertionError("the row loop ran")
 
 
-def _miss(*args):
-    return None
+def _benchmark_shaped(tmp_path):
+    """simulate_dataset written by write_csv, as the benchmark makes its input."""
+    path = str(tmp_path / "d.csv")
+    write_csv(simulate_dataset(SimConfig(d=40, n=30, mc_draws=1000, seed=1)), path)
+    return path
 
 
-def _no_cache_hits():
-    """Every load in the block parses its file: the cache is written but
-    never read."""
-    return mock.patch.object(data_module, "_cached_table", _miss)
+def _parse(path):
+    """load_csv with no load remembered, so that it parses the file."""
+    data_module._last_load = None
+    return load_csv(path)
 
 
 def _load_noting_hit(path, served):

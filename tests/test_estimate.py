@@ -33,6 +33,7 @@ from rpchoice import (
     estimate_polar_grid,
     estimate_subgradient,
     generate,
+    jl_diagnostic,
     logit_oracle_dataset,
     run_replications,
     simulate_dataset,
@@ -769,6 +770,36 @@ class TestReplicationDriver:
         kwargs = {"k": 4, "replications": 1, "threads": 1, name: 2.0 if name != "k" else 4.5}
         with pytest.raises(ParameterError, match=f"^{name} must be an integer, got"):
             run_replications(b3_data, s=1.0, master_seed=1, restarts=1, steps=5, **kwargs)
+
+
+_CIRCLE = logit_oracle_dataset(6, 20, 2, BETA0, seed=1)
+_SPHERE = logit_oracle_dataset(6, 20, 3, np.array([0.6, -0.48, 0.64]), seed=1)
+_CYCLES6 = enumerate_cycles(6, (2, 3))
+
+
+@pytest.mark.parametrize("name, call", [
+    ("k_values", lambda: convergence_diagnostic(_CIRCLE, k_values=(10.7,), s=1.0, draws=1,
+                                                master_seed=1)),
+    ("draws", lambda: convergence_diagnostic(_CIRCLE, k_values=(10,), s=1.0, draws=1.5,
+                                             master_seed=1)),
+    ("grid_size", lambda: estimate_polar_grid(_CIRCLE, _CYCLES6, grid_size=10.5)),
+    ("refine", lambda: estimate_polar_grid(_CIRCLE, _CYCLES6, grid_size=16, refine=2.5)),
+    ("grid_size", lambda: run_replications(_CIRCLE, k=4, s=1.0, replications=1, master_seed=1,
+                                           grid_size=10.5)),
+    ("restarts", lambda: estimate_subgradient(_SPHERE, _CYCLES6, restarts=2.5, steps=5)),
+    ("steps", lambda: estimate_subgradient(_SPHERE, _CYCLES6, restarts=2, steps=5.0)),
+    ("restarts", lambda: run_replications(_SPHERE, k=4, s=1.0, replications=1, master_seed=1,
+                                          restarts=2.5, steps=5)),
+    ("draws", lambda: jl_diagnostic(np.ones(20), np.zeros(20),
+                                    ProjectionSpec(k=4, d=20, s=1.0, seed=0), 1000.5)),
+], ids=["diagnostic_k", "diagnostic_draws", "polar_grid", "polar_refine", "replications_grid",
+        "subgradient_restarts", "subgradient_steps", "replications_restarts", "jl_draws"])
+def test_non_integer_arguments_name_themselves(name, call):
+    """A float is refused by name, not truncated (k = 10.7 run at 10, an
+    11-angle grid for 10.5) and not left to numpy or range as a bare
+    TypeError."""
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer, got"):
+        call()
 
 
 class TestReplicationFailures:
