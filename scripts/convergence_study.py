@@ -59,8 +59,7 @@ def cmd_growing(args) -> list[dict]:
     for k in args.k:
         d = k * k
         data = simulate_dataset(SimConfig(d=d, seed=args.data_seed))
-        grid, _ = estimate_polar_grid(data, enumerate_cycles(data.n, (2, 3)),
-                                      grid_size=1024, refine=1)
+        grid, _ = estimate_polar_grid(data, enumerate_cycles(data.n, (2, 3)), grid_size=1024)
         scale = float(np.mean(grid.values))
         diag = convergence_diagnostic(data, k_values=(k,), s=args.sparsity,
                                       draws=args.draws, master_seed=args.seed)

@@ -47,7 +47,6 @@ from .projection import (
     CompressedDataset,
     JlDiagnostic,
     ProjectionSpec,
-    SparseProjection,
     apply,
     generate,
     jl_diagnostic,
@@ -83,7 +82,6 @@ __all__ = [
     "ProjectionSpec",
     "ReplicationSummary",
     "SimConfig",
-    "SparseProjection",
     "SphereDescentResult",
     "ValidationError",
     "apply",

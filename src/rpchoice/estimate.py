@@ -615,6 +615,9 @@ def convergence_diagnostic(
     if not k_values:
         raise ParameterError("no k values given")
     s_resolved = resolve_sparsity(s, data.d)
+    # fail fast on a bad k or s, before the unprojected profile and the split
+    for k in k_values:
+        ProjectionSpec(k=k, d=data.d, s=s_resolved, seed=0)
     cycles = enumerate_cycles(data.n, cycle_lengths)
     m = len(cycles)
     thetas = np.arange(_DIAGNOSTIC_GRID) * (TWO_PI / _DIAGNOSTIC_GRID)

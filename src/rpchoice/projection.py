@@ -93,10 +93,6 @@ class ProjectionSpec:
     def scale(self) -> float:
         return math.sqrt(self.s / self.k)
 
-    @property
-    def nonzero_prob(self) -> float:
-        return 1.0 / self.s
-
 
 def _sparse_route(s: float) -> bool:
     """Whether sparsity s takes the sparse routes: the CSC kernel of
@@ -132,55 +128,6 @@ def _sign_blocks(rng: np.random.Generator, s: float, d: int, rows: int):
         yield first, block[:h]
 
 
-@dataclass(frozen=True)
-class SparseProjection:
-    """A realized k x d projection matrix in compressed sparse column (CSC)
-    form, rows sorted within each column and each cell stored at most once.
-
-    Column storage means applying the matrix is one streaming pass over the
-    rows of the tall data, in row order.
-    """
-
-    spec: ProjectionSpec
-    matrix: "sparse.csc_matrix"
-
-    def __post_init__(self):
-        m = self.matrix
-        shape = (self.spec.k, self.spec.d)
-        if m.shape != shape:
-            raise DimensionError(f"matrix shape {m.shape} does not match k x d = {shape}")
-        try:
-            m.check_format(full_check=True)
-        except ValueError as exc:
-            raise DimensionError(f"invalid csc structure: {exc}") from None
-        if not m.has_canonical_format:
-            raise ValidationError(
-                "rows must be sorted within each column, with no duplicate cell"
-            )
-        expected = self.spec.scale
-        if m.dtype != np.float64 or not np.all(np.abs(m.data) == expected):
-            raise ValidationError(
-                f"every entry must be +/-sqrt(s/k) = {expected!r} exactly, as float64"
-            )
-        # binomial sanity bound, only meaningful once the cell count is large
-        cells, p = m.shape[0] * m.shape[1], self.spec.nonzero_prob
-        if cells >= 10_000 and abs(m.nnz / cells - p) > 5.0 * math.sqrt(p * (1.0 - p) / cells):
-            raise ValidationError(
-                f"nonzero fraction {m.nnz / cells:.6f} is more than 5 binomial sd "
-                f"from 1/s = {p:.6f}"
-            )
-        for arr in (m.data, m.indices, m.indptr):
-            arr.setflags(write=False)
-
-    @property
-    def nnz(self) -> int:
-        return self.matrix.nnz
-
-    @property
-    def nonzero_fraction(self) -> float:
-        return self.nnz / (self.spec.k * self.spec.d)
-
-
 def _sign_pattern(spec: ProjectionSpec) -> "sparse.csc_matrix":
     """The spec's cells as a k x d CSC matrix of +/-1 entries.
 
@@ -206,11 +153,16 @@ def _sign_pattern(spec: ProjectionSpec) -> "sparse.csc_matrix":
     return sparse.csc_matrix((data, indices, indptr), shape=(spec.k, spec.d))
 
 
-def generate(spec: ProjectionSpec) -> SparseProjection:
-    """Draw the projection matrix for a spec: its sign pattern times sqrt(s/k)."""
+def generate(spec: ProjectionSpec) -> "sparse.csc_matrix":
+    """Draw the projection matrix for a spec: its sign pattern times sqrt(s/k),
+    as a k x d CSC matrix in canonical form (rows sorted within each column,
+    each cell stored once) with read-only data, indices and indptr. Column
+    storage makes applying it one streaming pass over the tall data's rows."""
     matrix = _sign_pattern(spec)
     matrix.data *= spec.scale
-    return SparseProjection(spec, matrix)
+    for arr in (matrix.data, matrix.indices, matrix.indptr):
+        arr.setflags(write=False)
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -224,7 +176,6 @@ class CompressedDataset:
 
     covariates: np.ndarray
     shares: np.ndarray
-    spec: ProjectionSpec
 
     def __post_init__(self):
         cov = _readonly(self.covariates)
@@ -233,8 +184,6 @@ class CompressedDataset:
             raise DimensionError("compressed covariates and shares are inconsistent")
         if not sh.shape[0]:
             raise ValidationError("compressed dataset has no markets")
-        if sh.shape[1] != self.spec.k:
-            raise DimensionError("compressed rows do not match the projection spec")
         if not (np.isfinite(cov).all() and np.isfinite(sh).all()):
             raise ValidationError("compressed data contain non-finite values")
         object.__setattr__(self, "covariates", cov)
@@ -268,13 +217,13 @@ def _tall_block(data: Dataset) -> np.ndarray:
     return block.reshape(data.d, -1)
 
 
-def _unstack(product: np.ndarray, data: Dataset, spec: ProjectionSpec) -> CompressedDataset:
+def _unstack(product: np.ndarray, data: Dataset) -> CompressedDataset:
     """The (k, n (b+1)) product R T as a CompressedDataset."""
-    out = product.reshape(spec.k, data.n, data.b + 1).transpose(1, 0, 2)
-    return CompressedDataset(covariates=out[:, :, :data.b], shares=out[:, :, data.b], spec=spec)
+    out = product.reshape(product.shape[0], data.n, data.b + 1).transpose(1, 0, 2)
+    return CompressedDataset(covariates=out[:, :, :data.b], shares=out[:, :, data.b])
 
 
-def apply(projection: SparseProjection, data: Dataset) -> CompressedDataset:
+def apply(matrix: "sparse.csc_matrix", data: Dataset) -> CompressedDataset:
     """Compress every market with the same realized matrix.
 
     Covariates and shares of all markets are projected together as one
@@ -283,11 +232,9 @@ def apply(projection: SparseProjection, data: Dataset) -> CompressedDataset:
     block's width, so the result is bit-identical to projecting each market
     on its own.
     """
-    if projection.spec.d != data.d:
-        raise DimensionError(
-            f"projection expects d={projection.spec.d}, dataset has d={data.d}"
-        )
-    return _unstack(projection.matrix @ _tall_block(data), data, projection.spec)
+    if matrix.shape[1] != data.d:
+        raise DimensionError(f"projection expects d={matrix.shape[1]}, dataset has d={data.d}")
+    return _unstack(matrix @ _tall_block(data), data)
 
 
 def _error_free_slices(rest: np.ndarray) -> np.ndarray:
@@ -410,7 +357,7 @@ def compress(spec: ProjectionSpec, split: ExactSplit) -> CompressedDataset:
         for first, signs in _sign_blocks(rng, spec.s, spec.d, spec.k):
             _add_slices(signs @ split.slices, out[first : first + len(signs)])
     out *= spec.scale
-    return _unstack(out, data, spec)
+    return _unstack(out, data)
 
 
 def predicted_distance_variance(w: np.ndarray, s: float, k: int) -> float:

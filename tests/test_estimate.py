@@ -21,6 +21,7 @@ from rpchoice import (
     CircleProfile,
     CriterionEvaluator,
     Dataset,
+    DimensionError,
     IdentifiedSet,
     Market,
     NumericalError,
@@ -871,6 +872,23 @@ class TestConvergenceDiagnostic:
         again = convergence_diagnostic(small_mc_dataset, k_values=(4, 8), s=1.0,
                                        draws=2, master_seed=3)
         np.testing.assert_array_equal(diag.mean_gaps, again.mean_gaps)
+
+    @pytest.mark.parametrize("k_values, s, error", [
+        ((4, 21), 1.0, DimensionError),
+        ((4, 0), 1.0, DimensionError),
+        ((4, 8), 0.5, ParameterError),
+        ((4, 8), 21.0, ParameterError),
+    ], ids=["k_above_d", "k_zero", "s_below_1", "s_above_d"])
+    def test_diagnostic_checks_every_spec_up_front(self, monkeypatch, k_values, s, error):
+        """A bad k, even the last one, or a bad s raises before the unprojected
+        profile, the split or any earlier k's draws are built."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before the specs were checked")
+
+        monkeypatch.setattr("rpchoice.estimate.ExactSplit", refuse)
+        monkeypatch.setattr("rpchoice.estimate.CriterionEvaluator", refuse)
+        with pytest.raises(error):
+            convergence_diagnostic(_CIRCLE, k_values=k_values, s=s, draws=1, master_seed=1)
 
 
 class TestGridCsv:

@@ -21,7 +21,6 @@ from rpchoice import (
     Market,
     ParameterError,
     ProjectionSpec,
-    SparseProjection,
     ValidationError,
     apply,
     generate,
@@ -66,7 +65,7 @@ class TestSpec:
     def test_numpy_integer_seed_draws_the_same_matrix(self):
         plain = generate(ProjectionSpec(k=10, d=100, s=3.0, seed=7))
         numpy_int = generate(ProjectionSpec(k=10, d=100, s=3.0, seed=np.uint64(7)))
-        assert (plain.matrix != numpy_int.matrix).nnz == 0
+        assert (plain != numpy_int).nnz == 0
 
     def test_k_bounds(self):
         with pytest.raises(DimensionError):
@@ -93,14 +92,14 @@ class TestSpec:
     def test_scale_value(self):
         spec = ProjectionSpec(k=10, d=100, s=4.0, seed=0)
         assert spec.scale == pytest.approx(math.sqrt(4.0 / 10.0))
-        assert spec.nonzero_prob == pytest.approx(0.25)
+        assert 1 / spec.s == pytest.approx(0.25)
 
 
 class TestGenerate:
     def test_s1_is_fully_dense(self):
         proj = generate(ProjectionSpec(k=10, d=100, s=1.0, seed=3))
         assert proj.nnz == 1000
-        np.testing.assert_allclose(np.abs(proj.matrix.data), 1.0 / math.sqrt(10.0))
+        np.testing.assert_allclose(np.abs(proj.data), 1.0 / math.sqrt(10.0))
 
     def test_sqrt_d_sparsity_fraction(self):
         # d=5000, s=sqrt(5000): nonzero probability 1/s ~ 0.0141, so the
@@ -109,31 +108,45 @@ class TestGenerate:
         proj = generate(ProjectionSpec(k=100, d=5000, s=s, seed=1))
         p = 1.0 / s
         sigma = math.sqrt(p * (1 - p) / (100 * 5000))
-        assert abs(proj.nonzero_fraction - p) < 5 * sigma
+        assert abs(proj.nnz / (100 * 5000) - p) < 5 * sigma
 
     def test_determinism(self):
         spec = ProjectionSpec(k=2, d=2, s=2.0, seed=99)
         a, b = generate(spec), generate(spec)
-        assert np.array_equal(a.matrix.indptr, b.matrix.indptr)
-        assert np.array_equal(a.matrix.indices, b.matrix.indices)
-        assert np.array_equal(a.matrix.data, b.matrix.data)
-        assert set(np.unique(a.matrix.data)).issubset({-1.0, 0.0, 1.0})
+        assert np.array_equal(a.indptr, b.indptr)
+        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a.data, b.data)
+        assert set(np.unique(a.data)).issubset({-1.0, 0.0, 1.0})
 
     def test_different_seeds_differ(self):
         a = generate(ProjectionSpec(k=5, d=50, s=1.0, seed=0))
         b = generate(ProjectionSpec(k=5, d=50, s=1.0, seed=1))
-        assert not np.array_equal(a.matrix.data, b.matrix.data) or not np.array_equal(
-            a.matrix.indices, b.matrix.indices
+        assert not np.array_equal(a.data, b.data) or not np.array_equal(
+            a.indices, b.indices
         )
 
     def test_no_duplicate_cells(self):
-        coo = generate(ProjectionSpec(k=7, d=40, s=2.0, seed=4)).matrix.tocoo()
+        coo = generate(ProjectionSpec(k=7, d=40, s=2.0, seed=4)).tocoo()
         cells = set(zip(coo.row.tolist(), coo.col.tolist()))
         assert len(cells) == coo.nnz
 
+    @pytest.mark.parametrize("s", [1.0, 3.0, 25.0])
+    def test_matrix_is_canonical_k_by_d_of_plus_minus_scale(self, s):
+        # s = 1 and 3 take the dense sampler, s = 25 (1/s <= 0.05) the
+        # geometric skip sampler: each must give a well-formed k x d CSC
+        # matrix whose every stored value is +/-sqrt(s/k)
+        spec = ProjectionSpec(k=7, d=400, s=s, seed=5)
+        proj = generate(spec)
+        assert isinstance(proj, sparse.csc_matrix)
+        assert proj.shape == (spec.k, spec.d)
+        proj.check_format(full_check=True)
+        assert proj.has_canonical_format
+        assert proj.nnz > 0
+        np.testing.assert_array_equal(np.abs(proj.data), spec.scale)
+
     def test_columns_sorted(self):
         # stored order: column-major cell numbers strictly increase
-        coo = generate(ProjectionSpec(k=7, d=40, s=2.0, seed=4)).matrix.tocoo()
+        coo = generate(ProjectionSpec(k=7, d=40, s=2.0, seed=4)).tocoo()
         assert np.all(np.diff(coo.col.astype(np.int64) * 7 + coo.row) > 0)
 
     def test_peak_memory_per_cell(self):
@@ -167,53 +180,25 @@ class TestLeanPath:
         reference = sparse.csc_matrix((values, (rows, cols)), shape=(spec.k, spec.d))
 
         proj = generate(spec)
-        np.testing.assert_array_equal(proj.matrix.indptr, reference.indptr)
-        np.testing.assert_array_equal(proj.matrix.indices, reference.indices)
-        np.testing.assert_array_equal(proj.matrix.data, reference.data)
-        assert not proj.matrix.data.flags.writeable
-        assert not proj.matrix.indices.flags.writeable
+        np.testing.assert_array_equal(proj.indptr, reference.indptr)
+        np.testing.assert_array_equal(proj.indices, reference.indices)
+        np.testing.assert_array_equal(proj.data, reference.data)
+        assert proj.has_canonical_format
+        assert not proj.data.flags.writeable
+        assert not proj.indices.flags.writeable
+        assert not proj.indptr.flags.writeable
         compressed = apply(proj, data)
         for i, market in enumerate(data.markets):
             out = reference @ np.hstack([market.covariates, market.shares[:, None]])
             np.testing.assert_array_equal(compressed.covariates[i], out[:, :-1])
             np.testing.assert_array_equal(compressed.shares[i], out[:, -1])
 
-    @pytest.mark.parametrize(
-        "case, error, match",
-        [
-            ("shape", DimensionError, "does not match k x d"),
-            ("unsorted", ValidationError, "sorted within each column"),
-            ("repeated", ValidationError, "no duplicate cell"),
-            ("out_of_range", DimensionError, "invalid csc structure"),
-            ("value", ValidationError, r"sqrt\(s/k\)"),
-        ],
-        ids=["shape", "unsorted", "repeated", "out_of_range", "value"],
-    )
-    def test_constructor_rejects(self, case, error, match):
-        proj = generate(ProjectionSpec(k=3, d=4, s=1.0, seed=2))
-        m = proj.matrix
-        data, indices, indptr = m.data.copy(), m.indices.copy(), m.indptr.copy()
-        shape = (3, 4)
-        if case == "shape":
-            shape = (4, 4)
-        elif case == "unsorted":
-            indices[[0, 1]] = indices[[1, 0]]
-        elif case == "repeated":
-            indices[1] = indices[0]
-        elif case == "out_of_range":
-            indices[0] = 3
-        else:
-            data[0] *= 2.0
-        SparseProjection(proj.spec, sparse.csc_matrix((m.data, m.indices, m.indptr), shape=(3, 4)))
-        with pytest.raises(error, match=match):
-            SparseProjection(proj.spec, sparse.csc_matrix((data, indices, indptr), shape=shape))
-
 
 class TestApply:
     def test_matches_dense_product(self, rng):
         data = logit_oracle_dataset(3, 9, 2, np.array([0.6, 0.8]), seed=5)
         proj = generate(ProjectionSpec(k=4, d=9, s=2.0, seed=6))
-        dense = proj.matrix.toarray()
+        dense = proj.toarray()
         compressed = apply(proj, data)
         for i, market in enumerate(data.markets):
             np.testing.assert_allclose(
@@ -230,7 +215,7 @@ class TestApply:
         seed = next(
             s
             for s in range(200)
-            if (generate(ProjectionSpec(k=1, d=d, s=1.0, seed=s)).matrix.data == 1.0).all()
+            if (generate(ProjectionSpec(k=1, d=d, s=1.0, seed=s)).data == 1.0).all()
         )
         proj = generate(ProjectionSpec(k=1, d=d, s=1.0, seed=seed))
         data = logit_oracle_dataset(2, d, 2, np.array([0.6, 0.8]), seed=8)
@@ -348,8 +333,7 @@ class TestCompress:
         fused = compress(spec, ExactSplit(data))
         proj = generate(spec)
         csc = apply(proj, data)
-        assert fused.spec == spec
-        magnitude = (abs(proj.matrix) @ np.abs(_tall_block(data))).reshape(16, 3, 3)
+        magnitude = (abs(proj) @ np.abs(_tall_block(data))).reshape(16, 3, 3)
         bound = 2 * (spec.d + 2 * count) * 2.0 ** -53 * magnitude.transpose(1, 0, 2)
         diff = np.abs(self._stacked(fused) - self._stacked(csc))
         assert (diff <= bound).all()
@@ -412,7 +396,7 @@ class TestCompress:
     def test_kernels_return_the_same_bits_at_sqrt_d(self, monkeypatch):
         data = logit_oracle_dataset(4, 900, 2, np.array([0.6, 0.8]), seed=3)
         spec = ProjectionSpec(k=30, d=900, s=resolve_sparsity("sqrt", 900), seed=4)
-        assert spec.nonzero_prob <= projection_module._SPARSE_SAMPLER_MAX_PROB
+        assert 1 / spec.s <= projection_module._SPARSE_SAMPLER_MAX_PROB
         split = ExactSplit(data)
         csc = self._stacked(compress(spec, split)).tobytes()
         _kernel(monkeypatch, "dense")
@@ -676,7 +660,7 @@ class TestJlDiagnostic:
         """Geometric skip-sampling route (1/s <= 0.05) against the formulas."""
         d, k, draws = 500, 5, 20000
         spec = ProjectionSpec(k=k, d=d, s=25.0, seed=31)
-        assert spec.nonzero_prob <= 0.05  # confirms the sparse path is taken
+        assert 1 / spec.s <= 0.05  # confirms the sparse path is taken
         rng = np.random.default_rng(np.random.SeedSequence(78))
         u = rng.standard_normal(d)
         v = rng.standard_normal(d)
