@@ -12,6 +12,7 @@ Two exercises:
 
     python3 scripts/convergence_study.py fixed --seeds 20
     python3 scripts/convergence_study.py growing
+    python3 scripts/convergence_study.py growing --sparsity sqrt
 """
 
 import argparse
@@ -88,7 +89,7 @@ def main(argv=None) -> int:
     p_grow.set_defaults(func=cmd_growing)
 
     for p in (p_fixed, p_grow):
-        p.add_argument("--sparsity", type=float, default=1.0)
+        p.add_argument("--sparsity", default="1", help="1, 3, sqrt, or a number")
         p.add_argument("--data-seed", type=int, default=3)
         p.add_argument("--out", default="results/convergence")
 

@@ -159,13 +159,13 @@ class CriterionEvaluator:
 
     def value(self, beta) -> float:
         viol = np.maximum(self.residuals(beta), 0.0)
-        return float(viol @ viol)
+        return float(np.einsum("i,i->", viol, viol))  # not BLAS: ddot splits by threads
 
     def value_and_subgradient(self, beta) -> tuple[float, np.ndarray]:
         # no solver calls this; the benchmark's tracer counts calls to it by
         # name (bench/run.py), so it stays until the next benchmark change
         viol = np.maximum(self.residuals(beta), 0.0)
-        return float(viol @ viol), 2.0 * (viol @ self.D)
+        return float(np.einsum("i,i->", viol, viol)), 2.0 * (viol @ self.D)
 
     def value_grid(self, thetas: np.ndarray) -> np.ndarray:
         """Criterion along unit-circle angles; b = 2 only."""

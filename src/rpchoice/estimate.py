@@ -220,7 +220,7 @@ def estimate_subgradient(
     to running every restart in full. Each step copies the active rows with
     `np.compress` (3x faster than a boolean index, same array) and forms
     D_A'D_A as a plain Gram product, which numpy computes with syrk; any
-    other formula for it rounds differently.
+    other formula for it rounds differently. Q is summed by einsum, not BLAS.
 
     The name is kept for API stability: the method replaced a projected
     subgradient walk, whose step-size schedule it no longer needs.
@@ -241,7 +241,7 @@ def estimate_subgradient(
                 return v / norm
 
     def squared_norm(part: np.ndarray, restart: int, step: int) -> float:
-        value = float(part @ part)
+        value = float(np.einsum("i,i->", part, part))
         if not math.isfinite(value):
             raise NumericalError(f"non-finite criterion at restart {restart}, step {step}")
         return value

@@ -18,13 +18,14 @@ instead. T is taken once per run (`ExactSplit`) and split without error
 (Ozaki, Ogita, Oishi & Rump, "Error-free transformations of matrix
 multiplication", Numer. Algorithms 59, 2012) into slices whose products with
 +/-1/0 signs are exact in float64. `compress` multiplies the signs of the
-cells `generate` draws by the slices: in row blocks of dense signs from
-`_sign_blocks` (the JL diagnostic's sampler too) when 1/s > 0.05, as a CSC
-sign pattern when 1/s <= 0.05, where sparse generation is faster. The
-slices' products are added in one fixed order and scaled by sqrt(s/k) once,
-so neither that choice nor BLAS threads or blocking change a bit of the
-result. scipy is imported by `_sign_pattern` alone, so a run that never
-builds a CSC matrix never loads it.
+cells `generate` draws by the slices. Both draw them in row blocks of
+_BLOCK_BYTES of uniforms from one sampler, `_sign_blocks` (the JL
+diagnostic's dense one too): dense signs when 1/s > 0.05, a CSR matrix when
+1/s <= 0.05, where the sparse product is faster. The slices' products are
+added in one fixed order and scaled by sqrt(s/k) once, so neither the
+block's form nor BLAS threads or blocking change a bit of the result. scipy
+is imported by `_csr_signs` and `generate` alone, so a run that builds no
+sparse matrix never loads it.
 """
 
 from __future__ import annotations
@@ -46,10 +47,10 @@ if TYPE_CHECKING:
 
 
 _JL_MIN_DRAWS = 1000
-# at or below this nonzero probability the sparse routes (CSC generation,
-# skip-sampling) beat drawing every cell
+# at or below this nonzero probability the sparse routes (CSR sign blocks,
+# skip-sampling) beat dense signs
 _SPARSE_SAMPLER_MAX_PROB = 0.05
-# bytes of uniforms per block of every dense sign draw (`_sign_blocks`), which
+# bytes of uniforms per block of every sign draw (`_sign_blocks`), which
 # holds _BLOCK_BYTES / (8 d) rows, at least one, whatever the row count; with
 # its two masks (an eighth its size each) it is a drawing thread's scratch
 _BLOCK_BYTES = 1 << 21
@@ -95,8 +96,8 @@ class ProjectionSpec:
 
 
 def _sparse_route(s: float) -> bool:
-    """Whether sparsity s takes the sparse routes: the CSC kernel of
-    `compress`, skip-sampling in the JL diagnostic."""
+    """Whether sparsity s takes the sparse routes: CSR sign blocks from
+    `_sign_blocks`, skip-sampling in the JL diagnostic."""
     return 1.0 / s <= _SPARSE_SAMPLER_MAX_PROB
 
 
@@ -112,10 +113,11 @@ def _sign_masks(uniforms: np.ndarray, s: float, plus=None, minus=None):
 
 
 def _sign_blocks(rng: np.random.Generator, s: float, d: int, rows: int):
-    """Yield (first row, (h, d) signs) for `rows` rows of dense +/-1/0 signs
+    """Yield (first row, (h, d) signs) for `rows` rows of +/-1/0 signs
     thresholded from `rng`'s uniforms in row-major order, at most
-    _BLOCK_BYTES of uniforms a block. The signs overwrite the uniforms in one
-    reused buffer, so each block is valid until the next is drawn."""
+    _BLOCK_BYTES of uniforms a block: a CSR matrix on the sparse route, else
+    dense floats overwriting the uniforms in one reused buffer, valid until
+    the next block is drawn."""
     height = max(1, min(rows, _BLOCK_BYTES // (8 * d)))
     block = np.empty((height, d))  # uniforms, then the signs drawn from them
     plus, minus = np.empty((2, height, d), dtype=bool)
@@ -123,42 +125,42 @@ def _sign_blocks(rng: np.random.Generator, s: float, d: int, rows: int):
     for first in range(0, rows, height):
         h = min(height, rows - first)
         _sign_masks(rng.random(out=block[:h]), s, plus[:h], minus[:h])
-        np.subtract(signs[:h], minus[:h].view(np.int8), out=signs[:h])
-        np.copyto(block[:h], signs[:h])
-        yield first, block[:h]
+        if _sparse_route(s):
+            yield first, _csr_signs(plus[:h], minus[:h])
+        else:
+            np.subtract(signs[:h], minus[:h].view(np.int8), out=signs[:h])
+            np.copyto(block[:h], signs[:h])
+            yield first, block[:h]
 
 
-def _sign_pattern(spec: ProjectionSpec) -> "sparse.csc_matrix":
-    """The spec's cells as a k x d CSC matrix of +/-1 entries.
-
-    Per-entry decisions are made from one uniform draw per cell, consumed in
-    row-major order, so a seed pins down the exact pattern. The sign masks
-    are written transposed, (d, k), so their row-major nonzeros list the
-    cells by column, then row: exactly the csc order. scipy.sparse is
-    imported here, the one place a csc matrix is built.
-    """
+def _csr_signs(plus: np.ndarray, minus: np.ndarray) -> "sparse.csr_matrix":
+    """The signs of (h, d) masks, whose row-major nonzeros are in csr order,
+    as an h x d CSR matrix of +/-1 entries; `minus` is overwritten. scipy is
+    imported here, where every sign block is made sparse."""
     from scipy import sparse
 
-    rng = np.random.default_rng(np.random.SeedSequence(int(spec.seed)))
-    uniforms = rng.random((spec.k, spec.d)).T
-    plus, hits = _sign_masks(uniforms, spec.s, *np.empty((2, spec.d, spec.k), dtype=bool))
-    del uniforms  # the largest array; free it before the index arrays exist
-    hits |= plus
-    indptr = np.zeros(spec.d + 1, dtype=np.int64)
+    hits = np.logical_or(plus, minus, out=minus)
+    indptr = np.zeros(len(hits) + 1, dtype=np.int64)
     np.cumsum(np.count_nonzero(hits, axis=1), out=indptr[1:])
     indices = np.flatnonzero(hits)
-    data = np.where(plus.ravel()[indices], 1.0, -1.0)
-    del plus, hits
-    np.remainder(indices, spec.k, out=indices)
-    return sparse.csc_matrix((data, indices, indptr), shape=(spec.k, spec.d))
+    data = plus.ravel()[indices] * 2.0 - 1.0
+    np.remainder(indices, hits.shape[1], out=indices)
+    return sparse.csr_matrix((data, indices, indptr), shape=hits.shape)
 
 
 def generate(spec: ProjectionSpec) -> "sparse.csc_matrix":
     """Draw the projection matrix for a spec: its sign pattern times sqrt(s/k),
     as a k x d CSC matrix in canonical form (rows sorted within each column,
     each cell stored once) with read-only data, indices and indptr. Column
-    storage makes applying it one streaming pass over the tall data's rows."""
-    matrix = _sign_pattern(spec)
+    storage makes applying it one streaming pass over the tall data's rows.
+    The CSR sign blocks are stacked, then turned column-major: at its peak a
+    call holds about 24 bytes a stored cell and one block of scratch."""
+    from scipy import sparse
+
+    rng = np.random.default_rng(np.random.SeedSequence(int(spec.seed)))
+    matrix = sparse.vstack(
+        [signs if sparse.issparse(signs) else _csr_signs(signs > 0, signs < 0)
+         for _, signs in _sign_blocks(rng, spec.s, spec.d, spec.k)], format="csr").tocsc()
     matrix.data *= spec.scale
     for arr in (matrix.data, matrix.indices, matrix.indptr):
         arr.setflags(write=False)
@@ -337,25 +339,22 @@ def compress(spec: ProjectionSpec, split: ExactSplit) -> CompressedDataset:
     The +/-1 signs of the cells `generate` draws multiply the split's slices,
     exactly; the products are added in slice order and scaled by sqrt(s/k)
     once, so the result depends on the spec and the data alone, not on the
-    kernel, the BLAS thread count or the block height. It differs from the
-    CSC product of T by rounding only (about 5e-15 relative at d = 5000).
+    block's form, the BLAS thread count or the block height. It differs from
+    the CSC product of T by rounding only (about 5e-15 relative at d = 5000).
 
-    When 1/s > 0.05 the signs come in row blocks of dense +/-1/0 floats from
-    `_sign_blocks`, each multiplying all slices in one product, so a call
-    holds one _BLOCK_BYTES block, its two boolean masks and the
-    (k, n (b+1)) output; the split is shared, read-only. When 1/s <= 0.05
-    the CSC sign pattern multiplies them at once.
+    The signs come in row blocks from `_sign_blocks`, each multiplying all
+    slices in one product: a dense GEMM when 1/s > 0.05, a CSR product when
+    1/s <= 0.05. A call holds one _BLOCK_BYTES block of uniforms, its two
+    boolean masks, the block's CSR arrays on the sparse route and the
+    (k, n (b+1)) output; the split is shared, read-only.
     """
     data = split.data
     if spec.d != data.d:
         raise DimensionError(f"projection expects d={spec.d}, dataset has d={data.d}")
     out = np.empty((spec.k, data.n * (data.b + 1)))
-    if _sparse_route(spec.s):
-        _add_slices(_sign_pattern(spec) @ split.slices, out)
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(int(spec.seed)))
-        for first, signs in _sign_blocks(rng, spec.s, spec.d, spec.k):
-            _add_slices(signs @ split.slices, out[first : first + len(signs)])
+    rng = np.random.default_rng(np.random.SeedSequence(int(spec.seed)))
+    for first, signs in _sign_blocks(rng, spec.s, spec.d, spec.k):
+        _add_slices(signs @ split.slices, out[first : first + signs.shape[0]])
     out *= spec.scale
     return _unstack(out, data)
 

@@ -9,14 +9,19 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rpchoice
 from rpchoice import (
     CircleProfile,
     CriterionEvaluator,
@@ -382,7 +387,7 @@ def reference_subgradient(data, cycles, restarts=20, steps=5000, seed=0, initial
 
     def violation(residuals: np.ndarray, restart: int, step: int) -> float:
         viol = np.maximum(residuals, 0.0)
-        value = float(viol @ viol)
+        value = float(np.einsum("i,i->", viol, viol))  # not BLAS, as the solver
         if not math.isfinite(value):
             raise NumericalError(f"non-finite criterion at restart {restart}, step {step}")
         return value
@@ -693,6 +698,34 @@ class TestReplicationDriver:
         )
         assert one.records == two.records
 
+    def test_result_independent_of_blas_threads(self):
+        """At n = 60 each estimator runs over 70,210 cycles, and OpenBLAS's
+        ddot splits a sum that long by its thread count: while the sphere
+        solver summed its criterion with it, the b = 3 summary's q_min moved
+        in its last digit between one BLAS thread and two. Both summaries
+        must be the same JSON at either count."""
+        script = (
+            "import json\n"
+            "import numpy as np\n"
+            "from rpchoice import logit_oracle_dataset, run_replications\n"
+            "for theta in ([0.6, 0.8], [1.0, -0.5, 0.25]):\n"
+            "    data = logit_oracle_dataset(60, 12, len(theta), np.array(theta), seed=3)\n"
+            "    summary = run_replications(data, k=8, s=1.0, replications=2, master_seed=0)\n"
+            "    print(json.dumps(summary.to_dict()))"
+        )
+        src = str(Path(rpchoice.__file__).resolve().parents[1])
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                     "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert len(outputs[0].splitlines()) == 2
+        assert outputs[0] == outputs[1]
+
     def test_convergence_gap_recomputed_by_hand(self, small_mc_dataset):
         diag = convergence_diagnostic(small_mc_dataset, k_values=(4, 8), s=1.0,
                                       draws=2, master_seed=3)
@@ -708,8 +741,8 @@ class TestReplicationDriver:
         assert diag.gaps[1, 1] == float(np.abs(projected - base).max())
 
     def test_sqrt_sparsity_bit_equal_to_serial_dense_loop(self, monkeypatch):
-        """At s = sqrt(d) = 20 every replication takes the CSC kernel; the
-        serial loop forces the dense kernel, which must give the same bits."""
+        """At s = sqrt(d) = 20 every replication multiplies CSR sign blocks;
+        the serial loop forces dense ones, which must give the same bits."""
         data = logit_oracle_dataset(6, 400, 2, np.array([0.6, 0.8]), seed=47)
         cycles = enumerate_cycles(data.n, (2, 3))
         summary = run_replications(data, k=8, s="sqrt", replications=3, master_seed=12,

@@ -132,9 +132,9 @@ class TestGenerate:
 
     @pytest.mark.parametrize("s", [1.0, 3.0, 25.0])
     def test_matrix_is_canonical_k_by_d_of_plus_minus_scale(self, s):
-        # s = 1 and 3 take the dense sampler, s = 25 (1/s <= 0.05) the
-        # geometric skip sampler: each must give a well-formed k x d CSC
-        # matrix whose every stored value is +/-sqrt(s/k)
+        # s = 1 and 3 draw dense sign blocks, s = 25 (1/s <= 0.05) CSR
+        # ones: each must give a well-formed k x d CSC matrix whose every
+        # stored value is +/-sqrt(s/k)
         spec = ProjectionSpec(k=7, d=400, s=s, seed=5)
         proj = generate(spec)
         assert isinstance(proj, sparse.csc_matrix)
@@ -150,8 +150,9 @@ class TestGenerate:
         assert np.all(np.diff(coo.col.astype(np.int64) * 7 + coo.row) > 0)
 
     def test_peak_memory_per_cell(self):
-        # the uniforms take 8 bytes per cell; the masks and the csc index and
-        # value arrays must fit in the rest of the bound
+        # at s = 1 every cell is stored: the stacked CSR rows and the CSC
+        # turned from them take 12 bytes a cell each, and one row block of
+        # uniforms and masks beside them must fit in the rest of the bound
         spec = ProjectionSpec(k=200, d=2000, s=1.0, seed=5)
         generate(spec)  # warm imports and caches outside the trace
         tracemalloc.start()
@@ -192,6 +193,60 @@ class TestLeanPath:
             out = reference @ np.hstack([market.covariates, market.shares[:, None]])
             np.testing.assert_array_equal(compressed.covariates[i], out[:, :-1])
             np.testing.assert_array_equal(compressed.shares[i], out[:, -1])
+
+
+def _whole_matrix_signs(spec: ProjectionSpec) -> sparse.csc_matrix:
+    """The spec's k x d CSC matrix of +/-1 signs drawn whole, as `generate`
+    and the sparse kernel of `compress` drew it before both took row blocks:
+    all k d uniforms in one call, thresholded into transposed (d, k) masks
+    whose row-major nonzeros list the cells in csc order."""
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    plus, hits = _sign_masks(rng.random((spec.k, spec.d)).T, spec.s)
+    hits |= plus
+    indptr = np.zeros(spec.d + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(hits, axis=1), out=indptr[1:])
+    indices = np.flatnonzero(hits)
+    data = np.where(plus.ravel()[indices], 1.0, -1.0)
+    return sparse.csc_matrix((data, indices % spec.k, indptr), shape=(spec.k, spec.d))
+
+
+class TestRowBlocks:
+    """generate() and compress() draw every projection in row blocks; each
+    must return the whole-matrix draw's bits."""
+
+    @staticmethod
+    def _check(spec: ProjectionSpec, data: Dataset) -> None:
+        reference = _whole_matrix_signs(spec)
+        proj = generate(spec)
+        assert proj.has_canonical_format
+        for got, want in ((proj.indptr, reference.indptr), (proj.indices, reference.indices),
+                          (proj.data, reference.data * spec.scale)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        split = ExactSplit(data)
+        expected = _slice_sum(reference @ split.slices, data.n * (data.b + 1)) * spec.scale
+        expected = expected.reshape(spec.k, data.n, data.b + 1).transpose(1, 0, 2)
+        compressed = compress(spec, split)
+        got = np.concatenate([compressed.covariates, compressed.shares[:, :, None]], axis=2)
+        assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 17, 2026])
+    @pytest.mark.parametrize("s", [20.0, 25.0, "sqrt"])
+    @pytest.mark.parametrize("d, k", [(900, 40), (5000, 120)])
+    def test_bit_identical_to_the_whole_matrix_draw(self, d, k, s, seed):
+        """k = 120 at d = 5000 takes blocks of 52, 52 and 16 rows."""
+        spec = ProjectionSpec(k=k, d=d, s=resolve_sparsity(s, d), seed=seed)
+        assert 1 / spec.s <= projection_module._SPARSE_SAMPLER_MAX_PROB
+        self._check(spec, logit_oracle_dataset(4, d, 2, np.array([0.6, 0.8]), seed=seed))
+
+    @pytest.mark.parametrize("s", [1.0, 3.0, 25.0, "sqrt"])
+    def test_many_blocks_the_last_one_partial(self, monkeypatch, s):
+        """Blocks of 7 rows: 40 rows take five whole blocks and one of 5."""
+        monkeypatch.setattr(projection_module, "_BLOCK_BYTES", 7 * 8 * 900)
+        spec = ProjectionSpec(k=40, d=900, s=resolve_sparsity(s, 900), seed=11)
+        heights = [signs.shape[0] for _, signs
+                   in _sign_blocks(np.random.default_rng(0), spec.s, spec.d, spec.k)]
+        assert heights == [7, 7, 7, 7, 7, 5]
+        self._check(spec, logit_oracle_dataset(3, 900, 2, np.array([0.6, 0.8]), seed=2))
 
 
 class TestApply:
@@ -303,7 +358,7 @@ def _slice_sum(slices: np.ndarray, c: int) -> np.ndarray:
 def _kernel(monkeypatch, name: str) -> None:
     """Send every `compress` to one kernel, whatever its s."""
     monkeypatch.setattr(projection_module, "_SPARSE_SAMPLER_MAX_PROB",
-                        {"dense": 0.0, "csc": 1.0}[name])
+                        {"dense": 0.0, "csr": 1.0}[name])
 
 
 class TestCompress:
@@ -388,7 +443,7 @@ class TestCompress:
         split = ExactSplit(data)
         spec = ProjectionSpec(k=16, d=64, s=s, seed=8)
         results = []
-        for name in ("dense", "csc"):
+        for name in ("dense", "csr"):
             _kernel(monkeypatch, name)
             results.append(self._stacked(compress(spec, split)).tobytes())
         assert results[0] == results[1]
@@ -398,9 +453,9 @@ class TestCompress:
         spec = ProjectionSpec(k=30, d=900, s=resolve_sparsity("sqrt", 900), seed=4)
         assert 1 / spec.s <= projection_module._SPARSE_SAMPLER_MAX_PROB
         split = ExactSplit(data)
-        csc = self._stacked(compress(spec, split)).tobytes()
+        csr = self._stacked(compress(spec, split)).tobytes()
         _kernel(monkeypatch, "dense")
-        assert self._stacked(compress(spec, split)).tobytes() == csc
+        assert self._stacked(compress(spec, split)).tobytes() == csr
 
     def test_block_height_leaves_the_bits(self, monkeypatch):
         data = logit_oracle_dataset(3, 200, 2, np.array([0.6, 0.8]), seed=5)
@@ -478,10 +533,29 @@ class TestCompress:
         assert peak <= column.nbytes + slices.nbytes + 64_000
 
     def test_peak_memory_is_one_row_block_plus_the_output(self):
-        """`generate` peaks at 52.6 MB on this shape; the dense kernel holds one row block (uniforms overwritten by the signs, and two
+        """`generate` peaks at 60 MB on this shape; the dense kernel holds
+        one row block (uniforms overwritten by the signs, and two
         masks: 10 bytes a cell) and a few copies of the (k, n (b+1)) output."""
         data = logit_oracle_dataset(30, 5000, 2, np.array([0.6, 0.8]), seed=0)
         spec = ProjectionSpec(k=500, d=5000, s=1.0, seed=1)
+        rows, output, peak = self._traced_compress(spec, data)
+        assert peak <= 10 * rows * spec.d + 4 * output
+        assert peak < 52.6e6 / 4
+
+    def test_sparse_route_peak_memory_is_one_row_block_plus_the_output(self):
+        """At s = sqrt(d) the whole-matrix draw peaked at 25 MB on this shape
+        (its uniforms and masks); a call holds one row block of uniforms and
+        masks, the block's CSR arrays (about 1.4% of its cells, 20 bytes
+        each) and a few copies of the (k, n (b+1)) output."""
+        data = logit_oracle_dataset(30, 5000, 2, np.array([0.6, 0.8]), seed=0)
+        spec = ProjectionSpec(k=500, d=5000, s=resolve_sparsity("sqrt", 5000), seed=1)
+        rows, output, peak = self._traced_compress(spec, data)
+        assert peak <= 10 * rows * spec.d + 4 * output
+        assert peak < 25e6 / 4
+
+    @staticmethod
+    def _traced_compress(spec: ProjectionSpec, data: Dataset) -> tuple[int, int, int]:
+        """Rows a block holds, bytes of the output, and `compress`'s traced peak."""
         split = ExactSplit(data)
         compress(spec, split)  # warm imports and caches outside the trace
         tracemalloc.start()
@@ -491,9 +565,7 @@ class TestCompress:
         finally:
             tracemalloc.stop()
         rows = projection_module._BLOCK_BYTES // (8 * spec.d)
-        output = 8 * spec.k * data.n * (data.b + 1)
-        assert peak <= 10 * rows * spec.d + 4 * output
-        assert peak < 52.6e6 / 4
+        return rows, 8 * spec.k * data.n * (data.b + 1), peak
 
 
 class TestPredictedVariance:
@@ -595,16 +667,18 @@ class TestJlDiagnostic:
         assert dots.tobytes() == expected.tobytes()
         assert rng.bit_generator.state == stream.bit_generator.state
 
-    @pytest.mark.parametrize("s", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("s", [1.0, 2.0, 3.0, 25.0])
     @pytest.mark.parametrize("d, rows", [
         (1000, 2 * (projection_module._BLOCK_BYTES // 8000) + 57),  # last block short
         (projection_module._BLOCK_BYTES // 8 + 11, 3),  # one-row blocks
     ])
     def test_sign_blocks_are_one_draw_thresholded(self, s, d, rows):
-        """The blocks, copied and stacked, are the thresholds of one
-        `random((rows, d))` call, and leave the generator where it leaves it."""
+        """The blocks, copied (dense) or densified (CSR, at s = 25) and
+        stacked, are the thresholds of one `random((rows, d))` call, and
+        leave the generator where it leaves it."""
         rng = np.random.default_rng(13)
-        blocks = [(first, signs.copy()) for first, signs in _sign_blocks(rng, s, d, rows)]
+        blocks = [(first, signs.toarray() if sparse.issparse(signs) else signs.copy())
+                  for first, signs in _sign_blocks(rng, s, d, rows)]
         assert [first for first, _ in blocks] == list(
             range(0, rows, max(1, projection_module._BLOCK_BYTES // (8 * d))))
         stream = np.random.default_rng(13)

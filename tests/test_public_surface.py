@@ -9,6 +9,7 @@ import ast
 import importlib
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -58,6 +59,29 @@ def test_script_imports_without_running_main(path, monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "growing"])
+def test_convergence_study_takes_sqrt_sparsity(mode, monkeypatch, tmp_path):
+    """--sparsity sqrt reaches `convergence_diagnostic` as the string it
+    resolves against each dataset's d; parsed as a float it was refused."""
+    path = ROOT / "scripts" / "convergence_study.py"
+    spec = importlib.util.spec_from_file_location("convergence_study", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    seen = []
+
+    def diagnostic(data, k_values, s, draws, master_seed):
+        seen.append(s)
+        return SimpleNamespace(mean_gaps=[0.0] * len(k_values), strictly_decreasing=True)
+
+    monkeypatch.setattr(module, "simulate_dataset", lambda config: config)
+    monkeypatch.setattr(module, "estimate_polar_grid",
+                        lambda *args, **kwargs: (SimpleNamespace(values=[1.0]), None))
+    monkeypatch.setattr(module, "enumerate_cycles", lambda *args: None)
+    monkeypatch.setattr(module, "convergence_diagnostic", diagnostic)
+    assert module.main([mode, "--k", "10", "--sparsity", "sqrt", "--out", str(tmp_path)]) == 0
+    assert seen and set(seen) == {"sqrt"}
 
 
 @pytest.mark.parametrize("path", BENCH + SCRIPTS, ids=lambda path: path.relative_to(ROOT).as_posix())
