@@ -10,6 +10,12 @@ Two exercises:
           gap scales, raw and relative to the criterion's own size, when
           the choice set grows with the projected dimension.
 
+Draw r at every k is the projection `estimate --seed` draws for replication
+r, so one seed's k's compare nested projections (a smaller k's rows are the
+larger one's first rows, rescaled) rather than unrelated ones. The draws run
+on one thread per CPU the process may use; the results do not depend on
+that count.
+
     python3 scripts/convergence_study.py fixed --seeds 20
     python3 scripts/convergence_study.py growing
     python3 scripts/convergence_study.py growing --sparsity sqrt

@@ -31,10 +31,8 @@ def run_design(name, replications, sparsity, data_seed, master_seed, threads):
     t0 = time.monotonic()
     data = simulate_dataset(config)
     s = resolve_sparsity(sparsity, d)
-    summary = run_replications(
-        data, k=k, s=s, replications=replications, master_seed=master_seed,
-        threads=threads, design_label=name,
-    )
+    summary = run_replications(data, k=k, s=s, replications=replications,
+                               master_seed=master_seed, threads=threads)
     elapsed = time.monotonic() - t0
     lo, hi = summary.unprojected_set.interval_estimate
     return {

@@ -232,13 +232,17 @@ def _checked_rows(fh, path: str):
 
     A missing header, a header that repeats a column name, lacks one of the
     id and share columns or has no other column, and a row whose cell count
-    differs from the header's raise ParseError. Blank lines are skipped.
+    differs from the header's raise ParseError. Blank lines are skipped. A
+    byte-order mark (U+FEFF) opening the file, as Excel's "CSV UTF-8" writes
+    it, is dropped from the first header cell.
     """
     reader = csv.reader(fh)
     rows = _csv_rows(reader)
     header = next(rows, None)
     if header is None:
         raise ParseError(f"{path}: empty file, expected a header row")
+    if header:
+        header[0] = header[0].removeprefix("\ufeff")
     repeated = _repeats(header)
     if repeated:
         raise ParseError(f"{path}: header repeats column(s) {repeated}")

@@ -9,10 +9,9 @@ With more covariates, an active-set iteration does the minimizing over the
 sphere: it fixes the set of violated cycles, under which the criterion is a
 quadratic form, and jumps to that form's smallest eigenvector, repeating
 while the criterion strictly drops. One replication driver, `_replicate`,
-repeats seed -> compression -> estimation over independent draws, with the
-estimator picked by the number of covariates, splitting the data once per run
-(`projection.ExactSplit`) into exact slices that every replication's
-projection multiplies.
+repeats seed -> compression -> solve over independent draws for both
+`run_replications` and `convergence_diagnostic`, each splitting the data once
+(`projection.ExactSplit`) into exact slices that every projection multiplies.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from ._seeds import STREAM_PROJECTION, STREAM_RESTARTS, derive_rng, derive_seed
+from ._seeds import STREAM_PROJECTION, STREAM_RESTARTS, available_cpus, derive_rng, derive_seed
 from .criterion import CircleProfile, CriterionEvaluator, CycleSet, enumerate_cycles
 from .data import Dataset
 from .errors import PACKAGE_ERRORS, DimensionError, NumericalError, ParameterError, as_index
@@ -462,31 +461,23 @@ class ReplicationSummary:
         return out
 
 
-def _compress(split: ExactSplit, k: int, s: float, master_seed: int, *key: int):
-    """Compress `split.data` with the projection drawn from seed path (master_seed, key)."""
-    spec = ProjectionSpec(
-        k=k, d=split.data.d, s=s, seed=derive_seed(master_seed, STREAM_PROJECTION, *key)
-    )
-    return compress(spec, split)
-
-
-def _replicate(data, k: int, s: float, replications: int, master_seed: int, threads: int,
-               solve) -> list:
+def _replicate(split: ExactSplit, k: int, s: float, replications: int, master_seed: int,
+               threads: int, solve, recorded=()) -> list:
     """Run solve(r, compressed) for r = 0 .. R-1 on a pool of `threads` threads.
 
-    Replication r's projection is seeded from (master_seed, r) alone, and
-    `compress` gives the same bits at any BLAS thread count, so results are
-    identical whatever either thread count. The data are split once, for
-    every replication. Returns, in order,
-    (result, None), or (None, "Type: message") when the replication raised
-    one of the package's errors or a LinAlgError; anything else propagates.
+    Replication r's projection is seeded from (master_seed, r) alone, whatever
+    k is, and `compress` gives the same bits at any BLAS thread count, so
+    results are identical whatever either thread count. Returns, in order,
+    (result, None), or (None, "Type: message") when replication r raised one
+    of the exception types in `recorded`; anything else propagates.
     """
-    split = ExactSplit(data)
 
     def one(r: int):
+        spec = ProjectionSpec(k=k, d=split.data.d, s=s,
+                              seed=derive_seed(master_seed, STREAM_PROJECTION, r))
         try:
-            return solve(r, _compress(split, k, s, master_seed, r)), None
-        except _REPLICATION_ERRORS as exc:
+            return solve(r, compress(spec, split)), None
+        except recorded as exc:
             return None, f"{type(exc).__name__}: {exc}"
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -504,7 +495,6 @@ def run_replications(
     restarts: int = 20,
     steps: int = 5000,
     threads: int = 1,
-    design_label: str = "",
 ) -> ReplicationSummary:
     """Repeat (draw projection, compress, estimate) and summarize.
 
@@ -554,11 +544,12 @@ def run_replications(
     records = tuple(
         record if error is None else ReplicationRecord(index=r, beta=failed_beta, error=error)
         for r, (record, error) in enumerate(
-            _replicate(data, k, s_resolved, replications, master_seed, threads, solve)
+            _replicate(ExactSplit(data), k, s_resolved, replications, master_seed, threads,
+                       solve, _REPLICATION_ERRORS)
         )
     )
     return ReplicationSummary(
-        design_label=design_label or f"d{data.d}k{k}",
+        design_label=f"d{data.d}k{k}",
         k=k,
         s=s_resolved,
         records=records,
@@ -599,12 +590,12 @@ def convergence_diagnostic(
     s,
     draws: int,
     master_seed: int,
-    cycle_lengths=(2, 3),
 ) -> ConvergenceDiagnostic:
     """Average sup-grid criterion gap per k, over independent projection draws.
 
-    Criteria on the shared grid of 1024 angles come from each dataset's
-    circle profile.
+    Criteria over the 2- and 3-cycles on a shared grid of 1024 angles come
+    from each dataset's circle profile. Draw r at every k is replication r of
+    `_replicate`, run on one thread per available CPU; every error propagates.
     """
     if data.b != 2:
         raise DimensionError("the diagnostic compares angle grids; needs b = 2")
@@ -618,20 +609,19 @@ def convergence_diagnostic(
     # fail fast on a bad k or s, before the unprojected profile and the split
     for k in k_values:
         ProjectionSpec(k=k, d=data.d, s=s_resolved, seed=0)
-    cycles = enumerate_cycles(data.n, cycle_lengths)
+    cycles = enumerate_cycles(data.n, (2, 3))
     m = len(cycles)
     thetas = np.arange(_DIAGNOSTIC_GRID) * (TWO_PI / _DIAGNOSTIC_GRID)
     base = CircleProfile(CriterionEvaluator(data, cycles).D).values(thetas) / m
 
-    split = ExactSplit(data)
-    gaps = np.empty((len(k_values), draws))
-    for ki, k in enumerate(k_values):
-        for draw in range(draws):
-            compressed = _compress(split, k, s_resolved, master_seed, ki, draw)
-            projected = CircleProfile(CriterionEvaluator(compressed, cycles).D).values(thetas) / m
-            gaps[ki, draw] = float(np.abs(projected - base).max())
+    def gap(r: int, compressed) -> float:
+        projected = CircleProfile(CriterionEvaluator(compressed, cycles).D).values(thetas) / m
+        return float(np.abs(projected - base).max())
 
-    return ConvergenceDiagnostic(k_values=k_values, gaps=gaps)
+    split = ExactSplit(data)
+    gaps = [[value for value, _ in _replicate(split, k, s_resolved, draws, master_seed,
+                                              available_cpus(), gap)] for k in k_values]
+    return ConvergenceDiagnostic(k_values=k_values, gaps=np.array(gaps))
 
 
 def write_grid_csv(grid: AngleGrid, path: str) -> None:

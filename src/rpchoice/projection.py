@@ -52,7 +52,8 @@ _JL_MIN_DRAWS = 1000
 _SPARSE_SAMPLER_MAX_PROB = 0.05
 # bytes of uniforms per block of every sign draw (`_sign_blocks`), which
 # holds _BLOCK_BYTES / (8 d) rows, at least one, whatever the row count; with
-# its two masks (an eighth its size each) it is a drawing thread's scratch
+# its two masks (an eighth its size each) it is a drawing thread's scratch;
+# the JL diagnostic's skip route draws its gaps in batches of the same bytes
 _BLOCK_BYTES = 1 << 21
 
 
@@ -446,25 +447,28 @@ def _dots_sparse(w: np.ndarray, s: float, n_rows: int, rng: np.random.Generator)
 
     Cells are an i.i.d. Bernoulli(1/s) pattern, so gaps between hits are
     geometric; skip-sampling touches ~ n_rows * d / s cells instead of all.
+    Batches of at most _BLOCK_BYTES of int64 gaps, each summed into the rows
+    it spans alone, bound the scratch to a few batches whatever n_rows is.
     """
     d = w.size
     p = 1.0 / s
     total_cells = n_rows * d
     dots = np.zeros(n_rows)
     expected = total_cells * p
-    # cap the gap batch so huge draw counts stream in bounded memory
-    batch = min(int(expected + 8.0 * math.sqrt(expected) + 16.0), 1 << 22)
+    batch = min(int(expected + 8.0 * math.sqrt(expected) + 16.0), _BLOCK_BYTES // 8)
     position = -1
     while True:
-        gaps = rng.geometric(p, size=batch)
-        flats = position + np.cumsum(gaps)
+        flats = position + np.cumsum(rng.geometric(p, size=batch))
         finished = flats[-1] >= total_cells
         flats = flats[flats < total_cells]
         signs = rng.integers(0, 2, size=flats.size).astype(np.float64) * 2.0 - 1.0
         if flats.size:
             row_idx = flats // d
             col_idx = flats - row_idx * d
-            dots += np.bincount(row_idx, weights=signs * w[col_idx], minlength=n_rows)
+            first = int(row_idx[0])
+            row_idx -= first
+            dots[first : first + int(row_idx[-1]) + 1] += np.bincount(
+                row_idx, weights=signs * w[col_idx])
             position = int(flats[-1])
         if finished:
             return dots

@@ -47,7 +47,7 @@ from rpchoice import (
 )
 from rpchoice._seeds import STREAM_PROJECTION, STREAM_RESTARTS, derive_rng, derive_seed
 from rpchoice import projection as projection_module
-from rpchoice.projection import ExactSplit, compress
+from rpchoice.projection import ExactSplit, compress, resolve_sparsity
 from rpchoice.estimate import (
     TWO_PI,
     ReplicationRecord,
@@ -727,18 +727,35 @@ class TestReplicationDriver:
         assert outputs[0] == outputs[1]
 
     def test_convergence_gap_recomputed_by_hand(self, small_mc_dataset):
-        diag = convergence_diagnostic(small_mc_dataset, k_values=(4, 8), s=1.0,
-                                      draws=2, master_seed=3)
+        """Draw r at every k is replication r's projection: seeded from
+        (master_seed, STREAM_PROJECTION, r), whatever k is."""
         cycles = enumerate_cycles(small_mc_dataset.n, (2, 3))
         thetas = np.arange(1024) * (TWO_PI / 1024)
-        spec = ProjectionSpec(k=8, d=40, s=1.0,
-                              seed=derive_seed(3, STREAM_PROJECTION, 1, 1))
-        compressed = compress(spec, ExactSplit(small_mc_dataset))
-        base, projected = (
-            CircleProfile(CriterionEvaluator(data, cycles).D).values(thetas) / len(cycles)
-            for data in (small_mc_dataset, compressed)
-        )
-        assert diag.gaps[1, 1] == float(np.abs(projected - base).max())
+        split = ExactSplit(small_mc_dataset)
+        base = CircleProfile(CriterionEvaluator(small_mc_dataset, cycles).D).values(thetas)
+        for s in (1.0, "sqrt"):
+            diag = convergence_diagnostic(small_mc_dataset, k_values=(4, 8), s=s,
+                                          draws=2, master_seed=3)
+            for i, k in enumerate((4, 8)):
+                for r in range(2):
+                    spec = ProjectionSpec(k=k, d=40, s=resolve_sparsity(s, 40),
+                                          seed=derive_seed(3, STREAM_PROJECTION, r))
+                    compressed = compress(spec, split)
+                    projected = CircleProfile(
+                        CriterionEvaluator(compressed, cycles).D).values(thetas)
+                    assert diag.gaps[i, r] == float(
+                        np.abs(projected / len(cycles) - base / len(cycles)).max())
+
+    def test_convergence_gaps_independent_of_threads(self, small_mc_dataset, monkeypatch):
+        """The diagnostic draws on one thread per available CPU; its gaps are
+        the same bits at one thread and at three."""
+        gaps = []
+        for cpus in (1, 3):
+            monkeypatch.setattr("rpchoice.estimate.available_cpus", lambda: cpus)
+            gaps.append(convergence_diagnostic(small_mc_dataset, k_values=(4, 8, 16), s=1.0,
+                                               draws=5, master_seed=9).gaps)
+        assert gaps[0].shape == (3, 5)
+        assert gaps[0].tobytes() == gaps[1].tobytes()
 
     def test_sqrt_sparsity_bit_equal_to_serial_dense_loop(self, monkeypatch):
         """At s = sqrt(d) = 20 every replication multiplies CSR sign blocks;
@@ -767,7 +784,7 @@ class TestReplicationDriver:
         for threads in (1, 4, 1):  # the first call warms imports and caches
             tracemalloc.start()
             try:
-                _replicate(data, k, 1.0, 4, 5, threads, lambda r, compressed: r)
+                _replicate(ExactSplit(data), k, 1.0, 4, 5, threads, lambda r, compressed: r)
                 _, peaks[threads] = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

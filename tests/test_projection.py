@@ -34,6 +34,7 @@ from rpchoice import projection as projection_module
 from rpchoice.projection import (
     ExactSplit,
     _dots_dense,
+    _dots_sparse,
     _error_free_slices,
     _sign_blocks,
     _sign_masks,
@@ -247,6 +248,25 @@ class TestRowBlocks:
                    in _sign_blocks(np.random.default_rng(0), spec.s, spec.d, spec.k)]
         assert heights == [7, 7, 7, 7, 7, 5]
         self._check(spec, logit_oracle_dataset(3, 900, 2, np.array([0.6, 0.8]), seed=2))
+
+    @pytest.mark.parametrize("seven_rows", [False, True], ids=["blocks", "blocks_of_7"])
+    @pytest.mark.parametrize("d", [200, 2000])
+    @pytest.mark.parametrize("s", [1.0, 3.0, "sqrt"])
+    def test_smaller_k_is_the_leading_rows(self, monkeypatch, s, d, seven_rows):
+        """`compress` at k = 4 is the first 4 rows of `compress` at k = 64 on
+        the same seed, times 4, bit for bit: both draw the stream row-major,
+        the block products are exact, and sqrt(s/4) = 4 sqrt(s/64) exactly.
+        The convergence diagnostic's k's pair their draws on this."""
+        if seven_rows:
+            monkeypatch.setattr(projection_module, "_BLOCK_BYTES", 7 * 8 * d)
+        split = ExactSplit(logit_oracle_dataset(3, d, 2, np.array([0.6, 0.8]), seed=4))
+        for seed in (0, 5, 2**63 + 7):
+            small, large = (
+                compress(ProjectionSpec(k=k, d=d, s=resolve_sparsity(s, d), seed=seed), split)
+                for k in (4, 64)
+            )
+            assert small.covariates.tobytes() == (large.covariates[:, :4] * 4).tobytes()
+            assert small.shares.tobytes() == (large.shares[:, :4] * 4).tobytes()
 
 
 class TestApply:
@@ -704,6 +724,23 @@ class TestJlDiagnostic:
             tracemalloc.stop()
         block = projection_module._BLOCK_BYTES
         assert peak < 2 * (block + 2 * block // 8) + 8 * n_rows + (1 << 16)
+
+    def test_sparse_peak_memory_is_a_few_gap_batches_plus_the_output(self):
+        """The skip route draws 5 million hits here, which it once took in one
+        batch of 2^22 gaps with about 70 bytes of temporaries each (205 MB
+        traced). Batches of _BLOCK_BYTES of gaps, each summed into the rows it
+        spans, hold six such batches' bytes beside the output."""
+        d, s, n_rows = 500, 25.0, 250_000
+        assert n_rows * d / s > 1 << 22
+        w = np.random.default_rng(5).standard_normal(d)
+        _dots_sparse(w, s, 2000, np.random.default_rng(8))  # warm caches outside the trace
+        tracemalloc.start()
+        try:
+            _dots_sparse(w, s, n_rows, np.random.default_rng(8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n_rows + 8 * projection_module._BLOCK_BYTES
 
     def test_result_independent_of_blas_threads(self):
         """OpenBLAS splits a product by its thread count and rounds each split
