@@ -410,15 +410,15 @@ def load_csv(path: str) -> Dataset:
 
     A load of the bytes the last successful load read, by SHA-256, in the
     same text encoding, returns that load's Dataset again, which is safe to
-    share: Dataset is frozen and its arrays are read-only. A failed load, or
-    one whose file changed during the parse, is not remembered.
+    share: Dataset is frozen and its arrays are read-only. A failed load is
+    not remembered; a file that changed during the parse is a ParseError.
     """
     return load_csv_with_digest(path)[0]
 
 
-# ((SHA-256, text encoding), Dataset) of the last load that succeeded on
-# bytes that did not change during its parse; read and replaced whole, so
-# threads that load at once need no lock (the last to finish is remembered)
+# ((SHA-256, text encoding), Dataset) of the last load that succeeded; read
+# and replaced whole, so threads that load at once need no lock (the last to
+# finish is remembered)
 _last_load: tuple[tuple[str, str], Dataset] | None = None
 
 
@@ -457,10 +457,10 @@ def load_csv_with_digest(path: str) -> tuple[Dataset, str, bool]:
         market_ids=tuple(market_ids),
         choice_ids=tuple(choice_ids),
     )
-    # a file rewritten during the parse must not pair its new digest, or the
-    # old one, with the other bytes' Dataset
-    if _sha256(path) == digest:
-        _last_load = key, data
+    # `data` may mix both versions' bytes, which no digest names
+    if _sha256(path) != digest:
+        raise ParseError(f"{path}: the file changed while it was read")
+    _last_load = key, data
     return data, digest, False
 
 

@@ -18,14 +18,15 @@ instead. T is taken once per run (`ExactSplit`) and split without error
 (Ozaki, Ogita, Oishi & Rump, "Error-free transformations of matrix
 multiplication", Numer. Algorithms 59, 2012) into slices whose products with
 +/-1/0 signs are exact in float64. `compress` multiplies the signs of the
-cells `generate` draws by the slices. Both draw them in row blocks of
-_BLOCK_BYTES of uniforms from one sampler, `_sign_blocks` (the JL
-diagnostic's dense one too): dense signs when 1/s > 0.05, a CSR matrix when
-1/s <= 0.05, where the sparse product is faster. The slices' products are
-added in one fixed order and scaled by sqrt(s/k) once, so neither the
-block's form nor BLAS threads or blocking change a bit of the result. scipy
-is imported by `_csr_signs` and `generate` alone, so a run that builds no
-sparse matrix never loads it.
+cells `generate` draws by the slices. Every projection's signs, the JL
+diagnostic's too, come in row blocks from one sampler, `_sign_blocks`, whose
+route sets the stream: when 1/s > 0.05 it thresholds one uniform per cell
+into dense blocks; when 1/s <= 0.05 it finds the nonzero cells by geometric
+skips, touching about 1/s of them, and yields CSR blocks. The slices'
+products are added in one fixed order and scaled by sqrt(s/k) once, so
+neither the block's form nor BLAS threads or blocking change a bit of the
+result. scipy is imported by the skip route and `generate` alone, so a run
+that builds no sparse matrix never loads it.
 """
 
 from __future__ import annotations
@@ -47,14 +48,19 @@ if TYPE_CHECKING:
 
 
 _JL_MIN_DRAWS = 1000
-# at or below this nonzero probability the sparse routes (CSR sign blocks,
-# skip-sampling) beat dense signs
+# at or below this nonzero probability `_sign_blocks` skip-samples the hits,
+# else it thresholds one uniform per cell
 _SPARSE_SAMPLER_MAX_PROB = 0.05
-# bytes of uniforms per block of every sign draw (`_sign_blocks`), which
-# holds _BLOCK_BYTES / (8 d) rows, at least one, whatever the row count; with
-# its two masks (an eighth its size each) it is a drawing thread's scratch;
-# the JL diagnostic's skip route draws its gaps in batches of the same bytes
+# a drawing thread's scratch: _BLOCK_BYTES of uniforms a dense block (at
+# least one row, whatever the row count), plus two masks of an eighth that;
+# about _BLOCK_BYTES / _HIT_BYTES expected hits a skip-route block, whose
+# traced peak is about 64 bytes a hit (cell index, sign, CSR arrays and
+# their temporaries)
 _BLOCK_BYTES = 1 << 21
+_HIT_BYTES = 64
+# gaps a skip-route batch draws: a constant, so the stream up to any cell is
+# the same whatever the row count and the block height
+_SKIP_BATCH = 1 << 14
 
 
 def resolve_sparsity(value, d: int) -> float:
@@ -97,8 +103,7 @@ class ProjectionSpec:
 
 
 def _sparse_route(s: float) -> bool:
-    """Whether sparsity s takes the sparse routes: CSR sign blocks from
-    `_sign_blocks`, skip-sampling in the JL diagnostic."""
+    """Whether sparsity s takes the skip route of `_sign_blocks`."""
     return 1.0 / s <= _SPARSE_SAMPLER_MAX_PROB
 
 
@@ -114,11 +119,44 @@ def _sign_masks(uniforms: np.ndarray, s: float, plus=None, minus=None):
 
 
 def _sign_blocks(rng: np.random.Generator, s: float, d: int, rows: int):
-    """Yield (first row, (h, d) signs) for `rows` rows of +/-1/0 signs
-    thresholded from `rng`'s uniforms in row-major order, at most
-    _BLOCK_BYTES of uniforms a block: a CSR matrix on the sparse route, else
-    dense floats overwriting the uniforms in one reused buffer, valid until
-    the next block is drawn."""
+    """Yield (first row, (h, d) signs) for `rows` rows of +/-1/0 signs drawn
+    from `rng`, the one sampler of every projection. The route sets the stream:
+
+    - 1/s > 0.05: `_sign_masks` thresholds one uniform per cell, row-major,
+      at most _BLOCK_BYTES of them a block, into dense floats that overwrite
+      the uniforms in one reused buffer, valid until the next block is drawn;
+    - 1/s <= 0.05: geometric gaps over the row-major cell index find the hits
+      of the Bernoulli(1/s) pattern, in batches of _SKIP_BATCH gaps, each
+      followed by one fair sign per gap (int8, 1 for +1), until a batch ends
+      at or past the block's last cell. Blocks of about
+      _BLOCK_BYTES / _HIT_BYTES expected hits come as h x d CSR matrices of
+      +/-1 entries; scipy is imported here.
+
+    The stream up to any cell depends on neither the row count nor the block
+    height, and where `rng` ends after `rows` rows not on the block height.
+    """
+    if _sparse_route(s):
+        from scipy import sparse
+
+        gap_scale = -1.0 / math.log1p(-1.0 / s)
+        height = max(1, min(rows, int(_BLOCK_BYTES * s / (_HIT_BYTES * d))))
+        flats, bits, last = [np.empty(0, np.int64)], [np.empty(0, np.int8)], -1
+        for first in range(0, rows, height):
+            stops = d * np.arange(first, min(first + height, rows) + 1)
+            while last < stops[-1]:
+                # floor(E / -log(1 - 1/s)) + 1 is geometric on 1, 2, ...: the
+                # inversion numpy's `geometric` takes, its log taken once here
+                gaps = (rng.standard_exponential(_SKIP_BATCH) * gap_scale).astype(np.int64) + 1
+                flats.append(np.cumsum(gaps, out=gaps) + last)
+                last = int(flats[-1][-1])
+                bits.append(rng.integers(0, 2, size=_SKIP_BATCH, dtype=np.int8))
+            cells, signs = np.concatenate(flats), np.concatenate(bits)
+            indptr = np.searchsorted(cells, stops)
+            hits = indptr[-1]
+            yield first, sparse.csr_matrix((signs[:hits] * 2.0 - 1.0, cells[:hits] % d, indptr),
+                                           shape=(len(stops) - 1, d))
+            flats, bits = [cells[hits:]], [signs[hits:]]
+        return
     height = max(1, min(rows, _BLOCK_BYTES // (8 * d)))
     block = np.empty((height, d))  # uniforms, then the signs drawn from them
     plus, minus = np.empty((2, height, d), dtype=bool)
@@ -126,27 +164,9 @@ def _sign_blocks(rng: np.random.Generator, s: float, d: int, rows: int):
     for first in range(0, rows, height):
         h = min(height, rows - first)
         _sign_masks(rng.random(out=block[:h]), s, plus[:h], minus[:h])
-        if _sparse_route(s):
-            yield first, _csr_signs(plus[:h], minus[:h])
-        else:
-            np.subtract(signs[:h], minus[:h].view(np.int8), out=signs[:h])
-            np.copyto(block[:h], signs[:h])
-            yield first, block[:h]
-
-
-def _csr_signs(plus: np.ndarray, minus: np.ndarray) -> "sparse.csr_matrix":
-    """The signs of (h, d) masks, whose row-major nonzeros are in csr order,
-    as an h x d CSR matrix of +/-1 entries; `minus` is overwritten. scipy is
-    imported here, where every sign block is made sparse."""
-    from scipy import sparse
-
-    hits = np.logical_or(plus, minus, out=minus)
-    indptr = np.zeros(len(hits) + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(hits, axis=1), out=indptr[1:])
-    indices = np.flatnonzero(hits)
-    data = plus.ravel()[indices] * 2.0 - 1.0
-    np.remainder(indices, hits.shape[1], out=indices)
-    return sparse.csr_matrix((data, indices, indptr), shape=hits.shape)
+        np.subtract(signs[:h], minus[:h].view(np.int8), out=signs[:h])
+        np.copyto(block[:h], signs[:h])
+        yield first, block[:h]
 
 
 def generate(spec: ProjectionSpec) -> "sparse.csc_matrix":
@@ -154,14 +174,15 @@ def generate(spec: ProjectionSpec) -> "sparse.csc_matrix":
     as a k x d CSC matrix in canonical form (rows sorted within each column,
     each cell stored once) with read-only data, indices and indptr. Column
     storage makes applying it one streaming pass over the tall data's rows.
-    The CSR sign blocks are stacked, then turned column-major: at its peak a
-    call holds about 24 bytes a stored cell and one block of scratch."""
+    The sign blocks of `_sign_blocks` are stacked as CSR matrices (a dense
+    block converted), then turned column-major: at its peak a call holds
+    about 24 bytes a stored cell and one block of scratch."""
     from scipy import sparse
 
     rng = np.random.default_rng(np.random.SeedSequence(int(spec.seed)))
     matrix = sparse.vstack(
-        [signs if sparse.issparse(signs) else _csr_signs(signs > 0, signs < 0)
-         for _, signs in _sign_blocks(rng, spec.s, spec.d, spec.k)], format="csr").tocsc()
+        [sparse.csr_matrix(signs) for _, signs in _sign_blocks(rng, spec.s, spec.d, spec.k)],
+        format="csr").tocsc()
     matrix.data *= spec.scale
     for arr in (matrix.data, matrix.indices, matrix.indptr):
         arr.setflags(write=False)
@@ -345,8 +366,8 @@ def compress(spec: ProjectionSpec, split: ExactSplit) -> CompressedDataset:
 
     The signs come in row blocks from `_sign_blocks`, each multiplying all
     slices in one product: a dense GEMM when 1/s > 0.05, a CSR product when
-    1/s <= 0.05. A call holds one _BLOCK_BYTES block of uniforms, its two
-    boolean masks, the block's CSR arrays on the sparse route and the
+    1/s <= 0.05. A call holds one block (a _BLOCK_BYTES block of uniforms and
+    its two boolean masks, or the skip route's hits and CSR arrays) and the
     (k, n (b+1)) output; the split is shared, read-only.
     """
     data = split.data
@@ -442,44 +463,15 @@ def _dots_dense(w: np.ndarray, s: float, n_rows: int, rng: np.random.Generator) 
     return out
 
 
-def _dots_sparse(w: np.ndarray, s: float, n_rows: int, rng: np.random.Generator) -> np.ndarray:
-    """Same distribution as _dots_dense, visiting only the nonzero cells.
-
-    Cells are an i.i.d. Bernoulli(1/s) pattern, so gaps between hits are
-    geometric; skip-sampling touches ~ n_rows * d / s cells instead of all.
-    Batches of at most _BLOCK_BYTES of int64 gaps, each summed into the rows
-    it spans alone, bound the scratch to a few batches whatever n_rows is.
-    """
-    d = w.size
-    p = 1.0 / s
-    total_cells = n_rows * d
-    dots = np.zeros(n_rows)
-    expected = total_cells * p
-    batch = min(int(expected + 8.0 * math.sqrt(expected) + 16.0), _BLOCK_BYTES // 8)
-    position = -1
-    while True:
-        flats = position + np.cumsum(rng.geometric(p, size=batch))
-        finished = flats[-1] >= total_cells
-        flats = flats[flats < total_cells]
-        signs = rng.integers(0, 2, size=flats.size).astype(np.float64) * 2.0 - 1.0
-        if flats.size:
-            row_idx = flats // d
-            col_idx = flats - row_idx * d
-            first = int(row_idx[0])
-            row_idx -= first
-            dots[first : first + int(row_idx[-1]) + 1] += np.bincount(
-                row_idx, weights=signs * w[col_idx])
-            position = int(flats[-1])
-        if finished:
-            return dots
-
-
 def jl_diagnostic(u, v, spec: ProjectionSpec, draws: int) -> JlDiagnostic:
     """Empirical mean and variance of ||R u - R v||^2 over independent draws.
 
     By linearity only w = u - v matters, so each draw reduces to k fresh
-    matrix rows dotted with w. Very sparse settings (1/s <= 0.05) use
-    geometric skip-sampling over the identical Bernoulli cell pattern.
+    matrix rows dotted with w. The rows come from `_sign_blocks`: dense
+    blocks on two threads when 1/s > 0.05 (`_dots_dense`), else the skip
+    route's CSR blocks one after another, whose product with w sums each row
+    in column order, not through BLAS. Beside the k * draws row sums a call
+    holds one block per drawing thread.
     """
     draws = as_index(draws, "draws")
     if draws < _JL_MIN_DRAWS:
@@ -505,10 +497,12 @@ def jl_diagnostic(u, v, spec: ProjectionSpec, draws: int) -> JlDiagnostic:
         )
         n_rows = draws * spec.k
         if _sparse_route(spec.s):
-            dots = _dots_sparse(w, spec.s, n_rows, rng)
+            dots = np.empty(n_rows)
+            for row, signs in _sign_blocks(rng, spec.s, spec.d, n_rows):
+                dots[row : row + signs.shape[0]] = signs @ w
         else:
             dots = _dots_dense(w, spec.s, n_rows, rng)
-        sq = (dots ** 2).reshape(draws, spec.k).sum(axis=1) * (spec.s / spec.k)
+        sq = np.square(dots, out=dots).reshape(draws, spec.k).sum(axis=1) * (spec.s / spec.k)
         mean_sq = float(sq.mean())
         var_sq = float(sq.var(ddof=1))
 

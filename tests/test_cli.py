@@ -21,6 +21,7 @@ import pytest
 import rpchoice
 from rpchoice import NumericalError, __version__, load_csv, logit_oracle_dataset, write_csv
 from rpchoice import cli
+from rpchoice import data as data_module
 from rpchoice._seeds import STREAM_PROJECTION, derive_seed
 from rpchoice.cli import PRESETS, SCHEMA_VERSION, TOOL_NAME, build_parser, main
 from rpchoice.estimate import run_replications
@@ -258,6 +259,27 @@ class TestEstimate:
                    "--out", str(out))
         assert code == 1
         assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
+    def test_data_rewritten_during_the_parse_exits_1_and_writes_nothing(
+            self, tmp_path, capsys, monkeypatch):
+        """No manifest may record a data_sha256 of bytes the run did not parse."""
+        csv_path = simulate_small(tmp_path / "sim")
+        parse = data_module._table_in_bulk
+
+        def append_then_parse(path):
+            with open(path, "a") as fh:
+                fh.write("\n")
+            return parse(path)
+
+        monkeypatch.setattr(data_module, "_table_in_bulk", append_then_parse)
+        monkeypatch.setattr(data_module, "_last_load", None)  # the same bytes may be remembered
+        out = tmp_path / "e"
+        code = run("estimate", "--data", csv_path, "--k", "4", "--replications", "1",
+                   "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: ParseError: {csv_path}: the file changed while it was read\n")
         assert not out.exists()
 
     def test_unsupported_cycle_length_exits_1_and_writes_nothing(self, tmp_path, capsys):

@@ -642,8 +642,10 @@ class TestLastLoad:
 
     def test_a_file_rewritten_during_the_parse_is_not_remembered(self, tmp_path, monkeypatch):
         """The parse here reads the new bytes after the digest of the old
-        ones was taken: remembered, that pair would serve the new bytes'
-        Dataset for the old bytes."""
+        ones was taken. Returned, the old digest would name the new bytes'
+        Dataset (an estimate's manifest would record it); remembered, the
+        pair would serve that Dataset for the old bytes. The load is refused,
+        and the next one parses."""
         path = _write(tmp_path / "d.csv", BASIC_CSV)
 
         def edit_then_parse(file):
@@ -652,8 +654,12 @@ class TestLastLoad:
 
         with monkeypatch.context() as patch:
             patch.setattr(data_module, "_table_in_bulk", edit_then_parse)
-            data, _, hit = load_csv_with_digest(path)
+            changed = f"^{re.escape(path)}: the file changed while it was read$"
+            with pytest.raises(ParseError, match=changed):
+                load_csv_with_digest(path)
+        data, digest, hit = load_csv_with_digest(path)
         assert not hit and data.markets[0].covariates[0, 0] == 0.25
+        assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
         _write(tmp_path / "d.csv", BASIC_CSV)
         data, _, hit = load_csv_with_digest(path)
         assert not hit and data.markets[0].covariates[0, 0] == 0.5

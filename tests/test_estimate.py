@@ -757,15 +757,16 @@ class TestReplicationDriver:
         assert gaps[0].shape == (3, 5)
         assert gaps[0].tobytes() == gaps[1].tobytes()
 
-    def test_sqrt_sparsity_bit_equal_to_serial_dense_loop(self, monkeypatch):
-        """At s = sqrt(d) = 20 every replication multiplies CSR sign blocks;
-        the serial loop forces dense ones, which must give the same bits."""
+    def test_sqrt_sparsity_bit_equal_to_serial_loop(self):
+        """At s = sqrt(d) = 20 every replication multiplies the skip route's
+        CSR sign blocks, on two threads; a serial loop of `compress` calls
+        must give the same bits."""
         data = logit_oracle_dataset(6, 400, 2, np.array([0.6, 0.8]), seed=47)
         cycles = enumerate_cycles(data.n, (2, 3))
         summary = run_replications(data, k=8, s="sqrt", replications=3, master_seed=12,
                                    grid_size=64, threads=2)
         assert summary.successes == 3
-        monkeypatch.setattr(projection_module, "_SPARSE_SAMPLER_MAX_PROB", 0.0)
+        assert projection_module._sparse_route(20.0)
         split = ExactSplit(data)
         for r, rec in enumerate(summary.records):
             spec = ProjectionSpec(k=8, d=400, s=20.0,

@@ -33,8 +33,8 @@ from rpchoice._seeds import STREAM_DIAGNOSTIC, seed_sequence
 from rpchoice import projection as projection_module
 from rpchoice.projection import (
     ExactSplit,
+    _add_slices,
     _dots_dense,
-    _dots_sparse,
     _error_free_slices,
     _sign_blocks,
     _sign_masks,
@@ -166,20 +166,24 @@ class TestGenerate:
 
 
 class TestLeanPath:
-    """generate() and apply() against the lexsort / COO route they replaced:
-    the same csc arrays and the same compressed bits."""
+    """generate() and apply() against the lexsort / COO route they replaced
+    (against the literal skip stream at s = sqrt(d)): the same csc arrays and
+    the same compressed bits."""
 
     @pytest.mark.parametrize("s", [1.0, 3.0, math.sqrt(900.0)])
     def test_bit_identical_to_lexsort_coo_reference(self, s):
         data = logit_oracle_dataset(6, 900, 2, np.array([0.6, 0.8]), seed=3)
         spec = ProjectionSpec(k=40, d=900, s=s, seed=17)
-        rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-        plus, minus = _sign_masks(rng.random((spec.k, spec.d)), spec.s)
-        rows, cols = np.nonzero(plus | minus)
-        values = np.where(plus[rows, cols], spec.scale, -spec.scale)
-        order = np.lexsort((rows, cols))
-        rows, cols, values = rows[order], cols[order], values[order]
-        reference = sparse.csc_matrix((values, (rows, cols)), shape=(spec.k, spec.d))
+        if projection_module._sparse_route(spec.s):
+            reference = _skip_signs(spec) * spec.scale
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+            plus, minus = _sign_masks(rng.random((spec.k, spec.d)), spec.s)
+            rows, cols = np.nonzero(plus | minus)
+            values = np.where(plus[rows, cols], spec.scale, -spec.scale)
+            order = np.lexsort((rows, cols))
+            rows, cols, values = rows[order], cols[order], values[order]
+            reference = sparse.csc_matrix((values, (rows, cols)), shape=(spec.k, spec.d))
 
         proj = generate(spec)
         np.testing.assert_array_equal(proj.indptr, reference.indptr)
@@ -197,10 +201,11 @@ class TestLeanPath:
 
 
 def _whole_matrix_signs(spec: ProjectionSpec) -> sparse.csc_matrix:
-    """The spec's k x d CSC matrix of +/-1 signs drawn whole, as `generate`
-    and the sparse kernel of `compress` drew it before both took row blocks:
-    all k d uniforms in one call, thresholded into transposed (d, k) masks
-    whose row-major nonzeros list the cells in csc order."""
+    """The spec's k x d CSC matrix of +/-1 signs drawn whole on the dense
+    route, as `generate` and the sparse kernel of `compress` drew it before
+    both took row blocks: all k d uniforms in one call, thresholded into
+    transposed (d, k) masks whose row-major nonzeros list the cells in csc
+    order."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     plus, hits = _sign_masks(rng.random((spec.k, spec.d)).T, spec.s)
     hits |= plus
@@ -211,13 +216,42 @@ def _whole_matrix_signs(spec: ProjectionSpec) -> sparse.csc_matrix:
     return sparse.csc_matrix((data, indices % spec.k, indptr), shape=(spec.k, spec.d))
 
 
+def _skip_stream(rng: np.random.Generator, s: float, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """The skip route's hits among the first `cells` cells of the row-major
+    stream, drawn whole and literally: batches of _SKIP_BATCH gaps from
+    numpy's own `geometric(1/s)`, each followed by as many int8 signs (1 for
+    +1), until a batch ends at or past the last cell. The hits' flat cell
+    numbers and their +/-1 signs; `rng` ends where the whole stream leaves it."""
+    batch = projection_module._SKIP_BATCH
+    gaps, bits, last = [], [], -1
+    while last < cells:
+        gaps.append(rng.geometric(1.0 / s, size=batch))
+        bits.append(rng.integers(0, 2, size=batch, dtype=np.int8))
+        last += int(gaps[-1].sum())
+    flats = np.cumsum(np.concatenate(gaps)) - 1
+    keep = flats < cells
+    return flats[keep], np.where(np.concatenate(bits)[keep] == 1, 1.0, -1.0)
+
+
+def _skip_signs(spec: ProjectionSpec) -> sparse.csc_matrix:
+    """The spec's k x d CSC matrix of +/-1 signs from the whole skip stream."""
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    flats, signs = _skip_stream(rng, spec.s, spec.k * spec.d)
+    rows, cols = np.divmod(flats, spec.d)
+    return sparse.csc_matrix((signs, (rows, cols)), shape=(spec.k, spec.d))
+
+
 class TestRowBlocks:
     """generate() and compress() draw every projection in row blocks; each
-    must return the whole-matrix draw's bits."""
+    must return the bits of the whole matrix drawn at once: thresholded
+    uniforms on the dense route, the literal skip stream on the skip route."""
 
     @staticmethod
     def _check(spec: ProjectionSpec, data: Dataset) -> None:
-        reference = _whole_matrix_signs(spec)
+        if projection_module._sparse_route(spec.s):
+            reference = _skip_signs(spec)
+        else:
+            reference = _whole_matrix_signs(spec)
         proj = generate(spec)
         assert proj.has_canonical_format
         for got, want in ((proj.indptr, reference.indptr), (proj.indices, reference.indices),
@@ -234,16 +268,20 @@ class TestRowBlocks:
     @pytest.mark.parametrize("s", [20.0, 25.0, "sqrt"])
     @pytest.mark.parametrize("d, k", [(900, 40), (5000, 120)])
     def test_bit_identical_to_the_whole_matrix_draw(self, d, k, s, seed):
-        """k = 120 at d = 5000 takes blocks of 52, 52 and 16 rows."""
+        """Every case is on the skip route; the 7-row case below takes many
+        blocks there."""
         spec = ProjectionSpec(k=k, d=d, s=resolve_sparsity(s, d), seed=seed)
         assert 1 / spec.s <= projection_module._SPARSE_SAMPLER_MAX_PROB
         self._check(spec, logit_oracle_dataset(4, d, 2, np.array([0.6, 0.8]), seed=seed))
 
     @pytest.mark.parametrize("s", [1.0, 3.0, 25.0, "sqrt"])
     def test_many_blocks_the_last_one_partial(self, monkeypatch, s):
-        """Blocks of 7 rows: 40 rows take five whole blocks and one of 5."""
-        monkeypatch.setattr(projection_module, "_BLOCK_BYTES", 7 * 8 * 900)
+        """Blocks of 7 rows: 40 rows take five whole blocks and one of 5. A
+        skip-route block of 7 rows holds 7 d / s expected hits."""
         spec = ProjectionSpec(k=40, d=900, s=resolve_sparsity(s, 900), seed=11)
+        block_bytes = (int(7.5 * projection_module._HIT_BYTES * 900 / spec.s)
+                       if projection_module._sparse_route(spec.s) else 7 * 8 * 900)
+        monkeypatch.setattr(projection_module, "_BLOCK_BYTES", block_bytes)
         heights = [signs.shape[0] for _, signs
                    in _sign_blocks(np.random.default_rng(0), spec.s, spec.d, spec.k)]
         assert heights == [7, 7, 7, 7, 7, 5]
@@ -375,12 +413,6 @@ def _slice_sum(slices: np.ndarray, c: int) -> np.ndarray:
     return total
 
 
-def _kernel(monkeypatch, name: str) -> None:
-    """Send every `compress` to one kernel, whatever its s."""
-    monkeypatch.setattr(projection_module, "_SPARSE_SAMPLER_MAX_PROB",
-                        {"dense": 0.0, "csr": 1.0}[name])
-
-
 class TestCompress:
     """The fused route against `apply(generate(spec), data)`, its reference."""
 
@@ -456,26 +488,35 @@ class TestCompress:
         assert slices.shape == (64, 46)
         assert (_slice_sum(slices, 1) == block).all()
 
+    @classmethod
+    def _check_both_forms(cls, spec: ProjectionSpec, split: ExactSplit) -> None:
+        """The spec's sign blocks, densified and multiplied by the dense GEMM,
+        and as CSR matrices multiplied by the CSR kernel, give the same bytes,
+        which `compress` returns scaled."""
+        data = split.data
+        products = []
+        for form in (lambda b: b.toarray() if sparse.issparse(b) else b, sparse.csr_matrix):
+            out = np.empty((spec.k, data.n * (data.b + 1)))
+            rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+            for first, signs in _sign_blocks(rng, spec.s, spec.d, spec.k):
+                _add_slices(form(signs) @ split.slices, out[first : first + signs.shape[0]])
+            products.append(out)
+        assert products[0].tobytes() == products[1].tobytes()
+        expected = (products[0] * spec.scale).reshape(spec.k, data.n, data.b + 1)
+        assert cls._stacked(compress(spec, split)).tobytes() == np.ascontiguousarray(
+            expected.transpose(1, 0, 2)).tobytes()
+
     @pytest.mark.parametrize("kind", _SPLIT_KINDS)
     @pytest.mark.parametrize("s", [1.0, 3.0, 25.0])
-    def test_kernels_return_the_same_bits(self, monkeypatch, kind, s):
-        data = _split_input(kind)
-        split = ExactSplit(data)
-        spec = ProjectionSpec(k=16, d=64, s=s, seed=8)
-        results = []
-        for name in ("dense", "csr"):
-            _kernel(monkeypatch, name)
-            results.append(self._stacked(compress(spec, split)).tobytes())
-        assert results[0] == results[1]
+    def test_kernels_return_the_same_bits(self, kind, s):
+        self._check_both_forms(ProjectionSpec(k=16, d=64, s=s, seed=8),
+                               ExactSplit(_split_input(kind)))
 
-    def test_kernels_return_the_same_bits_at_sqrt_d(self, monkeypatch):
+    def test_kernels_return_the_same_bits_at_sqrt_d(self):
         data = logit_oracle_dataset(4, 900, 2, np.array([0.6, 0.8]), seed=3)
         spec = ProjectionSpec(k=30, d=900, s=resolve_sparsity("sqrt", 900), seed=4)
-        assert 1 / spec.s <= projection_module._SPARSE_SAMPLER_MAX_PROB
-        split = ExactSplit(data)
-        csr = self._stacked(compress(spec, split)).tobytes()
-        _kernel(monkeypatch, "dense")
-        assert self._stacked(compress(spec, split)).tobytes() == csr
+        assert projection_module._sparse_route(spec.s)
+        self._check_both_forms(spec, ExactSplit(data))
 
     def test_block_height_leaves_the_bits(self, monkeypatch):
         data = logit_oracle_dataset(3, 200, 2, np.array([0.6, 0.8]), seed=5)
@@ -564,9 +605,9 @@ class TestCompress:
 
     def test_sparse_route_peak_memory_is_one_row_block_plus_the_output(self):
         """At s = sqrt(d) the whole-matrix draw peaked at 25 MB on this shape
-        (its uniforms and masks); a call holds one row block of uniforms and
-        masks, the block's CSR arrays (about 1.4% of its cells, 20 bytes
-        each) and a few copies of the (k, n (b+1)) output."""
+        (its uniforms and masks); a call holds one skip-route block (its hits
+        and CSR arrays, about _BLOCK_BYTES) and a few copies of the
+        (k, n (b+1)) output."""
         data = logit_oracle_dataset(30, 5000, 2, np.array([0.6, 0.8]), seed=0)
         spec = ProjectionSpec(k=500, d=5000, s=resolve_sparsity("sqrt", 5000), seed=1)
         rows, output, peak = self._traced_compress(spec, data)
@@ -691,20 +732,29 @@ class TestJlDiagnostic:
     @pytest.mark.parametrize("d, rows", [
         (1000, 2 * (projection_module._BLOCK_BYTES // 8000) + 57),  # last block short
         (projection_module._BLOCK_BYTES // 8 + 11, 3),  # one-row blocks
+        (50_000, 40),  # 8 dense blocks; 3 skip-route blocks over 5 gap batches
     ])
     def test_sign_blocks_are_one_draw_thresholded(self, s, d, rows):
         """The blocks, copied (dense) or densified (CSR, at s = 25) and
-        stacked, are the thresholds of one `random((rows, d))` call, and
-        leave the generator where it leaves it."""
+        stacked, are the thresholds of one `random((rows, d))` call on the
+        dense route, the literal skip stream of `rows` rows on the skip
+        route, and leave the generator where that draw leaves it."""
         rng = np.random.default_rng(13)
         blocks = [(first, signs.toarray() if sparse.issparse(signs) else signs.copy())
                   for first, signs in _sign_blocks(rng, s, d, rows)]
-        assert [first for first, _ in blocks] == list(
-            range(0, rows, max(1, projection_module._BLOCK_BYTES // (8 * d))))
         stream = np.random.default_rng(13)
-        uniforms = stream.random((rows, d))
-        half = 0.5 / s
-        expected = (uniforms < half).astype(float) - (uniforms >= 1.0 - half)
+        if projection_module._sparse_route(s):
+            assert [first for first, _ in blocks] == list(range(0, rows, max(1, int(
+                projection_module._BLOCK_BYTES * s / (projection_module._HIT_BYTES * d)))))
+            flats, signs = _skip_stream(stream, s, rows * d)
+            expected = np.zeros((rows, d))
+            expected.ravel()[flats] = signs
+        else:
+            assert [first for first, _ in blocks] == list(
+                range(0, rows, max(1, projection_module._BLOCK_BYTES // (8 * d))))
+            uniforms = stream.random((rows, d))
+            half = 0.5 / s
+            expected = (uniforms < half).astype(float) - (uniforms >= 1.0 - half)
         assert np.concatenate([signs for _, signs in blocks]).tobytes() == expected.tobytes()
         assert rng.bit_generator.state == stream.bit_generator.state
 
@@ -728,15 +778,19 @@ class TestJlDiagnostic:
     def test_sparse_peak_memory_is_a_few_gap_batches_plus_the_output(self):
         """The skip route draws 5 million hits here, which it once took in one
         batch of 2^22 gaps with about 70 bytes of temporaries each (205 MB
-        traced). Batches of _BLOCK_BYTES of gaps, each summed into the rows it
-        spans, hold six such batches' bytes beside the output."""
-        d, s, n_rows = 500, 25.0, 250_000
+        traced). Blocks of about _BLOCK_BYTES / _HIT_BYTES expected hits, their
+        gap batches and the block before hold a few _BLOCK_BYTES beside the
+        k * draws row sums."""
+        d, s, k, draws = 500, 25.0, 25, 10_000
+        n_rows = k * draws
         assert n_rows * d / s > 1 << 22
-        w = np.random.default_rng(5).standard_normal(d)
-        _dots_sparse(w, s, 2000, np.random.default_rng(8))  # warm caches outside the trace
+        rng = np.random.default_rng(5)
+        u, v = rng.standard_normal(d), rng.standard_normal(d)
+        spec = ProjectionSpec(k=k, d=d, s=s, seed=8)
+        jl_diagnostic(u, v, spec, 1000)  # warm imports and caches outside the trace
         tracemalloc.start()
         try:
-            _dots_sparse(w, s, n_rows, np.random.default_rng(8))
+            jl_diagnostic(u, v, spec, draws)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
