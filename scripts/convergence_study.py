@@ -34,6 +34,7 @@ from rpchoice import (
     estimate_polar_grid,
     simulate_dataset,
 )
+from rpchoice.cli import _positive_int
 
 
 def cmd_fixed(args) -> list[dict]:
@@ -82,15 +83,15 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="mode", required=True)
 
     p_fixed = sub.add_parser("fixed", help="ladder of k on one dataset")
-    p_fixed.add_argument("--d", type=int, default=500)
-    p_fixed.add_argument("--k", type=int, nargs="*", default=[10, 20, 40, 80])
-    p_fixed.add_argument("--seeds", type=int, default=20)
-    p_fixed.add_argument("--draws", type=int, default=8)
+    p_fixed.add_argument("--d", type=_positive_int, default=500)
+    p_fixed.add_argument("--k", type=_positive_int, nargs="+", default=[10, 20, 40, 80])
+    p_fixed.add_argument("--seeds", type=_positive_int, default=20)
+    p_fixed.add_argument("--draws", type=_positive_int, default=8)
     p_fixed.set_defaults(func=cmd_fixed)
 
     p_grow = sub.add_parser("growing", help="d = k^2 schedule")
-    p_grow.add_argument("--k", type=int, nargs="*", default=[10, 20, 30])
-    p_grow.add_argument("--draws", type=int, default=8)
+    p_grow.add_argument("--k", type=_positive_int, nargs="+", default=[10, 20, 30])
+    p_grow.add_argument("--draws", type=_positive_int, default=8)
     p_grow.add_argument("--seed", type=int, default=0)
     p_grow.set_defaults(func=cmd_growing)
 

@@ -17,21 +17,20 @@ block of covariates and shares, so the replications go through `compress`
 instead. T is taken once per run (`ExactSplit`) and split without error
 (Ozaki, Ogita, Oishi & Rump, "Error-free transformations of matrix
 multiplication", Numer. Algorithms 59, 2012) into slices whose products with
-+/-1/0 signs are exact in float64. `compress` multiplies the signs of the
-cells `generate` draws by the slices. Every projection's signs, the JL
-diagnostic's too, come in row blocks from one sampler, `_sign_blocks`, whose
-route sets the stream: when 1/s > 0.05 it thresholds one uniform per cell
-into dense blocks; when 1/s <= 0.05 it finds the nonzero cells by geometric
-skips, touching about 1/s of them, and yields CSR blocks. The slices'
-products are added in one fixed order and scaled by sqrt(s/k) once, so
-neither the block's form nor BLAS threads or blocking change a bit of the
-result. scipy is imported by the skip route and `generate` alone, so a run
-that builds no sparse matrix never loads it.
++/-1/0 signs are exact in float64. `_project_rows` multiplies sign rows by
+the slices: `compress` on the cells `generate` draws, the JL diagnostic on
+w = u - v, split the same way, in seeded chunks of draws. Every projection's
+signs come in row blocks from one sampler, `_sign_blocks`, whose route sets
+the stream: when 1/s > 0.05 it thresholds one uniform per cell into dense
+blocks; when 1/s <= 0.05 it finds the nonzero cells by geometric skips,
+touching about 1/s of them, and yields CSR blocks. The slices' products are
+added in one fixed order, so neither the block's form nor BLAS threads or
+blocking change a bit of the result. scipy is imported by the skip route and
+`generate` alone, so a run that builds no sparse matrix never loads it.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -39,7 +38,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._seeds import STREAM_DIAGNOSTIC, check_seed, seed_sequence
+from ._seeds import STREAM_DIAGNOSTIC, available_cpus, check_seed, seed_sequence
 from .data import Dataset, _readonly
 from .errors import DimensionError, ParameterError, ValidationError, as_index
 
@@ -61,6 +60,9 @@ _HIT_BYTES = 64
 # gaps a skip-route batch draws: a constant, so the stream up to any cell is
 # the same whatever the row count and the block height
 _SKIP_BATCH = 1 << 14
+# draws a JL diagnostic chunk takes from a stream of its own: a constant, so
+# the diagnostic reads the same whatever the CPU and BLAS thread counts
+_JL_CHUNK = 256
 
 
 def resolve_sparsity(value, d: int) -> float:
@@ -134,6 +136,8 @@ def _sign_blocks(rng: np.random.Generator, s: float, d: int, rows: int):
 
     The stream up to any cell depends on neither the row count nor the block
     height, and where `rng` ends after `rows` rows not on the block height.
+    Every caller seeds a generator per stream, so none relies on how many
+    64-bit draws a cell takes.
     """
     if _sparse_route(s):
         from scipy import sparse
@@ -355,28 +359,34 @@ def _add_slices(products: np.ndarray, out: np.ndarray) -> None:
         out += products[:, first:first + c]
 
 
+def _project_rows(rng: np.random.Generator, s: float, slices: np.ndarray, out: np.ndarray) -> None:
+    """Fill out (h, c) with h sign rows drawn from `rng` by `_sign_blocks`
+    times the (d, count c) slices: each block multiplies all slices in one
+    exact product, a dense GEMM when 1/s > 0.05, a CSR product when
+    1/s <= 0.05, added in slice order. Beside `out` a call holds one block
+    (a _BLOCK_BYTES block of uniforms and its two boolean masks, or the skip
+    route's hits and CSR arrays) and its (h, count c) products."""
+    for first, signs in _sign_blocks(rng, s, slices.shape[0], out.shape[0]):
+        _add_slices(signs @ slices, out[first : first + signs.shape[0]])
+
+
 def compress(spec: ProjectionSpec, split: ExactSplit) -> CompressedDataset:
     """apply(generate(spec), split.data) without building the k x d matrix.
 
-    The +/-1 signs of the cells `generate` draws multiply the split's slices,
-    exactly; the products are added in slice order and scaled by sqrt(s/k)
-    once, so the result depends on the spec and the data alone, not on the
-    block's form, the BLAS thread count or the block height. It differs from
-    the CSC product of T by rounding only (about 5e-15 relative at d = 5000).
-
-    The signs come in row blocks from `_sign_blocks`, each multiplying all
-    slices in one product: a dense GEMM when 1/s > 0.05, a CSR product when
-    1/s <= 0.05. A call holds one block (a _BLOCK_BYTES block of uniforms and
-    its two boolean masks, or the skip route's hits and CSR arrays) and the
+    `_project_rows` multiplies the +/-1 signs of the cells `generate` draws by
+    the split's slices, exactly, and adds the products in slice order; the
+    sums are scaled by sqrt(s/k) once, so the result depends on the spec and
+    the data alone, not on the block's form, the BLAS thread count or the
+    block height. It differs from the CSC product of T by rounding only
+    (about 5e-15 relative at d = 5000). A call holds one sign block and the
     (k, n (b+1)) output; the split is shared, read-only.
     """
     data = split.data
     if spec.d != data.d:
         raise DimensionError(f"projection expects d={spec.d}, dataset has d={data.d}")
     out = np.empty((spec.k, data.n * (data.b + 1)))
-    rng = np.random.default_rng(np.random.SeedSequence(int(spec.seed)))
-    for first, signs in _sign_blocks(rng, spec.s, spec.d, spec.k):
-        _add_slices(signs @ split.slices, out[first : first + signs.shape[0]])
+    _project_rows(np.random.default_rng(np.random.SeedSequence(int(spec.seed))), spec.s,
+                  split.slices, out)
     out *= spec.scale
     return _unstack(out, data)
 
@@ -384,7 +394,7 @@ def compress(spec: ProjectionSpec, split: ExactSplit) -> CompressedDataset:
 def predicted_distance_variance(w: np.ndarray, s: float, k: int) -> float:
     """Variance of ||R w||^2: (2 ||w||^4 + (s - 3) sum w^4) / k."""
     w = np.asarray(w, dtype=np.float64)
-    sq = float(np.einsum("i,i->", w, w))  # not BLAS: see _dots_dense
+    sq = float(np.einsum("i,i->", w, w))  # not BLAS, whose rounding varies with its threads
     fourth = float(np.sum(w ** 4))
     return (2.0 * sq * sq + (s - 3.0) * fourth) / k
 
@@ -435,43 +445,17 @@ class JlDiagnostic:
         }
 
 
-def _dots_dense(w: np.ndarray, s: float, n_rows: int, rng: np.random.Generator) -> np.ndarray:
-    """Unscaled row sums sum_j sigma_j w_j for n_rows independent matrix rows.
-
-    The signs come from `_sign_blocks`, thresholded as generate() does, on
-    two threads, each over a contiguous half with its own blocks and its own
-    copy of `rng`, advanced to the half's first uniform (one 64-bit draw per
-    uniform). The two streams together are exactly `rng`'s stream, so the
-    result does not depend on the split; `rng` ends advanced past every draw.
-    Each row is summed by einsum, not BLAS, whose reduction order varies with
-    its thread count, so neither count nor a row's block changes the result.
-    """
-    d = w.size
-    out = np.empty(n_rows)
-    split = (n_rows + 1) // 2
-
-    def run(first: int, part: np.ndarray) -> None:
-        bit_gen = copy.deepcopy(rng.bit_generator)
-        bit_gen.advance(first * d)
-        for row, signs in _sign_blocks(np.random.Generator(bit_gen), s, d, len(part)):
-            np.einsum("ij,j->i", signs, w, out=part[row : row + len(signs)])
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        for job in [pool.submit(run, 0, out[:split]), pool.submit(run, split, out[split:])]:
-            job.result()
-    rng.bit_generator.advance(n_rows * d)
-    return out
-
-
 def jl_diagnostic(u, v, spec: ProjectionSpec, draws: int) -> JlDiagnostic:
     """Empirical mean and variance of ||R u - R v||^2 over independent draws.
 
     By linearity only w = u - v matters, so each draw reduces to k fresh
-    matrix rows dotted with w. The rows come from `_sign_blocks`: dense
-    blocks on two threads when 1/s > 0.05 (`_dots_dense`), else the skip
-    route's CSR blocks one after another, whose product with w sums each row
-    in column order, not through BLAS. Beside the k * draws row sums a call
-    holds one block per drawing thread.
+    matrix rows dotted with w. w is split without error like `compress`'s
+    data, and `_project_rows` multiplies its slices by the rows, exactly,
+    in chunks of _JL_CHUNK draws: chunk c draws from a stream of its own,
+    seeded by (seed, STREAM_DIAGNOSTIC, c), into its rows of the row sums.
+    The chunks run on a pool of one thread per CPU the process may use, so
+    the result depends on neither the CPU nor the BLAS thread count. Beside
+    the k * draws row sums a call holds one sign block per thread.
     """
     draws = as_index(draws, "draws")
     if draws < _JL_MIN_DRAWS:
@@ -492,16 +476,16 @@ def jl_diagnostic(u, v, spec: ProjectionSpec, draws: int) -> JlDiagnostic:
     if exact == 0.0:
         mean_sq = var_sq = 0.0
     else:
-        rng = np.random.default_rng(
-            seed_sequence(int(spec.seed), STREAM_DIAGNOSTIC)
-        )
-        n_rows = draws * spec.k
-        if _sparse_route(spec.s):
-            dots = np.empty(n_rows)
-            for row, signs in _sign_blocks(rng, spec.s, spec.d, n_rows):
-                dots[row : row + signs.shape[0]] = signs @ w
-        else:
-            dots = _dots_dense(w, spec.s, n_rows, rng)
+        slices = _error_free_slices(w[:, None].copy())
+        dots = np.empty((draws * spec.k, 1))
+        rows = _JL_CHUNK * spec.k
+
+        def chunk(c: int) -> None:
+            rng = np.random.default_rng(seed_sequence(int(spec.seed), STREAM_DIAGNOSTIC, c))
+            _project_rows(rng, spec.s, slices, dots[c * rows : (c + 1) * rows])
+
+        with ThreadPoolExecutor(max_workers=available_cpus()) as pool:
+            list(pool.map(chunk, range(-(-draws // _JL_CHUNK))))
         sq = np.square(dots, out=dots).reshape(draws, spec.k).sum(axis=1) * (spec.s / spec.k)
         mean_sq = float(sq.mean())
         var_sq = float(sq.var(ddof=1))

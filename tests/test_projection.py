@@ -34,7 +34,6 @@ from rpchoice import projection as projection_module
 from rpchoice.projection import (
     ExactSplit,
     _add_slices,
-    _dots_dense,
     _error_free_slices,
     _sign_blocks,
     _sign_masks,
@@ -683,50 +682,100 @@ class TestJlDiagnostic:
         with pytest.raises(ParameterError):
             jl_diagnostic(np.ones(20), np.zeros(20), spec, draws=10)
 
-    def test_dense_route_ties_to_generate_thresholds(self):
-        """The dense sampler must consume uniforms exactly like generate().
+    @staticmethod
+    def _chunk_signs(spec: ProjectionSpec, draws: int):
+        """Each chunk's sign rows, drawn whole and literally from its own
+        stream: the thresholds of one `random((rows, d))` call on the dense
+        route, the literal skip stream of `rows` rows on the skip route."""
+        chunk = projection_module._JL_CHUNK
+        for c, first in enumerate(range(0, draws, chunk)):
+            rows = spec.k * min(chunk, draws - first)
+            stream = np.random.default_rng(seed_sequence(spec.seed, STREAM_DIAGNOSTIC, c))
+            if projection_module._sparse_route(spec.s):
+                flats, signs = _skip_stream(stream, spec.s, rows * spec.d)
+                block = np.zeros((rows, spec.d))
+                block.ravel()[flats] = signs
+            else:
+                uniforms = stream.random((rows, spec.d))
+                half = 0.5 / spec.s
+                block = (uniforms < half).astype(float) - (uniforms >= 1.0 - half)
+            yield block
 
-        Rebuild the diagnostic's stream, threshold the same uniforms into sign
-        matrices, and reproduce mean and variance to the last bit.
-        """
-        d, k, draws = 40, 4, 1000
-        spec = ProjectionSpec(k=k, d=d, s=2.0, seed=21)
+    @staticmethod
+    def _recorded_row_sums(monkeypatch, u, v, spec: ProjectionSpec, draws: int):
+        """The diagnostic and its unscaled row sums, recorded chunk by chunk
+        (in order: one CPU runs the chunks one after another)."""
+        chunks = []
+        project_rows = projection_module._project_rows
+
+        def recording(rng, s, slices, out):
+            project_rows(rng, s, slices, out)
+            chunks.append(out.copy())
+
+        monkeypatch.setattr(projection_module, "_project_rows", recording)
+        monkeypatch.setattr(projection_module, "available_cpus", lambda: 1)
+        diag = jl_diagnostic(u, v, spec, draws)
+        return diag, np.concatenate(chunks)
+
+    @pytest.mark.parametrize("s", [1.0, 2.0, 3.0, 25.0])
+    def test_row_sums_are_each_chunks_literal_products(self, monkeypatch, s):
+        """Chunk c's rows are its stream's whole-matrix signs times w's exact
+        slices, added in slice order, byte for byte, and mean and variance
+        follow from them to the last bit. 1000 draws make three chunks of 256
+        and a short one of 232; a chunk's 1024 rows take four dense blocks
+        (262 rows each) or two skip-route blocks (819 rows at s = 25)."""
+        d, k, draws = 1000, 4, 1000
+        spec = ProjectionSpec(k=k, d=d, s=s, seed=21)
+        assert draws % projection_module._JL_CHUNK
         rng = np.random.default_rng(np.random.SeedSequence(77))
-        u = rng.standard_normal(d)
-        v = rng.standard_normal(d)
-        diag = jl_diagnostic(u, v, spec, draws=draws)
+        u, v = rng.standard_normal(d), rng.standard_normal(d)
+        diag, dots = self._recorded_row_sums(monkeypatch, u, v, spec, draws)
 
-        w = u - v
-        stream = np.random.default_rng(seed_sequence(spec.seed, STREAM_DIAGNOSTIC))
-        uniforms = stream.random((draws * k, d))
-        half = 0.5 / spec.s
-        signs = (uniforms < half).astype(float) - (uniforms >= 1.0 - half)
-        dots = np.einsum("ij,j->i", signs, w)
-        sq = (dots**2).reshape(draws, k).sum(axis=1) * (spec.s / spec.k)
+        slices = _error_free_slices((u - v)[:, None])
+        expected = np.concatenate([_slice_sum(block @ slices, 1)
+                                   for block in self._chunk_signs(spec, draws)])
+        assert dots.tobytes() == expected.tobytes()
+        sq = np.square(expected).reshape(draws, k).sum(axis=1) * (spec.s / spec.k)
         assert diag.mean_sq_dist == sq.mean()
         assert diag.var_sq_dist == sq.var(ddof=1)
 
-    @pytest.mark.parametrize("s", [1.0, 2.0, 3.0])
-    def test_dense_chunks_on_two_threads_reproduce_one_stream(self, s):
-        """The dense sampler splits its rows between two threads; the dots
-        and the generator's final state must equal one generator drawing the
-        same sign blocks one after another."""
-        d = 1000
-        per_block = projection_module._BLOCK_BYTES // (8 * d)
-        n_rows = 2 * per_block + 123  # three blocks, the last one short
-        w = np.random.default_rng(5).standard_normal(d)
-        rng = np.random.default_rng(8)
-        dots = _dots_dense(w, s, n_rows, rng)
+    @pytest.mark.parametrize("s", [1.0, 3.0, 25.0])
+    def test_row_sums_are_einsums_of_the_same_signs_up_to_rounding(self, monkeypatch, s):
+        """The exact products, rounded once per slice added, against the
+        einsum row sums the diagnostic once formed: each rounds a sum of at
+        most d + count terms whose magnitudes add up to about sum |w|, so
+        they differ by at most 2 (d + 2 count) 2^-53 sum |w|."""
+        d, k, draws = 1000, 4, 1000
+        spec = ProjectionSpec(k=k, d=d, s=s, seed=5)
+        rng = np.random.default_rng(np.random.SeedSequence(78))
+        u, v = rng.standard_normal(d), rng.standard_normal(d)
+        w = u - v
+        _, dots = self._recorded_row_sums(monkeypatch, u, v, spec, draws)
+        count = _error_free_slices(w[:, None].copy()).shape[1]
+        einsums = np.concatenate([np.einsum("ij,j->i", block, w)
+                                  for block in self._chunk_signs(spec, draws)])
+        bound = 2 * (d + 2 * count) * 2.0**-53 * np.abs(w).sum()
+        assert np.abs(dots[:, 0] - einsums).max() <= bound
 
-        stream = np.random.default_rng(8)
-        half = 0.5 / s
-        expected = np.empty(n_rows)
-        for lo in range(0, n_rows, per_block):
-            uniforms = stream.random((min(per_block, n_rows - lo), d))
-            signs = (uniforms < half).astype(float) - (uniforms >= 1.0 - half)
-            expected[lo : lo + len(signs)] = np.einsum("ij,j->i", signs, w)
-        assert dots.tobytes() == expected.tobytes()
-        assert rng.bit_generator.state == stream.bit_generator.state
+    @pytest.mark.parametrize("s", [1.0, 3.0, "sqrt"])
+    def test_cpu_count_leaves_the_result(self, monkeypatch, s):
+        """Chunks of a constant _JL_CHUNK draws, each from its own stream,
+        give the same diagnostic on a pool of one thread and of three, which
+        switch often: each writes only its own chunk's rows."""
+        d = 1000
+        spec = ProjectionSpec(k=20, d=d, s=resolve_sparsity(s, d), seed=3)
+        rng = np.random.default_rng(4)
+        u, v = rng.standard_normal(d), rng.standard_normal(d)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for cpus in (1, 3):
+                monkeypatch.setattr(projection_module, "available_cpus", lambda: cpus)
+                results.append(jl_diagnostic(u, v, spec, 1500))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize("s", [1.0, 2.0, 3.0, 25.0])
     @pytest.mark.parametrize("d, rows", [
@@ -758,22 +807,29 @@ class TestJlDiagnostic:
         assert np.concatenate([signs for _, signs in blocks]).tobytes() == expected.tobytes()
         assert rng.bit_generator.state == stream.bit_generator.state
 
-    def test_dense_peak_memory_is_two_sign_blocks_plus_the_output(self):
-        """Each of the two threads holds one block of uniforms (overwritten by
-        the signs) and its two boolean masks, whatever the row count, beside
-        the output and about 20 kB of threads and generators."""
-        d, n_rows = 1000, 10_000
-        assert n_rows >= 4 * (projection_module._BLOCK_BYTES // (8 * d))
-        w = np.random.default_rng(5).standard_normal(d)
-        _dots_dense(w, 1.0, 2000, np.random.default_rng(8))  # warm caches outside the trace
+    def test_dense_peak_memory_is_one_sign_block_per_thread_plus_the_output(self, monkeypatch):
+        """On two CPUs each of the two threads holds one block of uniforms
+        (overwritten by the signs), its two boolean masks and the block's
+        products with w's slices, whatever the row count, beside the row
+        sums, w's slices and about 64 kB of threads and generators."""
+        d, k, draws = 1000, 10, 1000
+        n_rows = k * draws
+        block = projection_module._BLOCK_BYTES
+        assert n_rows >= 4 * (block // (8 * d))
+        monkeypatch.setattr(projection_module, "available_cpus", lambda: 2)
+        rng = np.random.default_rng(5)
+        u, v = rng.standard_normal(d), rng.standard_normal(d)
+        spec = ProjectionSpec(k=k, d=d, s=1.0, seed=8)
+        jl_diagnostic(u, v, spec, 1000)  # warm imports and caches outside the trace
         tracemalloc.start()
         try:
-            _dots_dense(w, 1.0, n_rows, np.random.default_rng(8))
+            jl_diagnostic(u, v, spec, draws)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        block = projection_module._BLOCK_BYTES
-        assert peak < 2 * (block + 2 * block // 8) + 8 * n_rows + (1 << 16)
+        products = 3 * 8 * (block // (8 * d))  # (h, count) at count <= 3
+        slices = 3 * 8 * d
+        assert peak < 2 * (block + 2 * block // 8 + products) + 8 * n_rows + slices + (1 << 16)
 
     def test_sparse_peak_memory_is_a_few_gap_batches_plus_the_output(self):
         """The skip route draws 5 million hits here, which it once took in one

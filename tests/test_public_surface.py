@@ -61,14 +61,17 @@ def test_script_imports_without_running_main(path, monkeypatch):
     assert callable(module.main)
 
 
-@pytest.mark.parametrize("mode", ["fixed", "growing"])
-def test_convergence_study_takes_sqrt_sparsity(mode, monkeypatch, tmp_path):
-    """--sparsity sqrt reaches `convergence_diagnostic` as the string it
-    resolves against each dataset's d; parsed as a float it was refused."""
-    path = ROOT / "scripts" / "convergence_study.py"
-    spec = importlib.util.spec_from_file_location("convergence_study", path)
+def load_script(name: str):
+    """scripts/<name>.py as a module, its main not run."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def stub_convergence_study(module, monkeypatch) -> list:
+    """Replace the convergence study's simulation and estimation with stubs;
+    the sparsities its diagnostic was asked for are appended to the list."""
     seen = []
 
     def diagnostic(data, k_values, s, draws, master_seed):
@@ -80,8 +83,47 @@ def test_convergence_study_takes_sqrt_sparsity(mode, monkeypatch, tmp_path):
                         lambda *args, **kwargs: (SimpleNamespace(values=[1.0]), None))
     monkeypatch.setattr(module, "enumerate_cycles", lambda *args: None)
     monkeypatch.setattr(module, "convergence_diagnostic", diagnostic)
+    return seen
+
+
+@pytest.mark.parametrize("mode", ["fixed", "growing"])
+def test_convergence_study_takes_sqrt_sparsity(mode, monkeypatch, tmp_path):
+    """--sparsity sqrt reaches `convergence_diagnostic` as the string it
+    resolves against each dataset's d; parsed as a float it was refused."""
+    module = load_script("convergence_study")
+    seen = stub_convergence_study(module, monkeypatch)
     assert module.main([mode, "--k", "10", "--sparsity", "sqrt", "--out", str(tmp_path)]) == 0
     assert seen and set(seen) == {"sqrt"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["fixed", "--seeds", "0"],  # ended in a TypeError on the empty mean
+    ["fixed", "--k"],
+    ["fixed", "--k", "10", "0"],
+    ["fixed", "--draws", "-1"],
+    ["growing", "--k"],  # ended in an IndexError in the CSV writer
+    ["growing", "--draws", "0"],
+], ids=" ".join)
+def test_convergence_study_refuses_counts_it_cannot_run(argv, monkeypatch, tmp_path, capsys):
+    module = load_script("convergence_study")
+    stub_convergence_study(module, monkeypatch)
+    with pytest.raises(SystemExit) as exit_info:
+        module.main([*argv, "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--replications", "--threads"])
+def test_replication_study_refuses_counts_it_cannot_run(flag, monkeypatch, tmp_path, capsys):
+    """--replications 0 quietly ran the default 20 replications."""
+    module = load_script("replication_study")
+    monkeypatch.setattr(module, "run_design", lambda *args: pytest.fail("a design ran"))
+    with pytest.raises(SystemExit) as exit_info:
+        module.main(["--presets", "d100k10", flag, "0", "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert f"error: argument {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("path", BENCH + SCRIPTS, ids=lambda path: path.relative_to(ROOT).as_posix())
