@@ -34,7 +34,7 @@ from rpchoice import (
     estimate_polar_grid,
     simulate_dataset,
 )
-from rpchoice.cli import _positive_int
+from rpchoice.cli import _nonnegative_int, _positive_int
 
 
 def cmd_fixed(args) -> list[dict]:
@@ -92,12 +92,12 @@ def main(argv=None) -> int:
     p_grow = sub.add_parser("growing", help="d = k^2 schedule")
     p_grow.add_argument("--k", type=_positive_int, nargs="+", default=[10, 20, 30])
     p_grow.add_argument("--draws", type=_positive_int, default=8)
-    p_grow.add_argument("--seed", type=int, default=0)
+    p_grow.add_argument("--seed", type=_nonnegative_int, default=0)
     p_grow.set_defaults(func=cmd_growing)
 
     for p in (p_fixed, p_grow):
         p.add_argument("--sparsity", default="1", help="1, 3, sqrt, or a number")
-        p.add_argument("--data-seed", type=int, default=3)
+        p.add_argument("--data-seed", type=_nonnegative_int, default=3)
         p.add_argument("--out", default="results/convergence")
 
     args = parser.parse_args(argv)

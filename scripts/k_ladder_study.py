@@ -15,18 +15,19 @@ import argparse
 import json
 import os
 
+from rpchoice.cli import _nonnegative_int, _positive_int
 from rpchoice.cli import main as cli_main
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--data", required=True, help="dataset CSV")
-    parser.add_argument("--k", type=int, nargs="+", required=True,
+    parser.add_argument("--k", type=_positive_int, nargs="+", required=True,
                         help="projected dimensions, one run each")
     parser.add_argument("--s", default="1", help="sparsity: 1, 3, sqrt, or a number")
-    parser.add_argument("--replications", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=7, help="replication master seed")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--replications", type=_positive_int, default=20)
+    parser.add_argument("--seed", type=_nonnegative_int, default=7, help="replication master seed")
+    parser.add_argument("--threads", type=_positive_int, default=None,
                         help="replication worker threads (default: one per CPU)")
     parser.add_argument("--out", default="results/k-ladder")
     args = parser.parse_args(argv)

@@ -19,7 +19,7 @@ import time
 
 from rpchoice import SimConfig, run_replications, simulate_dataset
 from rpchoice._seeds import available_cpus
-from rpchoice.cli import PRESETS, _positive_int
+from rpchoice.cli import PRESETS, _nonnegative_int, _positive_int
 from rpchoice.projection import resolve_sparsity
 
 DESK_PRESETS = ("d100k10", "d500k100")
@@ -56,14 +56,14 @@ def run_design(name, replications, sparsity, data_seed, master_seed, threads):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--presets", nargs="*", choices=sorted(PRESETS),
+    parser.add_argument("--presets", nargs="+", choices=sorted(PRESETS),
                         default=None, help="designs to run (default: small ones)")
     parser.add_argument("--full", action="store_true",
                         help="all presets at 100 replications")
     parser.add_argument("--replications", type=_positive_int, default=None)
     parser.add_argument("--sparsity", default="1", help="1, 3, sqrt, or a number")
-    parser.add_argument("--data-seed", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=7, help="replication master seed")
+    parser.add_argument("--data-seed", type=_nonnegative_int, default=1)
+    parser.add_argument("--seed", type=_nonnegative_int, default=7, help="replication master seed")
     parser.add_argument("--threads", type=_positive_int, default=available_cpus())
     parser.add_argument("--out", default="results/replication")
     args = parser.parse_args(argv)

@@ -372,7 +372,7 @@ class TestActiveSetSolver:
 
 def reference_subgradient(data, cycles, restarts=20, steps=5000, seed=0, initial=None):
     """The sphere solver's loop as it was before its steps were made copy-light
-    and its restarts merged: (value, restart_values, beta)."""
+    and remembered by their iterates' bits: (value, restart_values, beta)."""
     evaluator = CriterionEvaluator(data, cycles)
     b = evaluator.b
     D = evaluator.D
@@ -451,8 +451,8 @@ class TestSolverMatchesReference:
     @pytest.mark.parametrize("steps", [1, 2, 3, 9, 10, 12])
     def test_step_cap(self, comp_b3, cycles20, steps):
         """No restart stops before a cap of 1 to 3 steps. At 9, 10 and 12 a
-        later restart meets a stopped restart's path too late to finish it
-        within the cap, so it must take its own steps to the cap."""
+        later restart reaches a remembered iterate and follows remembered
+        steps up to the cap, each one counted against it."""
         assert_matches_reference(comp_b3, cycles20, restarts=20, steps=steps, seed=4)
 
     def test_zero_minimum_stops_early(self):
@@ -492,8 +492,9 @@ class TestSolverMatchesReference:
                                  steps=steps, seed=seeds[2])
 
     def test_restart_merging_saves_eigen_steps(self, comp_b3, cycles20, monkeypatch):
-        """Most restarts reach an earlier restart's path and stop there, so
-        the solver takes fewer eigen steps than the reference loop."""
+        """Most restarts reach an iterate of an earlier restart and follow its
+        remembered steps, so the solver takes fewer eigen steps than the
+        reference loop."""
         calls = []
         eigh = np.linalg.eigh
 
@@ -507,6 +508,26 @@ class TestSolverMatchesReference:
         calls.clear()
         reference_subgradient(comp_b3, cycles20, restarts=20, seed=4)
         assert merged < len(calls)
+
+    def test_step_cap_takes_no_more_eigen_steps_than_no_cap(
+        self, comp_b3, cycles20, monkeypatch
+    ):
+        """A remembered step counts against the cap like a computed one, so a
+        capped call never takes more eigen steps than the uncapped call."""
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(1)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        estimate_subgradient(comp_b3, cycles20, restarts=20, seed=4)
+        uncapped = len(calls)
+        for cap in range(1, 31):
+            calls.clear()
+            estimate_subgradient(comp_b3, cycles20, restarts=20, steps=cap, seed=4)
+            assert len(calls) <= uncapped, cap
 
 
 class TestIrrelevantCoefficientRecovery:

@@ -103,6 +103,9 @@ def test_convergence_study_takes_sqrt_sparsity(mode, monkeypatch, tmp_path):
     ["fixed", "--draws", "-1"],
     ["growing", "--k"],  # ended in an IndexError in the CSV writer
     ["growing", "--draws", "0"],
+    ["fixed", "--data-seed", "-1"],  # ended in a ParameterError traceback
+    ["growing", "--seed", "-1"],
+    ["growing", "--data-seed", "-1"],
 ], ids=" ".join)
 def test_convergence_study_refuses_counts_it_cannot_run(argv, monkeypatch, tmp_path, capsys):
     module = load_script("convergence_study")
@@ -114,15 +117,37 @@ def test_convergence_study_refuses_counts_it_cannot_run(argv, monkeypatch, tmp_p
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("flag", ["--replications", "--threads"])
-def test_replication_study_refuses_counts_it_cannot_run(flag, monkeypatch, tmp_path, capsys):
-    """--replications 0 quietly ran the default 20 replications."""
+@pytest.mark.parametrize("argv", [
+    ["--replications", "0"],  # quietly ran the default 20 replications
+    ["--threads", "0"],
+    ["--seed", "-1"],  # simulated first, then ended in numpy's ValueError
+    ["--data-seed", "-1"],
+    ["--presets"],  # quietly ran the default presets
+], ids=lambda argv: argv[0])
+def test_replication_study_refuses_counts_it_cannot_run(argv, monkeypatch, tmp_path, capsys):
     module = load_script("replication_study")
     monkeypatch.setattr(module, "run_design", lambda *args: pytest.fail("a design ran"))
     with pytest.raises(SystemExit) as exit_info:
-        module.main(["--presets", "d100k10", flag, "0", "--out", str(tmp_path)])
+        module.main(["--presets", "d100k10", *argv, "--out", str(tmp_path)])
     assert exit_info.value.code == 2
-    assert f"error: argument {flag}" in capsys.readouterr().err
+    assert f"error: argument {argv[0]}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k", "5", "0"],  # ran the k = 5 rung, then exited 2 at k = 0
+    ["--replications", "0"],
+    ["--threads", "0"],
+    ["--seed", "-1"],
+], ids=" ".join)
+def test_k_ladder_study_refuses_counts_it_cannot_run(argv, monkeypatch, tmp_path, capsys):
+    module = load_script("k_ladder_study")
+    monkeypatch.setattr(module, "cli_main", lambda *args: pytest.fail("a rung ran"))
+    with pytest.raises(SystemExit) as exit_info:
+        module.main(["--data", str(tmp_path / "dataset.csv"), "--k", "5", *argv,
+                     "--out", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert f"error: argument {argv[0]}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
